@@ -26,7 +26,6 @@ from .dense import (
     as_matrix,
     lu_factor,
     lu_solve,
-    matmul,
     one_norm,
     read_matrix,
     read_partition,
@@ -57,11 +56,9 @@ from .incremental import IncrementalExpState, StepReport, run_adaptive, run_fixe
 from .pade import (
     THETA_13,
     PadeCoefficients,
-    ScalingChoice,
     expm_baseline,
     pade_coefficients,
     scaling_power,
-    select_scaling,
 )
 from .pricing import (
     PriceLedgerRow,

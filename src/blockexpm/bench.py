@@ -12,9 +12,11 @@ be hit within a factor of two.
 The benchmark runner times three method families on the same growing
 sequence: from-scratch scaling and squaring per stage (naive), the
 incremental engine at a fixed scaling power, and the incremental engine
-with adaptive scaling.  Timings use a monotonic clock, run single
-threaded, and report per-stage medians over a configurable number of
-repeats, accumulated into cumulative seconds as the stage index grows.
+with adaptive scaling.  Timings use a monotonic clock and report
+per-stage medians over a configurable number of repeats, accumulated into
+cumulative seconds as the stage index grows.  BLAS is limited to one
+thread only when ``threadpoolctl`` can be imported; without it the runs
+use the BLAS library's default thread count, and nothing records which.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ except ImportError:  # pragma: no cover - present in normal installs
 from .blocks import BlockTriangularMatrix, Partition
 from .dense import one_norm, rel_error_fro
 from .incremental import run_adaptive, run_fixed
-from .pade import THETA_13, expm_baseline
+from .pade import expm_baseline
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -143,16 +145,15 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Parsed benchmark method: kind plus its scaling parameter."""
+    """Parsed benchmark method: kind plus, for "fixed", its scaling power."""
 
     name: str
     kind: str  # "naive" | "fixed" | "adaptive"
     s: int | None = None
-    theta: float = THETA_13
 
 
 def parse_method(name: str) -> MethodSpec:
-    """Parse "naive", "fixed:<s>", "adaptive" or "adaptive:<theta>"."""
+    """Parse "naive", "fixed:<s>" or "adaptive"."""
     parts = name.split(":")
     kind = parts[0]
     if kind == "naive" and len(parts) == 1:
@@ -164,11 +165,6 @@ def parse_method(name: str) -> MethodSpec:
         return MethodSpec(name=name, kind="fixed", s=s)
     if kind == "adaptive" and len(parts) == 1:
         return MethodSpec(name=name, kind="adaptive")
-    if kind == "adaptive" and len(parts) == 2:
-        theta = float(parts[1])
-        if theta <= 0:
-            raise ValueError(f"adaptive threshold must be positive: {name!r}")
-        return MethodSpec(name=name, kind="adaptive", theta=theta)
     raise ValueError(f"unrecognized method {name!r}")
 
 
@@ -194,7 +190,7 @@ def _method_stage_results(matrix, method: MethodSpec, refs):
     if method.kind == "fixed":
         runner = run_fixed(columns, s=method.s)
     else:
-        runner = run_adaptive(columns, theta=method.theta)
+        runner = run_adaptive(columns)
     for f, report in runner:
         err = _floored_err(f.data, refs[report.step]) if refs is not None else None
         out.append((report.dim, report.seconds, report.restart, err))

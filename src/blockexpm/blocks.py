@@ -53,13 +53,6 @@ class Partition:
         off = self.offsets
         return off[l], off[l + 1]
 
-    def merge_leading(self, l: int) -> "Partition":
-        """Fuse blocks 0..l into a single block."""
-        if not 0 <= l < self.nblocks:
-            raise IndexError(f"block index {l} out of range for {self.nblocks} blocks")
-        off = self.offsets
-        return Partition((off[l + 1],) + self.sizes[l + 1 :])
-
     def append(self, b: int) -> "Partition":
         return Partition(self.sizes + (int(b),))
 
@@ -102,9 +95,6 @@ class BlockColumn:
     def stacked(self) -> np.ndarray:
         """The full new column, top part over diagonal block."""
         return np.vstack([self.top, self.diag])
-
-    def scaled(self, factor: float) -> "BlockColumn":
-        return BlockColumn(self.top * factor, self.diag * factor, check_finite=False)
 
 
 def extend_square(old: np.ndarray, top: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -205,10 +195,6 @@ class BlockTriangularMatrix:
             )
         data = extend_square(self._data, col.top, col.diag)
         return BlockTriangularMatrix._wrap(data, self.partition.append(col.block_size))
-
-    def merge_leading_blocks(self, l: int) -> "BlockTriangularMatrix":
-        """Same entries, with blocks 0..l fused into one partition block."""
-        return BlockTriangularMatrix._wrap(self._data, self.partition.merge_leading(l))
 
     def block_column(self, l: int) -> BlockColumn:
         """Block column l as a BlockColumn (top part and diagonal block)."""

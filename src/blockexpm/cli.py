@@ -28,7 +28,7 @@ from .generators import (
     jacobi_spec,
 )
 from .incremental import run_adaptive, run_fixed
-from .pade import THETA_13, expm_baseline
+from .pade import expm_baseline
 from .pricing import PricingConfig, price_call
 
 _PARAM_KEYS = ("kappa", "theta", "sigma", "r", "rho", "vmin", "vmax", "tau")
@@ -63,27 +63,22 @@ def _model_params(model: str, params: dict[str, float]):
     return JacobiParams(**values) if model == "jacobi" else HestonParams(**values)
 
 
-def _parse_scaling(text: str, allow_adaptive_theta: bool = True):
-    """Return ("fixed", s) or ("adaptive", theta)."""
+def _parse_scaling(text: str) -> int | None:
+    """Fixed scaling power for "fixed:<s>", None for "adaptive"."""
     parts = text.split(":")
     if parts[0] == "fixed" and len(parts) == 2:
         s = int(parts[1])
         if s < 0:
             raise ValueError(f"fixed scaling power must be nonnegative: {text!r}")
-        return "fixed", s
-    if parts[0] == "adaptive" and len(parts) == 1:
-        return "adaptive", THETA_13
-    if parts[0] == "adaptive" and len(parts) == 2 and allow_adaptive_theta:
-        theta = float(parts[1])
-        if theta <= 0:
-            raise ValueError(f"adaptive threshold must be positive: {text!r}")
-        return "adaptive", theta
-    raise ValueError(f"bad scaling {text!r}, expected fixed:<s> or adaptive[:<theta>]")
+        return s
+    if text == "adaptive":
+        return None
+    raise ValueError(f"bad scaling {text!r}, expected fixed:<s> or adaptive")
 
 
 def _cmd_expm(args) -> int:
     g = read_matrix(args.in_path)
-    f = expm_baseline(g, degree=args.degree, theta=args.theta)
+    f = expm_baseline(g)
     write_matrix(args.out, f)
     print(f"wrote {f.shape[0]}x{f.shape[1]} exponential to {args.out}")
     return 0
@@ -91,11 +86,8 @@ def _cmd_expm(args) -> int:
 
 def _cmd_incremental(args) -> int:
     columns = read_column_stream(args.columns)
-    mode, value = _parse_scaling(args.scaling)
-    if mode == "fixed":
-        runner = run_fixed(columns, s=value)
-    else:
-        runner = run_adaptive(columns, theta=value)
+    s = _parse_scaling(args.scaling)
+    runner = run_adaptive(columns) if s is None else run_fixed(columns, s=s)
     os.makedirs(args.emit, exist_ok=True)
     refs = None
     if args.check:
@@ -135,7 +127,6 @@ def _cmd_price(args) -> int:
     if args.model != "jacobi":
         raise ValueError("pricing supports only the jacobi model")
     params = _model_params("jacobi", _parse_params(args.params))
-    mode, value = _parse_scaling(args.scaling, allow_adaptive_theta=False)
     cfg = PricingConfig(
         params=params,
         y0=args.y0,
@@ -146,7 +137,7 @@ def _cmd_price(args) -> int:
         sigmaw=args.sigmaw,
         eps=args.eps,
         n_max=args.n_max,
-        scaling=value if mode == "fixed" else None,
+        scaling=_parse_scaling(args.scaling),
     )
     result = price_call(cfg)
     rows = ["n,l_n,f_n,term,partial_price,cum_seconds"]
@@ -197,14 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expm", help="exponential of a matrix file")
     p.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--degree", type=int, default=13)
-    p.add_argument("--theta", type=float, default=THETA_13)
     p.set_defaults(func=_cmd_expm)
 
     p = sub.add_parser("incremental", help="exponentials of a block-column stream")
     p.add_argument("--columns", required=True, metavar="FILE")
     p.add_argument("--scaling", default="adaptive",
-                   help="fixed:<s> or adaptive[:<theta>] (default adaptive)")
+                   help="fixed:<s> or adaptive (default adaptive)")
     p.add_argument("--emit", required=True, metavar="DIR")
     p.add_argument("--check", action="store_true",
                    help="also report each stage's error against a from-scratch pass")

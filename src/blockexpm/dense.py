@@ -53,13 +53,6 @@ def as_matrix(a, check_finite: bool = True) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def one_norm(a: np.ndarray) -> float:
     """Induced 1-norm (maximum absolute column sum).  Empty matrix -> 0.0."""
     if a.size == 0:
@@ -95,12 +88,9 @@ class LuFactors:
     lu : numpy.ndarray
         Combined L (unit lower, below diagonal) and U (upper) factors in
         one square array, as returned by LAPACK getrf.
-    perm : numpy.ndarray
-        Explicit row permutation: row i of the permuted matrix is row
-        ``perm[i]`` of the input, so ``a[perm] == L @ U`` up to roundoff.
     ipiv : numpy.ndarray
-        Raw successive-interchange indices (getrf convention), kept for
-        the solve routine.
+        Successive row interchanges (getrf convention): row k was swapped
+        with row ``ipiv[k]``, for k in increasing order.
     smallest_pivot : float
         Minimum absolute diagonal entry of U.
     ill_conditioned : bool
@@ -109,7 +99,6 @@ class LuFactors:
     """
 
     lu: np.ndarray
-    perm: np.ndarray
     ipiv: np.ndarray
     smallest_pivot: float
     ill_conditioned: bool
@@ -143,13 +132,8 @@ def lu_factor(a: np.ndarray) -> LuFactors:
             f"singular matrix: zero pivot in LU of {a.shape[0]}x{a.shape[0]} matrix",
             pivot=0.0,
         )
-    perm = np.arange(a.shape[0])
-    for k, p in enumerate(ipiv):
-        if p != k:
-            perm[k], perm[p] = perm[p], perm[k]
     return LuFactors(
         lu=lu,
-        perm=perm,
         ipiv=ipiv,
         smallest_pivot=smallest,
         ill_conditioned=bool(smallest < ILL_CONDITION_RTOL * norm),

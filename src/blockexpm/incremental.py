@@ -15,7 +15,7 @@ Two drivers are provided:
 
 * ``run_fixed`` keeps the scaling power s fixed for the whole sequence.
 * ``run_adaptive`` picks s from the current 1-norm and restarts on a
-  merged partition whenever the norm outgrows theta * 2^s.  Restart
+  merged partition whenever the norm outgrows THETA_13 * 2^s.  Restart
   stages are recomputed from scratch at the new scaling power, so the
   exponential emitted at a restart equals a fresh baseline call exactly;
   exponentials emitted before the restart are not revised.
@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
-from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve, one_norm
-from .pade import (
-    THETA_13,
-    PadeCoefficients,
-    _expm_core,
-    evaluate_poly,
-    pade_coefficients,
-    scaling_power,
-)
+from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
+from .pade import PADE_13, THETA_13, _expm_core, evaluate_poly, scaling_power
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,17 @@ class IncrementalExpState:
       entry is the current exponential.
     """
 
-    def __init__(self, g0, s: int, pade: PadeCoefficients | None = None):
+    # The approximant every cache extends; tracing tools read its degree.
+    pade = PADE_13
+
+    def __init__(self, g0, s: int):
         g0 = as_matrix(g0)
         if g0.shape[0] != g0.shape[1] or g0.shape[0] == 0:
             raise ValueError(f"initial matrix must be square and nonempty, got {g0.shape}")
         if s < 0:
             raise ValueError(f"scaling power must be nonnegative, got {s}")
-        self.pade = pade if pade is not None else pade_coefficients(13)
         self.s = int(s)
-        core = _expm_core(g0, self.pade, self.s)
+        core = _expm_core(g0, self.s)
         self.partition = Partition((g0.shape[0],))
         self._gt = core.scaled
         self._qinv = lu_solve(core.lu, np.eye(g0.shape[0]))
@@ -213,18 +208,18 @@ class IncrementalExpState:
         return cols
 
 
-def _timed_init(col: BlockColumn, s: int, pade: PadeCoefficients):
+def _timed_init(col: BlockColumn, s: int):
     if col.rows != 0:
         raise ValueError(
             "first block column must have an empty top part, "
             f"got {col.rows} rows"
         )
     t0 = time.perf_counter()
-    state = IncrementalExpState(col.diag, s, pade)
+    state = IncrementalExpState(col.diag, s)
     return state, time.perf_counter() - t0
 
 
-def run_fixed(columns, s: int, pade: PadeCoefficients | None = None, stop=None):
+def run_fixed(columns, s: int, stop=None):
     """Incrementally exponentiate a block-column sequence at fixed scaling.
 
     Parameters
@@ -234,8 +229,6 @@ def run_fixed(columns, s: int, pade: PadeCoefficients | None = None, stop=None):
         row count must match the accumulated dimension.
     s : int
         Scaling power used for every stage.
-    pade : PadeCoefficients, optional
-        Defaults to degree 13.
     stop : callable, optional
         ``stop(exponential, report)`` is evaluated after each yield; a
         truthy result ends the run.
@@ -246,11 +239,10 @@ def run_fixed(columns, s: int, pade: PadeCoefficients | None = None, stop=None):
         The exponential of the matrix accumulated so far and the stage's
         bookkeeping.
     """
-    pade = pade if pade is not None else pade_coefficients(13)
     state = None
     for n, col in enumerate(columns):
         if state is None:
-            state, seconds = _timed_init(col, s, pade)
+            state, seconds = _timed_init(col, s)
         else:
             t0 = time.perf_counter()
             state.step(col)
@@ -269,41 +261,35 @@ def run_fixed(columns, s: int, pade: PadeCoefficients | None = None, stop=None):
             return
 
 
-def run_adaptive(
-    columns,
-    pade: PadeCoefficients | None = None,
-    theta: float = THETA_13,
-    stop=None,
-):
+def run_adaptive(columns, stop=None):
     """Incrementally exponentiate with norm-driven scaling and restarts.
 
     The initial scaling power is picked from the first diagonal block's
-    1-norm.  Whenever a new column pushes 2^-s ||G||_1 above theta, the
+    1-norm.  Whenever a new column pushes 2^-s ||G||_1 above THETA_13, the
     accumulated blocks and the new column are merged into a single leading
     block, s is re-selected from the grown norm, and the stage is computed
     from scratch on the merged matrix.  Such stages are flagged with
     ``restart=True`` in their report and match a baseline call with the
     new scaling power exactly; earlier emitted exponentials keep the old
     scaling.  Since each restart strictly increases s, the number of
-    restarts is at most ceil(log2(||G||_1 / theta)).
+    restarts is at most ceil(log2(||G||_1 / THETA_13)).
 
     Yields the same pairs as :func:`run_fixed`.
     """
-    pade = pade if pade is not None else pade_coefficients(13)
     state = None
     norm = 0.0
     for n, col in enumerate(columns):
         col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
         new_norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
         if state is None:
-            s = scaling_power(new_norm, theta)
-            state, seconds = _timed_init(col, s, pade)
+            s = scaling_power(new_norm)
+            state, seconds = _timed_init(col, s)
             restart = False
-        elif new_norm * 2.0 ** (-state.s) > theta:
+        elif new_norm * 2.0 ** (-state.s) > THETA_13:
             t0 = time.perf_counter()
             g = extend_square(state.unscaled_matrix(), col.top, col.diag)
-            s = scaling_power(new_norm, theta)
-            state = IncrementalExpState(g, s, pade)
+            s = scaling_power(new_norm)
+            state = IncrementalExpState(g, s)
             seconds = time.perf_counter() - t0
             restart = True
         else:

@@ -1,11 +1,15 @@
 """Diagonal Pade approximants of the exponential, with scaling and squaring.
 
 The baseline routine here evaluates exp(a) as r(2^-s a)^(2^s) where r = p/q
-is the degree (m, m) diagonal Pade approximant.  The numerator polynomial is
-evaluated from explicitly formed matrix powers, in ascending monomial order.
-That evaluation order is deliberate: the incremental engine extends the same
-polynomials column by column, and its diagonal blocks must reproduce the
-baseline arithmetic exactly, operation for operation.
+is the degree (13, 13) diagonal Pade approximant and s is the smallest
+power that brings 2^-s ||a||_1 down to THETA_13 or below.  Degree and
+threshold are fixed together: THETA_13 is only valid for degree 13.
+
+The numerator polynomial is evaluated from explicitly formed matrix powers,
+in ascending monomial order.  That evaluation order is deliberate: the
+incremental engine extends the same polynomials column by column, and its
+diagonal blocks must reproduce the baseline arithmetic exactly, operation
+for operation.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ from .dense import LuFactors, as_matrix, lu_factor, lu_solve, one_norm
 # 1-norm threshold for the degree-13 diagonal approximant: scaling halves the
 # norm until it drops below this value.
 THETA_13 = 5.371920351148152
-
-# Degrees with a well-established backward error analysis at THETA-style
-# thresholds.  pade_coefficients itself is generic in the degree.
-SUPPORTED_DEGREES = (3, 5, 7, 9, 13)
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,17 @@ def pade_coefficients(m: int) -> PadeCoefficients:
     return PadeCoefficients(degree=m, alpha=alpha, beta=beta)
 
 
-@dataclass(frozen=True)
-class ScalingChoice:
-    """Scaling power selected for a matrix: 2^-s * norm <= theta."""
-
-    s: int
-    norm: float
-    theta: float
+# The approximant every exponential in the package uses.
+PADE_13 = pade_coefficients(13)
 
 
 def scaling_power(norm: float, theta: float = THETA_13) -> int:
     """Smallest integer s >= 0 with 2^-s * norm <= theta.
 
     Halving is exact in binary floating point, so the boundary cases behave
-    predictably: norm == theta gives s = 0.
+    predictably: norm == theta gives s = 0.  Every exponential in the
+    package scales with the default, the degree-13 threshold; the
+    truncated-Taylor oracle of the acceptance tests passes its own bound.
     """
     if not np.isfinite(norm) or norm < 0:
         raise ValueError(f"matrix norm must be finite and nonnegative, got {norm}")
@@ -86,12 +83,6 @@ def scaling_power(norm: float, theta: float = THETA_13) -> int:
         x *= 0.5
         s += 1
     return s
-
-
-def select_scaling(a: np.ndarray, theta: float = THETA_13) -> ScalingChoice:
-    """Choose the scaling power for a matrix from its 1-norm."""
-    norm = one_norm(a)
-    return ScalingChoice(s=scaling_power(norm, theta), norm=norm, theta=theta)
 
 
 def evaluate_poly(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
@@ -132,16 +123,15 @@ class ExpmIntermediates:
         return self.squares[-1]
 
 
-def _expm_core(a: np.ndarray, pade: PadeCoefficients, s: int) -> ExpmIntermediates:
+def _expm_core(a: np.ndarray, s: int) -> ExpmIntermediates:
     # a is trusted (validated by callers); s fixed by the caller.
-    m = pade.degree
     scaled = a * 2.0 ** (-s)
     d = scaled.shape[0]
     powers = [np.eye(d)]
-    for _ in range(m):
+    for _ in range(PADE_13.degree):
         powers.append(powers[-1] @ scaled)
-    p = evaluate_poly(powers, pade.alpha)
-    q = evaluate_poly(powers, pade.beta)
+    p = evaluate_poly(powers, PADE_13.alpha)
+    q = evaluate_poly(powers, PADE_13.beta)
     lu = lu_factor(q)
     squares = [lu_solve(lu, p)]
     for _ in range(s):
@@ -149,26 +139,16 @@ def _expm_core(a: np.ndarray, pade: PadeCoefficients, s: int) -> ExpmIntermediat
     return ExpmIntermediates(s=s, scaled=scaled, lu=lu, squares=squares)
 
 
-def expm_baseline(
-    a,
-    degree: int = 13,
-    theta: float = THETA_13,
-    s: int | None = None,
-) -> np.ndarray:
-    """Matrix exponential by Pade scaling and squaring.
+def expm_baseline(a, s: int | None = None) -> np.ndarray:
+    """Matrix exponential by degree-13 Pade scaling and squaring.
 
     Parameters
     ----------
     a : array_like
         Square matrix with finite entries.
-    degree : int
-        Diagonal Pade degree, one of 3, 5, 7, 9, 13.  The default threshold
-        ``theta`` is tuned for degree 13; pass a matching threshold when
-        using a lower degree.
-    theta : float
-        Norm threshold used to pick the scaling power when ``s`` is None.
     s : int, optional
-        Force this scaling power instead of selecting one from the norm.
+        Force this scaling power instead of selecting one from the norm
+        and THETA_13.
 
     Returns
     -------
@@ -178,10 +158,8 @@ def expm_baseline(
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got {a.shape}")
-    if degree not in SUPPORTED_DEGREES:
-        raise ValueError(f"unsupported Pade degree {degree}, expected one of {SUPPORTED_DEGREES}")
     if s is None:
-        s = scaling_power(one_norm(a), theta)
+        s = scaling_power(one_norm(a))
     elif not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
-    return _expm_core(a, pade_coefficients(degree), int(s)).result
+    return _expm_core(a, int(s)).result

@@ -34,7 +34,7 @@ from .generators import (
     jacobi_spec,
 )
 from .incremental import run_adaptive, run_fixed
-from .pade import THETA_13, scaling_power
+from .pade import scaling_power
 
 # Tiny floor that keeps the relative termination test meaningful when the
 # accumulated price is still zero.
@@ -212,7 +212,6 @@ class PricingConfig:
     eps: float = 1e-3
     n_max: int = 100
     scaling: int | None = None
-    theta: float = THETA_13
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -229,10 +228,9 @@ class PricingConfig:
             )
 
 
-def scaling_from_bound(params: JacobiParams, tau: float, n: int,
-                       theta: float = THETA_13) -> int:
+def scaling_from_bound(params: JacobiParams, tau: float, n: int) -> int:
     """Scaling power that covers tau * G_n a priori, via the norm bound."""
-    return scaling_power(tau * jacobi_norm_bound(params, n), theta)
+    return scaling_power(tau * jacobi_norm_bound(params, n))
 
 
 def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int) -> float:
@@ -263,7 +261,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     spec = jacobi_spec(cfg.params)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
     if cfg.scaling is None:
-        runner = run_adaptive(columns, theta=cfg.theta)
+        runner = run_adaptive(columns)
     else:
         runner = run_fixed(columns, s=cfg.scaling)
 

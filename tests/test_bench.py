@@ -13,7 +13,6 @@ from blockexpm.bench import (
     run_benchmark,
     write_bench_csv,
 )
-from blockexpm.pade import THETA_13
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -93,11 +92,9 @@ def test_parse_method():
     assert parse_method("naive") == MethodSpec(name="naive", kind="naive")
     m = parse_method("fixed:6")
     assert (m.kind, m.s) == ("fixed", 6)
-    a = parse_method("adaptive")
-    assert (a.kind, a.theta) == ("adaptive", THETA_13)
-    a4 = parse_method("adaptive:4.0")
-    assert (a4.kind, a4.theta) == ("adaptive", 4.0)
-    for bad in ("fixed", "fixed:-1", "fixed:x", "adaptive:0", "naive:2", "turbo", "adaptive:1:2"):
+    assert parse_method("adaptive") == MethodSpec(name="adaptive", kind="adaptive")
+    for bad in ("fixed", "fixed:-1", "fixed:x", "adaptive:0", "adaptive:4.0", "naive:2", "turbo",
+                "adaptive:1:2"):
         with pytest.raises(ValueError):
             parse_method(bad)
 

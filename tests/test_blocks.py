@@ -29,15 +29,11 @@ def test_partition_basics():
     assert p.dim == 6
     assert p.offsets == (0, 2, 5, 6)
     assert p.index_range(1) == (2, 5)
-    assert p.merge_leading(1) == Partition((5, 1))
-    assert p.merge_leading(0) == p
     assert p.append(4) == Partition((2, 3, 1, 4))
     with pytest.raises(ValueError):
         Partition((2, 0))
     with pytest.raises(IndexError):
         p.index_range(3)
-    with pytest.raises(IndexError):
-        p.merge_leading(-1)
 
 
 def test_block_column_shapes_and_immutability():
@@ -54,9 +50,6 @@ def test_block_column_shapes_and_immutability():
         BlockColumn(np.ones((3, 2)), np.ones((3, 2)))  # diag not square vs width
     with pytest.raises(ValueError):
         BlockColumn(np.ones((3, 1)), np.ones((2, 2)))  # width mismatch
-    scaled = col.scaled(2.0)
-    assert np.array_equal(scaled.top, 2.0 * np.ones((3, 2)))
-    assert np.array_equal(scaled.diag, 2.0 * np.eye(2))
 
 
 def test_block_column_copies_input():
@@ -121,15 +114,6 @@ def test_append_and_column_roundtrip():
     # appending a mismatched column fails
     with pytest.raises(ValueError):
         m.append_block_column(BlockColumn(np.ones((2, 1)), np.ones((1, 1))))
-
-
-def test_merge_leading_blocks_keeps_entries():
-    rng = np.random.default_rng(21)
-    data, part = random_block_triangular(rng, (1, 2, 2))
-    m = BlockTriangularMatrix(data, part)
-    merged = m.merge_leading_blocks(1)
-    assert merged.partition == Partition((3, 2))
-    assert np.array_equal(merged.data, m.data)
 
 
 def test_empty_matrix():

@@ -6,7 +6,7 @@ import pytest
 
 from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
 from blockexpm.cli import main
-from blockexpm.dense import read_matrix, read_partition, rel_error_fro
+from blockexpm.dense import read_matrix, read_partition, rel_error_fro, write_matrix
 from blockexpm.generators import JacobiParams, build_generator_matrix, jacobi_spec
 from blockexpm.pade import expm_baseline
 from blockexpm.pricing import PricingConfig, price_call
@@ -193,6 +193,23 @@ def test_price_errors(tmp_path, capsys):
     rc = main(["price", "--model", "jacobi", "--params", JACOBI_ARG,
                "--eps", "-1"] + base)
     assert rc == 2
+
+
+def test_degree_and_threshold_are_not_options(tmp_path, capsys):
+    # degree 13 and THETA_13 are fixed; setting either must fail, not be ignored
+    src = tmp_path / "g.txt"
+    write_matrix(src, np.eye(2))
+    for flag, value in (("--degree", "3"), ("--theta", "60")):
+        with pytest.raises(SystemExit) as exc:
+            main(["expm", "--in", str(src), "--out", str(tmp_path / "f.txt"), flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, make_columns(np.random.default_rng(5), (2, 2)))
+    rc = main(["incremental", "--columns", str(stream), "--scaling", "adaptive:4.0",
+               "--emit", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_bench_run(tmp_path, capsys):
