@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import BlockColumn, Partition
+from .blocks import BlockColumn, Partition, matrix_from_columns
 
 MultiIndex = tuple[int, ...]
 
@@ -249,39 +249,19 @@ def apply_generator(spec: PolynomialOperatorSpec, f: Polynomial) -> Polynomial:
     return out
 
 
-def _column_entries(spec: PolynomialOperatorSpec, k: MultiIndex):
-    """(row index, coefficient) pairs of the generator's action on x^k."""
-    g = apply_generator(spec, Polynomial.monomial(k))
-    deg = sum(k)
-    for mi, c in g.terms.items():
-        if sum(mi) > deg:
-            raise ValueError(
-                f"operator raised the degree of monomial {k}: produced {mi}; "
-                "the coefficient degree bounds are violated"
-            )
-        yield basis_index(mi), c
-
-
 def build_generator_matrix(
     spec: PolynomialOperatorSpec, n: int
 ) -> tuple[np.ndarray, Partition]:
     """Matrix of the operator on the graded basis of degree-n polynomials.
 
-    Returns the dense matrix together with its degree partition.  The
-    matrix is block upper triangular by construction.
+    Returns the dense matrix, read-only, with its degree partition.  It is
+    assembled from :func:`generator_block_columns`, so it is block upper
+    triangular by construction.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    d = spec.dim
-    size = basis_size(d, n)
-    g = np.zeros((size, size))
-    i = 0
-    for j in range(n + 1):
-        for k in degree_monomials(d, j):
-            for row, c in _column_entries(spec, k):
-                g[row, i] = c
-            i += 1
-    return g, basis_partition(d, n)
+    g = matrix_from_columns(generator_block_columns(spec, max_degree=n))
+    return g.data, g.partition
 
 
 def generator_block_columns(
@@ -302,7 +282,13 @@ def generator_block_columns(
         top = np.zeros((prev, b))
         diag = np.zeros((b, b))
         for local, k in enumerate(monos):
-            for row, c in _column_entries(spec, k):
+            for mi, c in apply_generator(spec, Polynomial.monomial(k)).terms.items():
+                if sum(mi) > j:
+                    raise ValueError(
+                        f"operator raised the degree of monomial {k}: produced {mi}; "
+                        "the coefficient degree bounds are violated"
+                    )
+                row = basis_index(mi)
                 if row < prev:
                     top[row, local] = c * scale
                 else:

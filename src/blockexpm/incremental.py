@@ -8,8 +8,9 @@ inverse of the denominator polynomial, and every repeated square of the
 rational approximant -- and extends all of them by one block column per
 step.  The per-step cost drops to O(d^2 b) for a new block of size b.
 Only new block columns are ever computed, so earlier stages survive bit
-for bit inside later ones; the first stage is bitwise what a from-scratch
-pass with the same scaling power produces.
+for bit inside later ones.  The first block is one step from an empty
+state, and that step's arithmetic is the baseline's, so the first stage is
+bitwise what a from-scratch pass with the same scaling power produces.
 
 Two drivers are provided:
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
-from .pade import PADE_13, THETA_13, _expm_core, evaluate_poly, scaling_power
+from .pade import PADE_13, THETA_13, evaluate_poly, scaling_power
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,10 @@ class StepReport:
 class IncrementalExpState:
     """Cached scaling-and-squaring intermediates for one matrix sequence.
 
-    The state is created from the initial matrix (a single partition
-    block) and grown with :meth:`step`.  It holds three caches, each
-    block upper triangular and grown by one block column per step:
+    Construction is one :meth:`step` from an empty state, so the initial
+    matrix, a single partition block, gets the same pivot check as every
+    later block.  The state holds three caches, each block upper
+    triangular and grown by one block column per step:
 
     * the scaled matrix 2^-s G;
     * Q^-1, the inverse of the Pade denominator q(2^-s G), which turns the
@@ -74,11 +76,11 @@ class IncrementalExpState:
         if s < 0:
             raise ValueError(f"scaling power must be nonnegative, got {s}")
         self.s = int(s)
-        core = _expm_core(g0, self.s)
-        self.partition = Partition((g0.shape[0],))
-        self._gt = core.scaled
-        self._qinv = lu_solve(core.lu, np.eye(g0.shape[0]))
-        self._squares = core.squares
+        self.partition = Partition(())
+        self._gt = np.empty((0, 0))
+        self._qinv = np.empty((0, 0))
+        self._squares = [np.empty((0, 0)) for _ in range(self.s + 1)]
+        self.step(BlockColumn(np.empty((0, g0.shape[0])), g0, check_finite=False))
 
     @property
     def dim(self) -> int:
@@ -86,8 +88,9 @@ class IncrementalExpState:
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
-        """Copy of the current exp(G) as an immutable block matrix."""
-        return BlockTriangularMatrix._wrap(self._squares[-1].copy(), self.partition)
+        """The current exp(G) as an immutable block matrix, not a copy: no
+        step writes into a cache array after it has been emitted."""
+        return BlockTriangularMatrix._wrap(self._squares[-1], self.partition)
 
     def unscaled_matrix(self) -> np.ndarray:
         """Reconstruct G from the scaled cache; exact, since the scale is a
@@ -208,18 +211,13 @@ class IncrementalExpState:
         return cols
 
 
-def _timed_init(col: BlockColumn, s: int):
+def _first_diag(col: BlockColumn) -> np.ndarray:
     if col.rows != 0:
-        raise ValueError(
-            "first block column must have an empty top part, "
-            f"got {col.rows} rows"
-        )
-    t0 = time.perf_counter()
-    state = IncrementalExpState(col.diag, s)
-    return state, time.perf_counter() - t0
+        raise ValueError(f"first block column must have no top part, got {col.rows} rows")
+    return col.diag
 
 
-def run_fixed(columns, s: int, stop=None):
+def run_fixed(columns, s: int):
     """Incrementally exponentiate a block-column sequence at fixed scaling.
 
     Parameters
@@ -229,9 +227,6 @@ def run_fixed(columns, s: int, stop=None):
         row count must match the accumulated dimension.
     s : int
         Scaling power used for every stage.
-    stop : callable, optional
-        ``stop(exponential, report)`` is evaluated after each yield; a
-        truthy result ends the run.
 
     Yields
     ------
@@ -241,14 +236,13 @@ def run_fixed(columns, s: int, stop=None):
     """
     state = None
     for n, col in enumerate(columns):
+        t0 = time.perf_counter()
         if state is None:
-            state, seconds = _timed_init(col, s)
+            state = IncrementalExpState(_first_diag(col), s)
         else:
-            t0 = time.perf_counter()
             state.step(col)
-            seconds = time.perf_counter() - t0
-        f = state.exponential
-        report = StepReport(
+        seconds = time.perf_counter() - t0
+        yield state.exponential, StepReport(
             step=n,
             dim=state.dim,
             block_size=col.block_size,
@@ -256,12 +250,9 @@ def run_fixed(columns, s: int, stop=None):
             restart=False,
             seconds=seconds,
         )
-        yield f, report
-        if stop is not None and stop(f, report):
-            return
 
 
-def run_adaptive(columns, stop=None):
+def run_adaptive(columns):
     """Incrementally exponentiate with norm-driven scaling and restarts.
 
     The initial scaling power is picked from the first diagonal block's
@@ -280,26 +271,18 @@ def run_adaptive(columns, stop=None):
     norm = 0.0
     for n, col in enumerate(columns):
         col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
-        new_norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
+        norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
+        restart = state is not None and norm * 2.0 ** (-state.s) > THETA_13
+        t0 = time.perf_counter()
         if state is None:
-            s = scaling_power(new_norm)
-            state, seconds = _timed_init(col, s)
-            restart = False
-        elif new_norm * 2.0 ** (-state.s) > THETA_13:
-            t0 = time.perf_counter()
+            state = IncrementalExpState(_first_diag(col), scaling_power(norm))
+        elif restart:
             g = extend_square(state.unscaled_matrix(), col.top, col.diag)
-            s = scaling_power(new_norm)
-            state = IncrementalExpState(g, s)
-            seconds = time.perf_counter() - t0
-            restart = True
+            state = IncrementalExpState(g, scaling_power(norm))
         else:
-            t0 = time.perf_counter()
             state.step(col)
-            seconds = time.perf_counter() - t0
-            restart = False
-        norm = new_norm
-        f = state.exponential
-        report = StepReport(
+        seconds = time.perf_counter() - t0
+        yield state.exponential, StepReport(
             step=n,
             dim=state.dim,
             block_size=col.block_size,
@@ -307,6 +290,3 @@ def run_adaptive(columns, stop=None):
             restart=restart,
             seconds=seconds,
         )
-        yield f, report
-        if stop is not None and stop(f, report):
-            return

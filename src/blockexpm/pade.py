@@ -7,9 +7,9 @@ threshold are fixed together: THETA_13 is only valid for degree 13.
 
 The numerator polynomial is evaluated from explicitly formed matrix powers,
 in ascending monomial order.  That evaluation order is deliberate: the
-incremental engine extends the same polynomials column by column, and its
-diagonal blocks must reproduce the baseline arithmetic exactly, operation
-for operation.
+incremental engine evaluates every new diagonal block the same way, so a
+one-block state -- its first stage and every adaptive restart -- reproduces
+this baseline exactly, operation for operation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import LuFactors, as_matrix, lu_factor, lu_solve, one_norm
+from .dense import as_matrix, lu_factor, lu_solve, one_norm
 
 # 1-norm threshold for the degree-13 diagonal approximant: scaling halves the
 # norm until it drops below this value.
@@ -97,48 +97,6 @@ def evaluate_poly(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass
-class ExpmIntermediates:
-    """Everything the scaling-and-squaring pass computes along the way.
-
-    The incremental engine seeds its caches from these fields, which makes
-    its single-block state bitwise identical to a baseline call.
-
-    Attributes
-    ----------
-    s : scaling power actually used.
-    scaled : the scaled input 2^-s * a.
-    lu : LU factors of the denominator polynomial evaluated at ``scaled``.
-    squares : list of length s + 1 holding r(scaled)^(2^l) for l = 0..s;
-        the last entry is the final exponential.
-    """
-
-    s: int
-    scaled: np.ndarray
-    lu: LuFactors
-    squares: list[np.ndarray]
-
-    @property
-    def result(self) -> np.ndarray:
-        return self.squares[-1]
-
-
-def _expm_core(a: np.ndarray, s: int) -> ExpmIntermediates:
-    # a is trusted (validated by callers); s fixed by the caller.
-    scaled = a * 2.0 ** (-s)
-    d = scaled.shape[0]
-    powers = [np.eye(d)]
-    for _ in range(PADE_13.degree):
-        powers.append(powers[-1] @ scaled)
-    p = evaluate_poly(powers, PADE_13.alpha)
-    q = evaluate_poly(powers, PADE_13.beta)
-    lu = lu_factor(q)
-    squares = [lu_solve(lu, p)]
-    for _ in range(s):
-        squares.append(squares[-1] @ squares[-1])
-    return ExpmIntermediates(s=s, scaled=scaled, lu=lu, squares=squares)
-
-
 def expm_baseline(a, s: int | None = None) -> np.ndarray:
     """Matrix exponential by degree-13 Pade scaling and squaring.
 
@@ -162,4 +120,14 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
         s = scaling_power(one_norm(a))
     elif not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
-    return _expm_core(a, int(s)).result
+    s = int(s)
+    scaled = a * 2.0 ** (-s)
+    powers = [np.eye(a.shape[0])]
+    for _ in range(PADE_13.degree):
+        powers.append(powers[-1] @ scaled)
+    p = evaluate_poly(powers, PADE_13.alpha)
+    q = evaluate_poly(powers, PADE_13.beta)
+    r = lu_solve(lu_factor(q), p)
+    for _ in range(s):
+        r = r @ r
+    return r

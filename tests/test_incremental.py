@@ -108,6 +108,11 @@ def test_singular_denominator_block_raises_and_leaves_state():
     for _ in range(13):
         powers.append(powers[-1] @ diag)
     assert lu_factor(evaluate_poly(powers, pade_coefficients(13).beta)).ill_conditioned
+    # the first block is checked like every later one
+    with pytest.raises(SingularMatrixError):
+        IncrementalExpState(diag, s=0)
+    with pytest.raises(SingularMatrixError):
+        list(run_fixed([BlockColumn(np.zeros((0, 2)), diag)], s=0))
 
     rng = np.random.default_rng(149)
     cols = random_columns(rng, (3, 2), scale=0.5)
@@ -171,15 +176,6 @@ def test_adaptive_without_growth_never_restarts():
     reports = [r for _, r in run_adaptive(cols)]
     assert not any(r.restart for r in reports)
     assert all(r.s == reports[0].s for r in reports)
-
-
-def test_stop_predicate_ends_run():
-    rng = np.random.default_rng(137)
-    cols = random_columns(rng, (2, 2, 2, 2))
-    out = list(run_fixed(cols, s=2, stop=lambda f, r: r.step == 1))
-    assert len(out) == 2
-    out = list(run_adaptive(cols, stop=lambda f, r: f.dim >= 4))
-    assert out[-1][1].dim == 4
 
 
 def test_input_validation():
