@@ -6,7 +6,12 @@ scratch costs O(d_n^3) per step.  The engine here caches the intermediate
 quantities of the Pade scaling-and-squaring pass -- the scaled matrix, the
 inverse of the denominator polynomial, and every repeated square of the
 rational approximant -- and extends all of them by one block column per
-step.  The per-step cost drops to O(d^2 b) for a new block of size b.
+step.  The per-step cost drops to O(d^2 b) for a new block of size b, and
+counts only the blocks that can be nonzero: every cache is block upper
+triangular, so each product with a new block column skips the zero lower
+block triangle (in row panels cut at partition offsets), and the power
+recurrence also skips the leading rows that the scaled matrix's zero-row
+profile keeps exactly zero, such as the band of a polynomial generator.
 Only new block columns are ever computed, so earlier stages survive bit
 for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
@@ -24,6 +29,7 @@ Two drivers are provided:
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -32,6 +38,11 @@ import numpy as np
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
 from .pade import PADE_13, THETA_13, evaluate_poly, scaling_power
+
+# Row panels of every cache product.  Four skip 3/8 of a dense product on
+# evenly cut blocks; each further panel skips less and adds one more BLAS
+# call per product, which steps with thin blocks pay for.
+_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,61 @@ class StepReport:
     seconds: float
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_cache_bytes(s: int, dim: int) -> None:
+    """Raise MemoryError if the s + 3 caches of a state of dimension
+    ``dim`` would not fit in physical memory."""
+    need = (s + 3) * dim * dim * 8
+    have = _physical_memory_bytes()
+    if need > have:
+        raise MemoryError(
+            f"the caches of dimension {dim} at scaling power {s} would hold "
+            f"{need} bytes, more than the {have} bytes of physical memory"
+        )
+
+
+def _panel_cuts(offsets) -> list[int]:
+    """Row cuts of the panel products: 0, the partition offsets nearest to
+    k d / _PANELS for k = 1 .. _PANELS - 1, and the dimension d."""
+    d = offsets[-1]
+    off = np.asarray(offsets)
+    inner = {int(off[np.abs(off - k * d / _PANELS).argmin()]) for k in range(1, _PANELS)}
+    return sorted(inner | {0, d})
+
+
+def _panel_product(a: np.ndarray, x: np.ndarray, cuts, c: int = 0, r: int = 0) -> np.ndarray:
+    """``a @ x`` without the blocks that are zero by construction.
+
+    ``a`` is a block upper triangular cache and ``cuts`` are offsets of its
+    partition from 0 to its dimension, so the rows of a panel [r0, r1)
+    are zero left of column r0.  The rows of ``x`` above ``c`` are zero,
+    and the caller knows that the rows of the product above ``r`` are.
+    """
+    out = np.zeros((a.shape[0], x.shape[1]))
+    for r0, r1 in zip(cuts, cuts[1:]):
+        if r1 > r:
+            k0 = max(r0, c)
+            np.matmul(a[max(r0, r) : r1, k0:], x[k0:], out=out[max(r0, r) : r1])
+    return out
+
+
+def _grow_lead(lead: np.ndarray, top: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Zero-row profile of a matrix after appending the block column
+    [top; diag].
+
+    ``lead[c]`` is the smallest row holding a nonzero in any column >= c,
+    where a zero column counts as its own index, and ``lead[d] = d``.
+    """
+    d, b = top.shape[0], diag.shape[0]
+    nonzero = np.vstack([top != 0, diag != 0])
+    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), d + np.arange(b))
+    suffix = np.minimum.accumulate(first[::-1])[::-1]
+    return np.concatenate([np.minimum(lead[:d], suffix[0]), suffix, [d + b]])
+
+
 class IncrementalExpState:
     """Cached scaling-and-squaring intermediates for one matrix sequence.
 
@@ -64,6 +130,9 @@ class IncrementalExpState:
       rational solve of each step into one matrix product;
     * the squaring cache, whose entry l is r(2^-s G)^(2^l); the last
       entry is the current exponential.
+
+    It also keeps the zero-row profile of the scaled matrix (see
+    :func:`_grow_lead`), which windows the power recurrence.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -76,8 +145,10 @@ class IncrementalExpState:
         if s < 0:
             raise ValueError(f"scaling power must be nonnegative, got {s}")
         self.s = int(s)
+        _check_cache_bytes(self.s, g0.shape[0])
         self.partition = Partition(())
         self._gt = np.empty((0, 0))
+        self._lead = np.zeros(1, dtype=np.intp)
         self._qinv = np.empty((0, 0))
         self._squares = [np.empty((0, 0)) for _ in range(self.s + 1)]
         self.step(BlockColumn(np.empty((0, g0.shape[0])), g0, check_finite=False))
@@ -108,18 +179,23 @@ class IncrementalExpState:
             If the denominator polynomial of the new diagonal block is
             singular or numerically singular, which signals a norm far
             outside the Pade regime for the current scaling power.
+        MemoryError
+            If the grown caches would not fit in physical memory.
         """
         if col.rows != self.dim:
             raise ValueError(
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
-        p_top, p_diag, q_top, q_diag, gt_col, dt = self._extend_pq(col)
+        _check_cache_bytes(self.s, self.dim + col.block_size)
+        cuts = _panel_cuts(self.partition.offsets)
+        p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col, cuts)
         f_col, f_diag, qinv_top, qinv_diag = self._solve_rational_column(
-            p_top, p_diag, q_top, q_diag
+            p_top, p_diag, q_top, q_diag, c, cuts
         )
-        new_square_cols = self._squaring_column(f_col, f_diag)
+        new_square_cols = self._squaring_column(f_col, f_diag, cuts)
 
         # Every phase has succeeded; only now are the caches grown.
+        self._lead = _grow_lead(self._lead, gt_col, dt)
         self._gt = extend_square(self._gt, gt_col, dt)
         self._qinv = extend_square(self._qinv, qinv_top, qinv_diag)
         for l, (z, dsq) in enumerate(new_square_cols):
@@ -128,7 +204,7 @@ class IncrementalExpState:
 
     # -- step phases --------------------------------------------------
 
-    def _extend_pq(self, col: BlockColumn):
+    def _extend_pq(self, col: BlockColumn, cuts):
         """New block columns of the numerator and denominator polynomials.
 
         With the scaled column g and scaled diagonal block D, the powers of
@@ -140,6 +216,11 @@ class IncrementalExpState:
         ascending order, reusing each X_l for both polynomials.  The new
         diagonal blocks are the polynomials evaluated at D with the same
         ascending-order helper the baseline uses.
+
+        If the rows of X_{l-1} above c are zero, so are those of X_l above
+        r = min(lead[c], c), and the product reads only Gprev[r:, c:].
+        The last such row bound is returned with the columns: the rows of
+        both top parts above it are zero.
         """
         m = self.pade.degree
         alpha, beta = self.pade.alpha, self.pade.beta
@@ -152,19 +233,23 @@ class IncrementalExpState:
         for _ in range(m):
             dpow.append(dpow[-1] @ dt)
 
+        nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
+        c = int(nonzero_rows[0]) if nonzero_rows.size else self.dim
         x = gt_col
         p_top = alpha[1] * x
         q_top = beta[1] * x
         for l in range(2, m + 1):
-            x = self._gt @ x + gt_col @ dpow[l - 1]
+            r = min(int(self._lead[c]), c)
+            x = _panel_product(self._gt, x, cuts, c, r) + gt_col @ dpow[l - 1]
+            c = r
             p_top += alpha[l] * x
             q_top += beta[l] * x
 
         p_diag = evaluate_poly(dpow, alpha)
         q_diag = evaluate_poly(dpow, beta)
-        return p_top, p_diag, q_top, q_diag, gt_col, dt
+        return p_top, p_diag, q_top, q_diag, gt_col, dt, c
 
-    def _solve_rational_column(self, p_top, p_diag, q_top, q_diag):
+    def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c, cuts):
         """Last block columns of F = Q^-1 P and of Q^-1 for the extended
         polynomials.
 
@@ -173,7 +258,8 @@ class IncrementalExpState:
         [Qprev^-1 (p_top - q_top F_nn); F_nn] with F_nn = Q_nn^-1 P_nn.
         F_nn and Q_nn^-1 come from the LU factors of the new diagonal
         block; both top parts come from one product of the cached
-        Qprev^-1 with [p_top - q_top F_nn | q_top].
+        Qprev^-1 with [p_top - q_top F_nn | q_top], whose rows above c
+        are zero.
         """
         lu_nn = lu_factor(q_diag)
         if lu_nn.ill_conditioned:
@@ -186,12 +272,12 @@ class IncrementalExpState:
         b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
         qinv_diag = lu_solve(lu_nn, np.eye(b))
-        prod = self._qinv @ np.hstack([p_top - q_top @ f_diag, q_top])
+        prod = _panel_product(self._qinv, np.hstack([p_top - q_top @ f_diag, q_top]), cuts, c)
         f_col = prod[:, :b]
         qinv_top = -(prod[:, b:] @ qinv_diag)
         return f_col, f_diag, qinv_top, qinv_diag
 
-    def _squaring_column(self, f_col, f_diag):
+    def _squaring_column(self, f_col, f_diag, cuts):
         """New block column of every cached repeated square.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
@@ -205,7 +291,7 @@ class IncrementalExpState:
         z, dsq = f_col, f_diag
         cols = [(z, dsq)]
         for l in range(1, self.s + 1):
-            z = self._squares[l - 1] @ z + z @ dsq
+            z = _panel_product(self._squares[l - 1], z, cuts) + z @ dsq
             dsq = dsq @ dsq
             cols.append((z, dsq))
         return cols

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,17 @@ def _call_integrand(y: np.ndarray, n: int, logstrike: float, muw: float,
     return payoff * herm * density
 
 
+@lru_cache(maxsize=4)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] for one of the four node
+    counts of :func:`fourier_coefficient`, read-only and shared by every
+    call."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def fourier_coefficient(
     n: int,
     logstrike: float,
@@ -137,7 +149,7 @@ def fourier_coefficient(
     prev = None
     increment = math.inf
     for nodes in (64, 128, 256, 512):
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _gauss_legendre(nodes)
         val = half * float(w @ _call_integrand(mid + half * x, n, logstrike, muw, sigmaw))
         if prev is not None:
             increment = abs(val - prev)

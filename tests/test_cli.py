@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import blockexpm.incremental as incremental
 from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
 from blockexpm.cli import main
 from blockexpm.dense import read_matrix, read_partition, rel_error_fro, write_matrix
@@ -102,6 +103,18 @@ def test_incremental_bad_scaling(tmp_path, capsys):
                "--emit", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_incremental_memory_guard(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(5)
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, make_columns(rng, (2, 2)))
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 100)
+    rc = main(["incremental", "--columns", str(stream), "--scaling", "fixed:0",
+               "--emit", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "physical memory" in err[0]
 
 
 def test_generator_jacobi(tmp_path, capsys):

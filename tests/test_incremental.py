@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockexpm.blocks import BlockColumn, matrix_from_columns
+import blockexpm.incremental as incremental
+from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
 from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
+from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
 from blockexpm.pade import evaluate_poly, expm_baseline, pade_coefficients, scaling_power
+
+JACOBI = JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
 
 
 def random_columns(rng, sizes, scale=1.0):
@@ -48,10 +52,19 @@ def test_first_stage_is_bitwise_baseline():
     assert np.array_equal(f0.data, expm_baseline(cols[0].diag, s=5))
 
 
-def test_fixed_run_matches_baseline_every_stage():
-    rng = np.random.default_rng(103)
-    sizes = (3, 2, 4, 1, 3)
-    cols = random_columns(rng, sizes)
+def _random_sequence():
+    return random_columns(np.random.default_rng(103), (3, 2, 4, 1, 3))
+
+
+def _jacobi_sequence():
+    # banded: the new column of each degree is zero above degree n - 2
+    return list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
+
+
+@pytest.mark.parametrize("make_columns", [_random_sequence, _jacobi_sequence],
+                         ids=["random", "jacobi"])
+def test_fixed_run_matches_baseline_every_stage(make_columns):
+    cols = make_columns()
     g = matrix_from_columns(cols)
     s = scaling_power(one_norm(g.data))
     partial = None
@@ -190,3 +203,83 @@ def test_input_validation():
         IncrementalExpState(np.zeros((0, 0)), s=0)
     with pytest.raises(ValueError):
         IncrementalExpState(np.eye(2), s=-1)
+
+
+@pytest.mark.parametrize(
+    "sizes, where",
+    [
+        (None, "inside"),  # x zero above a row inside a panel
+        (None, "boundary"),  # x zero above a panel boundary
+        (None, "top"),  # c = 0
+        (None, "zero"),  # all-zero x
+        ((7,), "inside"),  # a single block
+        ((7,), "top"),
+        ((3, 5, 2), "inside"),  # fewer than four blocks
+        ((3, 5, 2), "top"),
+    ],
+    ids=["inside", "boundary", "top", "zero", "single-inside", "single-top",
+         "three-inside", "three-top"],
+)
+def test_panel_product_matches_dense_product(sizes, where):
+    rng = np.random.default_rng(151)
+    if sizes is None:
+        sizes = tuple(int(b) for b in rng.integers(1, 6, 12))
+    a = matrix_from_columns(random_columns(rng, sizes)).data
+    d = a.shape[0]
+    cuts = incremental._panel_cuts(Partition(sizes).offsets)
+    assert cuts[0] == 0 and cuts[-1] == d and len(cuts) <= 5
+    c = {"inside": cuts[1] - 1, "boundary": cuts[1], "top": 0, "zero": d}[where]
+    if where == "inside":
+        # the row falls strictly inside the first panel
+        assert cuts[0] < c < cuts[1]
+    x = rng.standard_normal((d, 3))
+    x[:c] = 0.0
+    assert rel_error_fro(incremental._panel_product(a, x, cuts, c), a @ x) <= 1e-14
+
+
+def test_panel_product_skips_rows_known_zero():
+    rng = np.random.default_rng(157)
+    sizes = tuple(int(b) for b in rng.integers(1, 6, 12))
+    a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
+    cuts = incremental._panel_cuts(Partition(sizes).offsets)
+    c, r = cuts[2] + 1, cuts[1] + 1
+    a[:r, c:] = 0.0
+    x = rng.standard_normal((a.shape[0], 2))
+    x[:c] = 0.0
+    got = incremental._panel_product(a, x, cuts, c, r)
+    assert rel_error_fro(got, a @ x) <= 1e-14
+    assert not got[:r].any()
+
+
+def test_zero_row_profile_of_generator():
+    cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=9, scale=0.25))
+    state = IncrementalExpState(cols[0].diag, s=3)
+    for col in cols[1:]:
+        state.step(col)
+    gt = state._gt
+    d = gt.shape[0]
+    first = [int(np.flatnonzero(gt[:, j])[0]) if gt[:, j].any() else j for j in range(d)]
+    want = [min(first[c:]) for c in range(d)] + [d]
+    assert state._lead.tolist() == want
+    # the band: degree n reaches no lower than degree n - 2
+    off = state.partition.offsets
+    assert state._lead[off[9]] == off[7]
+
+
+def test_memory_guard_raises_and_leaves_state(monkeypatch):
+    rng = np.random.default_rng(163)
+    cols = random_columns(rng, (3, 2), scale=0.5)
+    state = IncrementalExpState(cols[0].diag, s=2)
+    before = state.exponential.data
+    # five caches of 5 x 5 doubles need 1000 bytes after the step
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 999)
+    with pytest.raises(MemoryError, match="1000 bytes.*999 bytes"):
+        state.step(cols[1])
+    assert state.dim == 3
+    assert state.partition.sizes == (3,)
+    assert np.array_equal(state.exponential.data, before)
+    with pytest.raises(MemoryError):
+        IncrementalExpState(np.eye(2), s=10**6)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 1000)
+    state.step(cols[1])
+    assert state.dim == 5

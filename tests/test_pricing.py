@@ -16,6 +16,7 @@ from blockexpm.incremental import run_adaptive, run_fixed
 from blockexpm.pade import expm_baseline, scaling_power
 from blockexpm.pricing import (
     PricingConfig,
+    _gauss_legendre,
     _normalized_hermite_values,
     conditional_moment,
     fourier_coefficient,
@@ -166,6 +167,18 @@ def test_fourier_high_degree_converges():
         assert math.isfinite(f)
         if n >= 20:
             assert abs(f) < 1e-2
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    x, w = _gauss_legendre(64)
+    again = _gauss_legendre(64)
+    assert again[0] is x and again[1] is w
+    want_x, want_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_fourier_validation():
