@@ -14,24 +14,19 @@ sequence: from-scratch scaling and squaring per stage (naive), the
 incremental engine at a fixed scaling power, and the incremental engine
 with adaptive scaling.  Timings use a monotonic clock and report
 per-stage medians over a configurable number of repeats, accumulated into
-cumulative seconds as the stage index grows.  BLAS is limited to one
-thread only when ``threadpoolctl`` can be imported; without it the runs
-use the BLAS library's default thread count, and nothing records which.
+cumulative seconds as the stage index grows.  The runs use whatever BLAS
+thread count the process has; nothing here limits or records it.  To pin
+it, set ``OPENBLAS_NUM_THREADS`` (or the variable of the BLAS in use)
+before numpy is first imported, as the ``perfbench`` harness does.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - present in normal installs
-    threadpool_limits = None
 
 from .blocks import BlockTriangularMatrix, Partition
 from .dense import one_norm, rel_error_fro
@@ -237,27 +232,25 @@ def run_benchmark(
             expm_baseline(matrix.data[: off[l + 1], : off[l + 1]].copy())
             for l in range(matrix.nblocks)
         ]
-    limiter = threadpool_limits(limits=1) if threadpool_limits else nullcontext()
     records: list[BenchRecord] = []
-    with limiter:
-        for spec in specs:
-            runs = [_method_stage_results(matrix, spec, refs if r == 0 else None)
-                    for r in range(repeats)]
-            cum = 0.0
-            for l in range(matrix.nblocks):
-                seconds = float(np.median([run[l][1] for run in runs]))
-                cum += seconds
-                dim, _, restart, err = runs[0][l]
-                records.append(
-                    BenchRecord(
-                        method=spec.name,
-                        step=l,
-                        dim=dim,
-                        cum_seconds=cum,
-                        rel_err=err,
-                        restart=restart,
-                    )
+    for spec in specs:
+        runs = [_method_stage_results(matrix, spec, refs if r == 0 else None)
+                for r in range(repeats)]
+        cum = 0.0
+        for l in range(matrix.nblocks):
+            seconds = float(np.median([run[l][1] for run in runs]))
+            cum += seconds
+            dim, _, restart, err = runs[0][l]
+            records.append(
+                BenchRecord(
+                    method=spec.name,
+                    step=l,
+                    dim=dim,
+                    cum_seconds=cum,
+                    rel_err=err,
+                    restart=restart,
                 )
+            )
     return records
 
 

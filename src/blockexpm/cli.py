@@ -17,7 +17,8 @@ import argparse
 import os
 import sys
 
-from .bench import RandomInstanceSpec, generate_instance, run_benchmark, write_bench_csv
+from .bench import (RandomInstanceSpec, generate_instance, parse_method, run_benchmark,
+                    write_bench_csv)
 from .blocks import matrix_from_columns, read_column_stream
 from .dense import read_matrix, rel_error_fro, write_matrix, write_partition
 from .generators import (
@@ -64,16 +65,12 @@ def _model_params(model: str, params: dict[str, float]):
 
 
 def _parse_scaling(text: str) -> int | None:
-    """Fixed scaling power for "fixed:<s>", None for "adaptive"."""
-    parts = text.split(":")
-    if parts[0] == "fixed" and len(parts) == 2:
-        s = int(parts[1])
-        if s < 0:
-            raise ValueError(f"fixed scaling power must be nonnegative: {text!r}")
-        return s
-    if text == "adaptive":
-        return None
-    raise ValueError(f"bad scaling {text!r}, expected fixed:<s> or adaptive")
+    """Fixed scaling power for "fixed:<s>", None for "adaptive"; the
+    benchmark's method grammar without "naive"."""
+    method = parse_method(text)
+    if method.kind == "naive":
+        raise ValueError(f"bad scaling {text!r}, expected fixed:<s> or adaptive")
+    return method.s
 
 
 def _cmd_expm(args) -> int:

@@ -17,14 +17,18 @@ for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
-Two drivers are provided:
+Two drivers share one loop, which tracks the running 1-norm of G and the
+scaling power it needs; they differ only once the norm outgrows
+THETA_13 * 2^s:
 
-* ``run_fixed`` keeps the scaling power s fixed for the whole sequence.
+* ``run_fixed`` keeps the scaling power s fixed for the whole sequence
+  and raises ``ValueError`` before the column that takes the norm past
+  that bound, so it never emits an inaccurate stage.
 * ``run_adaptive`` picks s from the current 1-norm and restarts on a
-  merged partition whenever the norm outgrows THETA_13 * 2^s.  Restart
-  stages are recomputed from scratch at the new scaling power, so the
-  exponential emitted at a restart equals a fresh baseline call exactly;
-  exponentials emitted before the restart are not revised.
+  merged partition there.  Restart stages are recomputed from scratch at
+  the new scaling power, so the exponential emitted at a restart equals a
+  fresh baseline call exactly; exponentials emitted before the restart
+  are not revised.
 """
 
 from __future__ import annotations
@@ -178,7 +182,9 @@ class IncrementalExpState:
         SingularMatrixError
             If the denominator polynomial of the new diagonal block is
             singular or numerically singular, which signals a norm far
-            outside the Pade regime for the current scaling power.
+            outside the Pade regime for the current scaling power.  The
+            drivers keep every scaled norm at or below THETA_13, so only
+            direct users of this class can reach it.
         MemoryError
             If the grown caches would not fit in physical memory.
         """
@@ -297,10 +303,37 @@ class IncrementalExpState:
         return cols
 
 
-def _first_diag(col: BlockColumn) -> np.ndarray:
-    if col.rows != 0:
-        raise ValueError(f"first block column must have no top part, got {col.rows} rows")
-    return col.diag
+def _drive(columns, fixed: int | None):
+    """The one loop of both drivers: a fixed scaling power, or None for
+    adaptive scaling.  The running 1-norm is the largest absolute column
+    sum so far, exact for block upper triangular G."""
+    state = None
+    norm = 0.0
+    for n, col in enumerate(columns):
+        col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
+        norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
+        need = scaling_power(norm)
+        if fixed is not None and need > fixed:
+            raise ValueError(
+                f"block column {n} takes the 1-norm to {norm!r}, above THETA_13 * 2^{fixed}"
+                f" = {THETA_13 * 2.0**fixed!r}: fixed scaling power s = {fixed} is too"
+                f" small, the matrix needs s >= {need}"
+            )
+        restart = state is not None and need > state.s
+        t0 = time.perf_counter()
+        if state is None:
+            if col.rows != 0:
+                raise ValueError(f"first block column must have no top part, got {col.rows} rows")
+            state = IncrementalExpState(col.diag, need if fixed is None else fixed)
+        elif restart:
+            g = extend_square(state.unscaled_matrix(), col.top, col.diag)
+            state = IncrementalExpState(g, need)
+        else:
+            state.step(col)
+        seconds = time.perf_counter() - t0
+        report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
+                            restart=restart, seconds=seconds)
+        yield state.exponential, report
 
 
 def run_fixed(columns, s: int):
@@ -319,23 +352,18 @@ def run_fixed(columns, s: int):
     (BlockTriangularMatrix, StepReport)
         The exponential of the matrix accumulated so far and the stage's
         bookkeeping.
+
+    Raises
+    ------
+    ValueError
+        At the call for a negative s.  During iteration, before stepping
+        a column that takes the running 1-norm above THETA_13 * 2^s, where
+        the approximant loses accuracy; the stages already yielded stay
+        valid.
     """
-    state = None
-    for n, col in enumerate(columns):
-        t0 = time.perf_counter()
-        if state is None:
-            state = IncrementalExpState(_first_diag(col), s)
-        else:
-            state.step(col)
-        seconds = time.perf_counter() - t0
-        yield state.exponential, StepReport(
-            step=n,
-            dim=state.dim,
-            block_size=col.block_size,
-            s=s,
-            restart=False,
-            seconds=seconds,
-        )
+    if s < 0:
+        raise ValueError(f"scaling power must be nonnegative, got {s}")
+    return _drive(columns, int(s))
 
 
 def run_adaptive(columns):
@@ -353,26 +381,4 @@ def run_adaptive(columns):
 
     Yields the same pairs as :func:`run_fixed`.
     """
-    state = None
-    norm = 0.0
-    for n, col in enumerate(columns):
-        col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
-        norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
-        restart = state is not None and norm * 2.0 ** (-state.s) > THETA_13
-        t0 = time.perf_counter()
-        if state is None:
-            state = IncrementalExpState(_first_diag(col), scaling_power(norm))
-        elif restart:
-            g = extend_square(state.unscaled_matrix(), col.top, col.diag)
-            state = IncrementalExpState(g, scaling_power(norm))
-        else:
-            state.step(col)
-        seconds = time.perf_counter() - t0
-        yield state.exponential, StepReport(
-            step=n,
-            dim=state.dim,
-            block_size=col.block_size,
-            s=state.s,
-            restart=restart,
-            seconds=seconds,
-        )
+    return _drive(columns, None)

@@ -7,9 +7,9 @@ import pytest
 import blockexpm.incremental as incremental
 from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
 from blockexpm.cli import main
-from blockexpm.dense import read_matrix, read_partition, rel_error_fro, write_matrix
+from blockexpm.dense import one_norm, read_matrix, read_partition, rel_error_fro, write_matrix
 from blockexpm.generators import JacobiParams, build_generator_matrix, jacobi_spec
-from blockexpm.pade import expm_baseline
+from blockexpm.pade import THETA_13, expm_baseline
 from blockexpm.pricing import PricingConfig, price_call
 
 JACOBI_ARG = "kappa=0.5,theta=0.04,sigma=0.15,r=0,rho=-0.5,vmin=0.01,vmax=1"
@@ -99,10 +99,25 @@ def test_incremental_bad_scaling(tmp_path, capsys):
     rng = np.random.default_rng(5)
     stream = tmp_path / "cols.txt"
     write_column_stream(stream, make_columns(rng, (2, 2)))
-    rc = main(["incremental", "--columns", str(stream), "--scaling", "fixed:-2",
+    for scaling in ("fixed:-2", "naive"):
+        rc = main(["incremental", "--columns", str(stream), "--scaling", scaling,
+                   "--emit", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_incremental_fixed_scaling_too_small(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    cols = make_columns(rng, (2, 3, 2), scale=4.0)
+    assert one_norm(matrix_from_columns(cols).data) > THETA_13
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, cols)
+    rc = main(["incremental", "--columns", str(stream), "--scaling", "fixed:0",
                "--emit", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "fixed scaling power s = 0 is too small" in err[0]
 
 
 def test_incremental_memory_guard(tmp_path, capsys, monkeypatch):
@@ -230,7 +245,7 @@ def test_bench_run(tmp_path, capsys):
     rc = main(
         ["bench", "--seed", "3", "--blocks", "4", "--bmin", "2", "--bmax", "4",
          "--spectrum", "-80:-0.5", "--cond", "20",
-         "--methods", "naive,fixed:4,adaptive", "--check", "--repeats", "1",
+         "--methods", "naive,fixed:5,adaptive", "--check", "--repeats", "1",
          "--out", str(out)]
     )
     assert rc == 0
@@ -239,9 +254,22 @@ def test_bench_run(tmp_path, capsys):
     assert list(rows[0]) == ["method", "step", "dim", "cum_seconds", "rel_err", "restart"]
     assert len(rows) == 3 * 4
     methods = {r["method"] for r in rows}
-    assert methods == {"naive", "fixed:4", "adaptive"}
+    assert methods == {"naive", "fixed:5", "adaptive"}
     assert all(float(r["rel_err"]) <= 1e-10 for r in rows)
     assert all(r["restart"] in ("0", "1") for r in rows)
+
+
+def test_bench_fixed_scaling_too_small(tmp_path, capsys):
+    # the instance of test_bench_run has ||G||_1 = 88.50 > THETA_13 * 2^4
+    rc = main(
+        ["bench", "--seed", "3", "--blocks", "4", "--bmin", "2", "--bmax", "4",
+         "--spectrum", "-80:-0.5", "--cond", "20", "--methods", "fixed:4",
+         "--repeats", "1", "--out", str(tmp_path / "bench.csv")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "s = 4 is too small, the matrix needs s >= 5" in err[0]
 
 
 def test_bench_spectrum_equals_form(tmp_path):

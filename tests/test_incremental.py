@@ -9,7 +9,13 @@ from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
 from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
 from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
-from blockexpm.pade import evaluate_poly, expm_baseline, pade_coefficients, scaling_power
+from blockexpm.pade import (
+    THETA_13,
+    evaluate_poly,
+    expm_baseline,
+    pade_coefficients,
+    scaling_power,
+)
 
 JACOBI = JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
 
@@ -124,7 +130,8 @@ def test_singular_denominator_block_raises_and_leaves_state():
     # the first block is checked like every later one
     with pytest.raises(SingularMatrixError):
         IncrementalExpState(diag, s=0)
-    with pytest.raises(SingularMatrixError):
+    # the driver refuses the block before stepping it: its norm needs s = 2
+    with pytest.raises(ValueError, match="fixed scaling power s = 0 is too small"):
         list(run_fixed([BlockColumn(np.zeros((0, 2)), diag)], s=0))
 
     rng = np.random.default_rng(149)
@@ -142,6 +149,64 @@ def test_singular_denominator_block_raises_and_leaves_state():
     state.step(BlockColumn(rng.standard_normal((5, 1)), [[0.3]]))
     g = state.unscaled_matrix()
     assert rel_error_fro(state.exponential.data, expm_baseline(g, s=0)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0, 3])
+def test_fixed_run_accepts_the_norm_bound_and_raises_above_it(s):
+    bound = THETA_13 * 2.0**s
+    first = BlockColumn(np.zeros((0, 1)), [[1.0]])
+    # the second column's absolute sum is exactly the bound
+    at_bound = [first, BlockColumn([[-bound]], [[0.0]])]
+    g = matrix_from_columns(at_bound).data
+    assert one_norm(g) == bound
+    stages = [f for f, _ in run_fixed(at_bound, s=s)]
+    assert rel_error_fro(stages[-1].data, scipy.linalg.expm(g)) <= 1e-13
+
+    above = [first, BlockColumn([[-np.nextafter(bound, np.inf)]], [[0.0]])]
+    runner = run_fixed(above, s=s)
+    f0, _ = next(runner)
+    assert np.array_equal(f0.data, expm_baseline([[1.0]], s=s))
+    with pytest.raises(ValueError, match=f"s = {s} is too small, the matrix needs s >= {s + 1}"):
+        next(runner)
+
+
+def test_fixed_run_emits_stages_before_the_norm_outgrows_s():
+    rng = np.random.default_rng(167)
+    cols = random_columns(rng, (3, 2, 4, 2), scale=0.3)
+    cols[2] = BlockColumn(cols[2].top, 50.0 * cols[2].diag)
+    g = matrix_from_columns(cols)
+    s = scaling_power(one_norm(g.leading(1).data))
+    assert scaling_power(one_norm(g.leading(2).data)) > s
+    emitted = []
+    with pytest.raises(ValueError, match=f"block column 2 takes the 1-norm to .* s = {s} "):
+        for f, _ in run_fixed(cols, s=s):
+            emitted.append(f)
+    assert len(emitted) == 2
+    for n, f in enumerate(emitted):
+        assert rel_error_fro(f.data, expm_baseline(g.leading(n).data, s=s)) <= 1e-12
+
+
+def test_fixed_run_checks_scaling_before_reading_columns():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("columns were read")
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_fixed(Unread(), s=-1)
+
+
+def test_fixed_run_refuses_too_small_scaling_instead_of_a_wrong_result():
+    # three blocks, dim 10, ||G||_1 = 106.6: at s = 0 the last stage is
+    # off by a relative 1.0 against scipy, and the driver must not emit it
+    cols = random_columns(np.random.default_rng(0), (4, 3, 3), scale=10.0)
+    g = matrix_from_columns(cols).data
+    assert one_norm(g) > THETA_13 * 2.0**4
+    with pytest.raises(ValueError, match="s = 0 is too small"):
+        list(run_fixed(cols, s=0))
+    # the scaling the norm asks for is accurate
+    s = scaling_power(one_norm(g))
+    last = list(run_fixed(cols, s=s))[-1][0]
+    assert rel_error_fro(last.data, scipy.linalg.expm(g)) <= 1e-12
 
 
 def test_adaptive_restarts_match_baseline_exactly():
@@ -181,6 +246,18 @@ def test_adaptive_restarts_match_baseline_exactly():
                 assert np.array_equal(f.data[: prev.dim, : prev.dim], prev.data)
         prev, prev_s = f, report.s
     assert seen_restart
+
+
+def test_adaptive_runs_every_stage_at_the_scaling_its_norm_needs():
+    # the norm grows slowly, so a restart is due as soon as it doubles
+    rng = np.random.default_rng(173)
+    cols = random_columns(rng, (2,) * 10)
+    cols = [BlockColumn(1.4**j * c.top, 1.4**j * c.diag) for j, c in enumerate(cols)]
+    g = matrix_from_columns(cols)
+    reports = [r for _, r in run_adaptive(cols)]
+    for n, report in enumerate(reports):
+        assert report.s == scaling_power(one_norm(g.leading(n).data))
+    assert sum(r.restart for r in reports) >= 2
 
 
 def test_adaptive_without_growth_never_restarts():

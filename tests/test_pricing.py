@@ -350,3 +350,17 @@ def test_scaling_from_bound():
         assert scaling_from_bound(BENCH_PARAMS, 0.25, n) == expect
     assert scaling_from_bound(BENCH_PARAMS, 0.25, 60) == 7
     assert scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
+
+
+def test_norm_bound_covers_fixed_scaling_prices_to_degree_100():
+    # a fixed scaling from the bound can never hit the driver's norm check:
+    # the running 1-norm of tau G_n stays within tau times the bound
+    tau = 0.25
+    columns = generator_block_columns(jacobi_spec(BENCH_PARAMS), max_degree=100, scale=tau)
+    norm = 0.0
+    for n, col in enumerate(columns):
+        col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
+        norm = max(norm, float(col_norms.max()))
+        assert norm <= tau * jacobi_norm_bound(BENCH_PARAMS, n)
+        assert scaling_power(norm) <= scaling_from_bound(BENCH_PARAMS, tau, n)
+    assert n == 100
