@@ -40,8 +40,6 @@ from .generators import (
     PolynomialOperatorSpec,
     apply_generator,
     basis_index,
-    basis_multi_index,
-    basis_partition,
     basis_size,
     basis_values,
     build_generator_matrix,

@@ -34,6 +34,8 @@ from .incremental import run_adaptive, run_fixed
 from .pade import expm_baseline
 
 _EPS = float(np.finfo(np.float64).eps)
+# Noise rescales generate_instance tries before giving up on the target.
+_MAX_RESCALES = 50
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class RandomInstanceSpec:
     bmax: int
     spectrum: tuple[float, float] = (-80.0, -0.5)
     cond_target: float = 100.0
-    max_rescales: int = 50
 
     def __post_init__(self):
         if self.nblocks < 1 or self.bmin < 1 or self.bmax < self.bmin:
@@ -95,7 +96,7 @@ def generate_instance(spec: RandomInstanceSpec) -> BlockTriangularMatrix:
     ------
     RuntimeError
         If the conditioning target is not reached within a factor of two
-        after ``max_rescales`` adjustments.
+        after ``_MAX_RESCALES`` adjustments.
     """
     rng = np.random.default_rng(spec.seed)
     sizes = tuple(int(b) for b in rng.integers(spec.bmin, spec.bmax + 1, spec.nblocks))
@@ -107,7 +108,7 @@ def generate_instance(spec: RandomInstanceSpec) -> BlockTriangularMatrix:
     # start near the scale where normalized eigenvector entries are O(1)
     c = target * (hi - lo) / max(d**2, 1)
     cond = None
-    for _ in range(spec.max_rescales):
+    for _ in range(_MAX_RESCALES):
         g = np.diag(lam) + c * noise
         cond = eigenvector_condition(g)
         # accept before adjusting: a 1x1 instance has cond exactly 1 and
@@ -121,7 +122,7 @@ def generate_instance(spec: RandomInstanceSpec) -> BlockTriangularMatrix:
         else:
             c *= (target / cond) ** 0.7
     raise RuntimeError(
-        f"conditioning target {target} not reached in {spec.max_rescales} rescales "
+        f"conditioning target {target} not reached in {_MAX_RESCALES} rescales "
         f"(last estimate {cond})"
     )
 

@@ -2,8 +2,9 @@
 
 A partition splits the index range into contiguous blocks.  A block upper
 triangular matrix is dense below the surface but guarantees exact zeros
-strictly below the block diagonal.  Values are immutable: growing a matrix
-by one block column produces a new value, and accessors hand out copies.
+strictly below the block diagonal.  Values are immutable: a matrix is
+assembled from its block columns in one allocation, not grown one column
+at a time, and accessors hand out copies.
 
 The block-column stream text format is defined at the bottom; it is how a
 sequence of growing matrices is described on disk, one new block column at
@@ -147,10 +148,6 @@ class BlockTriangularMatrix:
         raise AttributeError("BlockTriangularMatrix is immutable")
 
     @classmethod
-    def empty(cls) -> "BlockTriangularMatrix":
-        return cls._wrap(np.empty((0, 0)), Partition(()))
-
-    @classmethod
     def _wrap(cls, data: np.ndarray, partition: Partition) -> "BlockTriangularMatrix":
         # trusted constructor: data already validated and owned by the caller
         obj = object.__new__(cls)
@@ -172,12 +169,6 @@ class BlockTriangularMatrix:
     def nblocks(self) -> int:
         return self.partition.nblocks
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Copy of block (i, j); blocks below the diagonal are zero."""
-        r0, r1 = self.partition.index_range(i)
-        c0, c1 = self.partition.index_range(j)
-        return self._data[r0:r1, c0:c1].copy()
-
     def leading(self, l: int) -> "BlockTriangularMatrix":
         """The sub-matrix made of blocks 0..l (inclusive)."""
         if not 0 <= l < self.nblocks:
@@ -186,15 +177,6 @@ class BlockTriangularMatrix:
         return BlockTriangularMatrix._wrap(
             self._data[:d, :d].copy(), Partition(self.partition.sizes[: l + 1])
         )
-
-    def append_block_column(self, col: BlockColumn) -> "BlockTriangularMatrix":
-        """New matrix with one more block column/row at the trailing end."""
-        if col.rows != self.dim:
-            raise ValueError(
-                f"column top has {col.rows} rows, matrix dimension is {self.dim}"
-            )
-        data = extend_square(self._data, col.top, col.diag)
-        return BlockTriangularMatrix._wrap(data, self.partition.append(col.block_size))
 
     def block_column(self, l: int) -> BlockColumn:
         """Block column l as a BlockColumn (top part and diagonal block)."""
@@ -207,11 +189,26 @@ class BlockTriangularMatrix:
 
 
 def matrix_from_columns(columns) -> BlockTriangularMatrix:
-    """Assemble a block triangular matrix by appending each column in turn."""
-    m = BlockTriangularMatrix.empty()
-    for col in columns:
-        m = m.append_block_column(col)
-    return m
+    """Assemble a block triangular matrix from its block columns.
+
+    One zero array of the final dimension is allocated and each column's
+    top part and diagonal block are written into it.
+
+    Raises
+    ------
+    ValueError
+        For a column whose row count is not the dimension of the columns
+        before it.
+    """
+    columns = list(columns)
+    partition = Partition(tuple(col.block_size for col in columns))
+    data = np.zeros((partition.dim, partition.dim))
+    for col, d, e in zip(columns, partition.offsets, partition.offsets[1:]):
+        if col.rows != d:
+            raise ValueError(f"column top has {col.rows} rows, matrix dimension is {d}")
+        data[:d, d:e] = col.top
+        data[d:e, d:e] = col.diag
+    return BlockTriangularMatrix._wrap(data, partition)
 
 
 # ---------------------------------------------------------------------------

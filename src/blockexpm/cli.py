@@ -14,6 +14,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -32,13 +33,15 @@ from .incremental import run_adaptive, run_fixed
 from .pade import expm_baseline
 from .pricing import PricingConfig, price_call
 
-_PARAM_KEYS = ("kappa", "theta", "sigma", "r", "rho", "vmin", "vmax", "tau")
-_JACOBI_KEYS = ("kappa", "theta", "sigma", "r", "rho", "vmin", "vmax")
-_HESTON_KEYS = ("kappa", "theta", "sigma", "r", "rho")
+# Each model's parameter class and generator builder.
+_MODELS = {"jacobi": (JacobiParams, jacobi_spec), "heston": (HestonParams, heston_spec)}
 
 
-def _parse_params(text: str) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _model_params(model: str, text: str):
+    """Parse "key=value,..." into the model's parameters: every field of
+    its parameter class is required, and no other key is accepted."""
+    keys = tuple(f.name for f in dataclasses.fields(_MODELS[model][0]))
+    values: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -47,21 +50,15 @@ def _parse_params(text: str) -> dict[str, float]:
             raise ValueError(f"bad parameter item {item!r}, expected key=value")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in _PARAM_KEYS:
-            raise ValueError(f"unknown parameter {key!r}, expected one of {_PARAM_KEYS}")
-        if key in out:
+        if key not in keys:
+            raise ValueError(f"unknown parameter {key!r}, expected one of {keys}")
+        if key in values:
             raise ValueError(f"duplicate parameter {key!r}")
-        out[key] = float(value)
-    return out
-
-
-def _model_params(model: str, params: dict[str, float]):
-    keys = _JACOBI_KEYS if model == "jacobi" else _HESTON_KEYS
-    missing = [k for k in keys if k not in params]
+        values[key] = float(value)
+    missing = [k for k in keys if k not in values]
     if missing:
         raise ValueError(f"missing parameters for {model}: {', '.join(missing)}")
-    values = {k: params[k] for k in keys}
-    return JacobiParams(**values) if model == "jacobi" else HestonParams(**values)
+    return _MODELS[model][0](**values)
 
 
 def _parse_scaling(text: str) -> int | None:
@@ -94,24 +91,26 @@ def _cmd_incremental(args) -> int:
             expm_baseline(full.data[: off[l + 1], : off[l + 1]].copy())
             for l in range(full.nblocks)
         ]
-    rows = ["step,dim,s,restart,seconds,rel_err_vs_baseline"]
-    for f, report in runner:
-        write_matrix(os.path.join(args.emit, f"f_{report.step:04d}.txt"), f.data)
-        err = "" if refs is None else f"{rel_error_fro(f.data, refs[report.step]):.6e}"
-        rows.append(
-            f"{report.step},{report.dim},{report.s},{int(report.restart)},"
-            f"{report.seconds:.9f},{err}"
-        )
+    # one report row per stage file, written as the stage is, so a run
+    # stopped by an error keeps the rows of the stages it emitted
     csv_path = os.path.join(args.emit, "steps.csv")
+    emitted = 0
     with open(csv_path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    print(f"emitted {len(rows) - 1} exponentials to {args.emit} (report: {csv_path})")
+        fh.write("step,dim,s,restart,seconds,rel_err_vs_baseline\n")
+        for f, report in runner:
+            write_matrix(os.path.join(args.emit, f"f_{report.step:04d}.txt"), f.data)
+            err = "" if refs is None else f"{rel_error_fro(f.data, refs[report.step]):.6e}"
+            fh.write(
+                f"{report.step},{report.dim},{report.s},{int(report.restart)},"
+                f"{report.seconds:.9f},{err}\n"
+            )
+            emitted += 1
+    print(f"emitted {emitted} exponentials to {args.emit} (report: {csv_path})")
     return 0
 
 
 def _cmd_generator(args) -> int:
-    params = _model_params(args.model, _parse_params(args.params))
-    spec = jacobi_spec(params) if args.model == "jacobi" else heston_spec(params)
+    spec = _MODELS[args.model][1](_model_params(args.model, args.params))
     g, partition = build_generator_matrix(spec, args.degree)
     write_matrix(args.out, g)
     if args.partition_out:
@@ -121,11 +120,8 @@ def _cmd_generator(args) -> int:
 
 
 def _cmd_price(args) -> int:
-    if args.model != "jacobi":
-        raise ValueError("pricing supports only the jacobi model")
-    params = _model_params("jacobi", _parse_params(args.params))
     cfg = PricingConfig(
-        params=params,
+        params=_model_params("jacobi", args.params),
         y0=args.y0,
         v0=args.v0,
         tau=args.tau,
@@ -197,17 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_incremental)
 
     p = sub.add_parser("generator", help="model generator matrix on the graded basis")
-    p.add_argument("--model", choices=("jacobi", "heston"), required=True)
+    p.add_argument("--model", choices=tuple(_MODELS), required=True)
     p.add_argument("--params", required=True,
-                   help="comma list of key=value; keys: " + ", ".join(_PARAM_KEYS))
+                   help="comma list of key=value, one for each model parameter")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--partition-out", metavar="FILE")
     p.set_defaults(func=_cmd_generator)
 
     p = sub.add_parser("price", help="European call price under the Jacobi model")
-    p.add_argument("--model", default="jacobi")
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True,
+                   help="comma list of key=value, one for each Jacobi parameter")
     p.add_argument("--y0", type=float, required=True)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)

@@ -60,10 +60,6 @@ def one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def rel_error_fro(a: np.ndarray, ref: np.ndarray) -> float:
     """Relative Frobenius error of ``a`` against reference ``ref``.
 
@@ -72,8 +68,8 @@ def rel_error_fro(a: np.ndarray, ref: np.ndarray) -> float:
     """
     if a.shape != ref.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {ref.shape}")
-    denom = frobenius_norm(ref)
-    num = frobenius_norm(a - ref)
+    denom = float(np.linalg.norm(ref))
+    num = float(np.linalg.norm(a - ref))
     if denom == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return num / denom

@@ -159,30 +159,11 @@ def basis_size(d: int, n: int) -> int:
     return math.comb(n + d, d)
 
 
-def degree_block_sizes(d: int, n: int) -> tuple[int, ...]:
-    """Number of monomials of each total degree 0..n."""
-    return tuple(math.comb(j + d - 1, d - 1) for j in range(n + 1))
-
-
-def basis_partition(d: int, n: int) -> Partition:
-    return Partition(degree_block_sizes(d, n))
-
-
 def basis_index(k: MultiIndex) -> int:
     """Position of a monomial in the graded basis of its own dimension."""
     d = len(k)
     j = sum(k)
     return basis_size(d, j - 1) + _degree_positions(d, j)[tuple(k)]
-
-
-def basis_multi_index(d: int, i: int) -> MultiIndex:
-    """Inverse of :func:`basis_index`."""
-    if i < 0:
-        raise IndexError(f"basis index must be nonnegative, got {i}")
-    j = 0
-    while basis_size(d, j) <= i:
-        j += 1
-    return degree_monomials(d, j)[i - basis_size(d, j - 1)]
 
 
 def basis_values(d: int, n: int, point) -> np.ndarray:

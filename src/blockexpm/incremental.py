@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
-from .pade import PADE_13, THETA_13, evaluate_poly, scaling_power
+from .pade import PADE_13, THETA_13, scaling_power
 
 # Row panels of every cache product.  Four skip 3/8 of a dense product on
 # evenly cut blocks; each further panel skips less and adds one more BLAS
@@ -219,9 +219,10 @@ class IncrementalExpState:
             X_1 = g,   X_l = Gprev X_{l-1} + g D^{l-1},
 
         so one pass accumulates sum alpha_l X_l and sum beta_l X_l in
-        ascending order, reusing each X_l for both polynomials.  The new
-        diagonal blocks are the polynomials evaluated at D with the same
-        ascending-order helper the baseline uses.
+        ascending order, reusing each X_l for both polynomials.  The same
+        pass forms each power D^l once, from one running D^(l-1), and adds
+        it to both new diagonal blocks p(D) and q(D) in the ascending order
+        the baseline sums its powers in.
 
         If the rows of X_{l-1} above c are zero, so are those of X_l above
         r = min(lead[c], c), and the product reads only Gprev[r:, c:].
@@ -233,26 +234,26 @@ class IncrementalExpState:
         scale = 2.0 ** (-self.s)
         gt_col = col.top * scale
         dt = col.diag * scale
-        b = dt.shape[0]
-
-        dpow = [np.eye(b)]
-        for _ in range(m):
-            dpow.append(dpow[-1] @ dt)
 
         nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
         c = int(nonzero_rows[0]) if nonzero_rows.size else self.dim
+        eye = np.eye(dt.shape[0])
+        # D^(l-1) at the top of iteration l; D^1 is I @ D, as in the baseline
+        d_prev = eye @ dt
         x = gt_col
         p_top = alpha[1] * x
         q_top = beta[1] * x
+        p_diag = alpha[0] * eye + alpha[1] * d_prev
+        q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
             r = min(int(self._lead[c]), c)
-            x = _panel_product(self._gt, x, cuts, c, r) + gt_col @ dpow[l - 1]
+            x = _panel_product(self._gt, x, cuts, c, r) + gt_col @ d_prev
             c = r
+            d_prev = d_prev @ dt
             p_top += alpha[l] * x
             q_top += beta[l] * x
-
-        p_diag = evaluate_poly(dpow, alpha)
-        q_diag = evaluate_poly(dpow, beta)
+            p_diag += alpha[l] * d_prev
+            q_diag += beta[l] * d_prev
         return p_top, p_diag, q_top, q_diag, gt_col, dt, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c, cuts):

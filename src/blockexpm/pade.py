@@ -5,7 +5,8 @@ is the degree (13, 13) diagonal Pade approximant and s is the smallest
 power that brings 2^-s ||a||_1 down to THETA_13 or below.  Degree and
 threshold are fixed together: THETA_13 is only valid for degree 13.
 
-The numerator polynomial is evaluated from explicitly formed matrix powers,
+Both polynomials are summed as the powers are formed: each power of the
+scaled matrix is computed once and added to the numerator and denominator
 in ascending monomial order.  That evaluation order is deliberate: the
 incremental engine evaluates every new diagonal block the same way, so a
 one-block state -- its first stage and every adaptive restart -- reproduces
@@ -85,18 +86,6 @@ def scaling_power(norm: float, theta: float = THETA_13) -> int:
     return s
 
 
-def evaluate_poly(powers: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
-    """Sum coeffs[l] * powers[l] in ascending order of l.
-
-    ``powers[0]`` must be the identity.  Every caller that needs bitwise
-    agreement with the baseline goes through this helper.
-    """
-    acc = coeffs[0] * powers[0]
-    for l in range(1, len(coeffs)):
-        acc += coeffs[l] * powers[l]
-    return acc
-
-
 def expm_baseline(a, s: int | None = None) -> np.ndarray:
     """Matrix exponential by degree-13 Pade scaling and squaring.
 
@@ -122,11 +111,14 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
         raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
     s = int(s)
     scaled = a * 2.0 ** (-s)
-    powers = [np.eye(a.shape[0])]
-    for _ in range(PADE_13.degree):
-        powers.append(powers[-1] @ scaled)
-    p = evaluate_poly(powers, PADE_13.alpha)
-    q = evaluate_poly(powers, PADE_13.beta)
+    alpha, beta = PADE_13.alpha, PADE_13.beta
+    power = np.eye(a.shape[0])
+    p = alpha[0] * power
+    q = beta[0] * power
+    for l in range(1, PADE_13.degree + 1):
+        power = power @ scaled
+        p += alpha[l] * power
+        q += beta[l] * power
     r = lu_solve(lu_factor(q), p)
     for _ in range(s):
         r = r @ r

@@ -120,6 +120,23 @@ def test_incremental_fixed_scaling_too_small(tmp_path, capsys):
     assert "fixed scaling power s = 0 is too small" in err[0]
 
 
+def test_incremental_stopped_run_keeps_its_report_rows(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    cols = make_columns(rng, (2, 2, 2))
+    # the second column takes the 1-norm past THETA_13 * 2^2 = 21.49
+    cols[1] = BlockColumn(cols[1].top, 30.0 * np.eye(2))
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, cols)
+    emit = tmp_path / "out"
+    rc = main(["incremental", "--columns", str(stream), "--scaling", "fixed:2",
+               "--emit", str(emit)])
+    assert rc == 2
+    assert "fixed scaling power s = 2 is too small" in capsys.readouterr().err
+    assert sorted(p.name for p in emit.iterdir()) == ["f_0000.txt", "steps.csv"]
+    rows = read_csv(emit / "steps.csv")
+    assert [(r["step"], r["dim"], r["s"]) for r in rows] == [("0", "2", "2")]
+
+
 def test_incremental_memory_guard(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(5)
     stream = tmp_path / "cols.txt"
@@ -184,7 +201,7 @@ def test_generator_errors(tmp_path, capsys):
 def test_price_run(tmp_path, capsys):
     ledger = tmp_path / "ledger.csv"
     rc = main(
-        ["price", "--model", "jacobi", "--params", JACOBI_ARG,
+        ["price", "--params", JACOBI_ARG,
          "--y0", "0", "--v0", "0.04", "--tau", "0.25",
          "--logstrike", str(math.log(1.1)), "--muw", "0", "--sigmaw", "0.5",
          "--eps", "0.05", "--ledger", str(ledger)]
@@ -211,16 +228,32 @@ def test_price_errors(tmp_path, capsys):
     ledger = str(tmp_path / "ledger.csv")
     base = ["--y0", "0", "--v0", "0.04", "--tau", "0.25", "--logstrike", "0.1",
             "--muw", "0", "--sigmaw", "0.5", "--ledger", ledger]
-    rc = main(["price", "--model", "heston", "--params", JACOBI_ARG] + base)
-    assert rc == 2
-    assert "jacobi" in capsys.readouterr().err
+    # pricing is Jacobi only, so there is no model to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--model", "heston", "--params", JACOBI_ARG] + base)
+    assert exc.value.code == 2
     # price accepts no custom adaptive threshold
-    rc = main(["price", "--model", "jacobi", "--params", JACOBI_ARG,
-               "--scaling", "adaptive:4.0"] + base)
+    rc = main(["price", "--params", JACOBI_ARG, "--scaling", "adaptive:4.0"] + base)
     assert rc == 2
-    rc = main(["price", "--model", "jacobi", "--params", JACOBI_ARG,
-               "--eps", "-1"] + base)
+    rc = main(["price", "--params", JACOBI_ARG, "--eps", "-1"] + base)
     assert rc == 2
+
+
+def test_model_keys_the_model_does_not_read_are_rejected(tmp_path, capsys):
+    # tau is the --tau option, not a model parameter
+    rc = main(["price", "--params", JACOBI_ARG + ",tau=5", "--y0", "0", "--v0", "0.04",
+               "--tau", "0.25", "--logstrike", "0.1", "--muw", "0", "--sigmaw", "0.5",
+               "--ledger", str(tmp_path / "ledger.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown parameter 'tau'")
+    # the Heston model has no variance bounds
+    rc = main(["generator", "--model", "heston",
+               "--params", "kappa=0.5,theta=0.04,sigma=0.15,r=0.02,rho=-0.5,vmin=0.3,vmax=9",
+               "--degree", "2", "--out", str(tmp_path / "g.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown parameter 'vmin'")
 
 
 def test_degree_and_threshold_are_not_options(tmp_path, capsys):

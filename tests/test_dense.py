@@ -8,7 +8,6 @@ from blockexpm.dense import (
     SingularMatrixError,
     as_matrix,
     format_matrix,
-    frobenius_norm,
     lu_factor,
     lu_solve,
     one_norm,
@@ -44,12 +43,12 @@ def test_one_norm_is_max_abs_column_sum():
     assert one_norm(np.array([[-3.0, 1.0], [1.0, 1.0]])) == 4.0
 
 
-def test_frobenius_norm_matches_sum_of_squares():
-    a = np.array([[1.0, -2.0], [2.0, 4.0]])
-    assert frobenius_norm(a) == pytest.approx(math.sqrt(1 + 4 + 4 + 16), rel=1e-15)
-
-
 def test_rel_error_fro():
+    # Frobenius norms: sqrt of the sum of squares of every entry
+    a = np.array([[1.0, -2.0], [2.0, 4.0]])
+    e = np.diag([1.0, 0.0])
+    assert rel_error_fro(a, e) == pytest.approx(math.sqrt(4 + 4 + 16), rel=1e-15)
+    assert rel_error_fro(e, a) == pytest.approx(math.sqrt(4 + 4 + 16) / 5.0, rel=1e-15)
     ref = np.array([[2.0, 0.0], [0.0, 0.0]])
     a = np.array([[2.0, 0.0], [0.0, 2e-13]])
     assert rel_error_fro(a, ref) == pytest.approx(1e-13, rel=1e-10)

@@ -13,12 +13,9 @@ from blockexpm.generators import (
     PolynomialOperatorSpec,
     apply_generator,
     basis_index,
-    basis_multi_index,
-    basis_partition,
     basis_size,
     basis_values,
     build_generator_matrix,
-    degree_block_sizes,
     degree_monomials,
     generator_block_columns,
     heston_norm_bound,
@@ -176,24 +173,24 @@ def test_basis_sizes_and_partition():
     for d in (1, 2, 3):
         for n in range(6):
             assert basis_size(d, n) == math.comb(n + d, d)
-            sizes = degree_block_sizes(d, n)
-            assert sum(sizes) == basis_size(d, n)
-            assert sizes == tuple(len(degree_monomials(d, j)) for j in range(n + 1))
-    part = basis_partition(2, 3)
-    assert part.sizes == (1, 2, 3, 4)
-    assert part.dim == 10
+    # the generator's partition has one block per degree, of the number of
+    # monomials of that degree, and spans the whole basis
+    for n in range(6):
+        _, part = build_generator_matrix(jacobi_spec(BENCH_JACOBI), n)
+        assert part.sizes == tuple(len(degree_monomials(2, j)) for j in range(n + 1))
+        assert part.dim == basis_size(2, n)
+    assert build_generator_matrix(jacobi_spec(BENCH_JACOBI), 3)[1].sizes == (1, 2, 3, 4)
 
 
 def test_basis_index_round_trip():
+    # basis_index follows the enumeration order of degree_monomials
     for d in (1, 2, 3):
-        for i in range(basis_size(d, 5)):
-            k = basis_multi_index(d, i)
-            assert basis_index(k) == i
+        order = [k for j in range(6) for k in degree_monomials(d, j)]
+        assert len(order) == basis_size(d, 5)
+        assert [basis_index(k) for k in order] == list(range(len(order)))
     # pure powers of the first variable in two dimensions
     for p in range(8):
         assert basis_index((p, 0)) == p * (p + 1) // 2
-    with pytest.raises(IndexError):
-        basis_multi_index(2, -1)
 
 
 def test_basis_values():

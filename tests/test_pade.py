@@ -8,7 +8,6 @@ import scipy.linalg
 from blockexpm.dense import one_norm, rel_error_fro
 from blockexpm.pade import (
     THETA_13,
-    evaluate_poly,
     expm_baseline,
     pade_coefficients,
     scaling_power,
@@ -89,16 +88,6 @@ def test_scaling_power_boundaries():
         scaling_power(np.inf)
     with pytest.raises(ValueError):
         scaling_power(1.0, theta=0.0)
-
-
-def test_evaluate_poly_ascending_order():
-    d = 3
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((d, d))
-    powers = [np.eye(d), a, a @ a]
-    coeffs = np.array([2.0, -1.0, 0.5])
-    want = 2.0 * np.eye(d) - a + 0.5 * (a @ a)
-    assert np.array_equal(evaluate_poly(powers, coeffs), want)
 
 
 def test_expm_baseline_against_taylor_oracle():
