@@ -43,12 +43,17 @@ def test_one_norm_is_max_abs_column_sum():
     assert one_norm(np.array([[-3.0, 1.0], [1.0, 1.0]])) == 4.0
 
 
-def test_rel_error_fro():
-    # Frobenius norms: sqrt of the sum of squares of every entry
+def test_frobenius_norm_matches_sum_of_squares():
+    # rel_error_fro takes both norms as sqrt of the sum of squares of every entry
     a = np.array([[1.0, -2.0], [2.0, 4.0]])
     e = np.diag([1.0, 0.0])
     assert rel_error_fro(a, e) == pytest.approx(math.sqrt(4 + 4 + 16), rel=1e-15)
-    assert rel_error_fro(e, a) == pytest.approx(math.sqrt(4 + 4 + 16) / 5.0, rel=1e-15)
+    assert rel_error_fro(e, a) == pytest.approx(
+        math.sqrt(4 + 4 + 16) / math.sqrt(1 + 4 + 4 + 16), rel=1e-15
+    )
+
+
+def test_rel_error_fro():
     ref = np.array([[2.0, 0.0], [0.0, 0.0]])
     a = np.array([[2.0, 0.0], [0.0, 2e-13]])
     assert rel_error_fro(a, ref) == pytest.approx(1e-13, rel=1e-10)
