@@ -240,6 +240,8 @@ def read_column_stream(path) -> list[BlockColumn]:
     pos = 0
     nblocks = int(lines[pos])
     pos += 1
+    if nblocks < 0:
+        raise ValueError(f"block-column count must be nonnegative, got {nblocks}")
     columns: list[BlockColumn] = []
     dim = 0
     for j in range(nblocks):

@@ -11,6 +11,10 @@ n.  On the graded monomial basis this makes the matrix representation block
 upper triangular, with one block per total degree: exactly the nested
 structure the incremental exponential engine consumes.
 
+Polynomials are immutable coefficient maps without arithmetic: the operator
+sends x^k to the exponent shifts x^(k - e_i) b_i and x^(k - e_i - e_j) a_ij,
+and is applied by that derivative stencil.
+
 Basis order: monomials are grouped by total degree, ascending; within one
 degree the exponent tuples are in descending lexicographic order.  For two
 variables (y, v) this reads 1, y, v, y^2, yv, v^2, ...
@@ -35,7 +39,7 @@ MultiIndex = tuple[int, ...]
 
 
 class Polynomial:
-    """Sparse multivariate polynomial: exponent tuple -> coefficient.
+    """Validated coefficient map of a polynomial: exponent tuple -> coefficient.
 
     Zero coefficients are dropped, so equal polynomials have equal term
     maps.  Instances are immutable.
@@ -65,14 +69,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> "Polynomial":
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim: int, c: float) -> "Polynomial":
-        return cls(dim, {(0,) * dim: c})
-
-    @classmethod
     def monomial(cls, k: MultiIndex, c: float = 1.0) -> "Polynomial":
         return cls(len(k), {tuple(k): c})
 
@@ -80,45 +76,6 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1."""
         return max((sum(k) for k in self.terms), default=-1)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return Polynomial(self.dim, out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.dim != other.dim:
-                raise ValueError("dimension mismatch")
-            out: dict[MultiIndex, float] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    out[k] = out.get(k, 0.0) + c1 * c2
-            return Polynomial(self.dim, out)
-        return Polynomial(self.dim, {k: c * float(other) for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def diff(self, i: int) -> "Polynomial":
-        """Partial derivative with respect to variable i."""
-        if not 0 <= i < self.dim:
-            raise ValueError(f"variable index {i} out of range for dim {self.dim}")
-        out = {}
-        for k, c in self.terms.items():
-            if k[i] > 0:
-                kk = k[:i] + (k[i] - 1,) + k[i + 1 :]
-                out[kk] = out.get(kk, 0.0) + c * k[i]
-        return Polynomial(self.dim, out)
-
-    def __call__(self, point) -> float:
-        val = 0.0
-        for k, c in self.terms.items():
-            val += c * math.prod(x**e for x, e in zip(point, k))
-        return val
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,17 +174,38 @@ class PolynomialOperatorSpec:
         object.__setattr__(self, "b", b)
 
 
+def _lowered(k: MultiIndex, i: int) -> MultiIndex:
+    return k[:i] + (k[i] - 1,) + k[i + 1 :]
+
+
+def _add_shifted(out, coeff: Polynomial, shift: MultiIndex, scale: float, weight: float):
+    """Add weight * scale * coeff * x^shift into the coefficient map."""
+    for kc, c in coeff.terms.items():
+        m = tuple(a + b for a, b in zip(kc, shift))
+        out[m] = out.get(m, 0.0) + c * scale * weight
+
+
 def apply_generator(spec: PolynomialOperatorSpec, f: Polynomial) -> Polynomial:
-    """Apply the operator to a polynomial."""
+    """Apply the operator to a polynomial by its derivative stencil.
+
+    A term c x^k contributes c k_i b_i x^(k - e_i) for each variable i
+    with k_i > 0, and 1/2 c k_i (k - e_i)_j a_ij x^(k - e_i - e_j) for each
+    j with (k - e_i)_j > 0.  The contributions are summed into one
+    coefficient map in the order i, drift before diffusion, j.
+    """
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between operator and polynomial")
-    out = Polynomial.zero(spec.dim)
-    for i in range(spec.dim):
-        di = f.diff(i)
-        out = out + spec.b[i] * di
-        for j in range(spec.dim):
-            out = out + 0.5 * (spec.a[i][j] * di.diff(j))
-    return out
+    out: dict[MultiIndex, float] = {}
+    for k, c in f.terms.items():
+        for i in range(spec.dim):
+            if k[i] == 0:
+                continue
+            ki, ci = _lowered(k, i), c * k[i]
+            _add_shifted(out, spec.b[i], ki, ci, 1.0)
+            for j in range(spec.dim):
+                if ki[j] > 0:
+                    _add_shifted(out, spec.a[i][j], _lowered(ki, j), ci * ki[j], 0.5)
+    return Polynomial(spec.dim, out)
 
 
 def build_generator_matrix(
@@ -355,17 +333,14 @@ def jacobi_spec(params: JacobiParams) -> PolynomialOperatorSpec:
     """
     p = params
     s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
-    qv = Polynomial(
-        2,
-        {
-            (0, 2): -1.0 / s_den,
-            (0, 1): (p.vmax + p.vmin) / s_den,
-            (0, 0): -p.vmax * p.vmin / s_den,
-        },
-    )
+    qv = {
+        (0, 2): -1.0 / s_den,
+        (0, 1): (p.vmax + p.vmin) / s_den,
+        (0, 0): -p.vmax * p.vmin / s_den,
+    }
     a11 = Polynomial(2, {(0, 1): 1.0})
-    a12 = p.rho * p.sigma * qv
-    a22 = p.sigma**2 * qv
+    a12 = Polynomial(2, {k: c * (p.rho * p.sigma) for k, c in qv.items()})
+    a22 = Polynomial(2, {k: c * p.sigma**2 for k, c in qv.items()})
     return PolynomialOperatorSpec(
         dim=2, a=((a11, a12), (a12, a22)), b=_drift(p.r, p.kappa, p.theta)
     )

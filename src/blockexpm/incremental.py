@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
-from .pade import PADE_13, THETA_13, scaling_power
+from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
 
 # Row panels of every cache product.  Four skip 3/8 of a dense product on
 # evenly cut blocks; each further panel skips less and adds one more BLAS
@@ -146,9 +146,7 @@ class IncrementalExpState:
         g0 = as_matrix(g0)
         if g0.shape[0] != g0.shape[1] or g0.shape[0] == 0:
             raise ValueError(f"initial matrix must be square and nonempty, got {g0.shape}")
-        if s < 0:
-            raise ValueError(f"scaling power must be nonnegative, got {s}")
-        self.s = int(s)
+        self.s = as_scaling_power(s)
         _check_cache_bytes(self.s, g0.shape[0])
         self.partition = Partition(())
         self._gt = np.empty((0, 0))
@@ -357,14 +355,12 @@ def run_fixed(columns, s: int):
     Raises
     ------
     ValueError
-        At the call for a negative s.  During iteration, before stepping
-        a column that takes the running 1-norm above THETA_13 * 2^s, where
-        the approximant loses accuracy; the stages already yielded stay
-        valid.
+        At the call for an s that is not a nonnegative integer.  During
+        iteration, before stepping a column that takes the running 1-norm
+        above THETA_13 * 2^s, where the approximant loses accuracy; the
+        stages already yielded stay valid.
     """
-    if s < 0:
-        raise ValueError(f"scaling power must be nonnegative, got {s}")
-    return _drive(columns, int(s))
+    return _drive(columns, as_scaling_power(s))
 
 
 def run_adaptive(columns):

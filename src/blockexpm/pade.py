@@ -86,6 +86,14 @@ def scaling_power(norm: float, theta: float = THETA_13) -> int:
     return s
 
 
+def as_scaling_power(s) -> int:
+    """``s`` as an int; ValueError unless it is a nonnegative Python or numpy
+    integer, so a float such as 2.7 is refused instead of truncated."""
+    if not isinstance(s, (int, np.integer)) or s < 0:
+        raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
+    return int(s)
+
+
 def expm_baseline(a, s: int | None = None) -> np.ndarray:
     """Matrix exponential by degree-13 Pade scaling and squaring.
 
@@ -105,11 +113,7 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got {a.shape}")
-    if s is None:
-        s = scaling_power(one_norm(a))
-    elif not isinstance(s, (int, np.integer)) or s < 0:
-        raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
-    s = int(s)
+    s = scaling_power(one_norm(a)) if s is None else as_scaling_power(s)
     scaled = a * 2.0 ** (-s)
     alpha, beta = PADE_13.alpha, PADE_13.beta
     power = np.eye(a.shape[0])

@@ -28,6 +28,7 @@ import numpy as np
 from .blocks import BlockTriangularMatrix
 from .generators import (
     JacobiParams,
+    basis_index,
     basis_size,
     basis_values,
     generator_block_columns,
@@ -35,7 +36,7 @@ from .generators import (
     jacobi_spec,
 )
 from .incremental import run_adaptive, run_fixed
-from .pade import scaling_power
+from .pade import as_scaling_power, scaling_power
 
 # Tiny floor that keeps the relative termination test meaningful when the
 # accumulated price is still zero.
@@ -78,7 +79,7 @@ def hermite_vector(n: int, muw: float, sigmaw: float) -> np.ndarray:
     coeffs = hermite_y_coefficients(n, muw, sigmaw)
     vec = np.zeros(basis_size(2, n))
     for p, c in enumerate(coeffs):
-        vec[p * (p + 1) // 2] = c  # graded index of y^p
+        vec[basis_index((p, 0))] = c
     return vec
 
 
@@ -138,6 +139,8 @@ def fourier_coefficient(
     are doubled from 64 to 512 until two successive values agree to
     1e-12 relative (with an absolute floor of 1).
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
     upper = muw + sigmaw * (2.0 * math.sqrt(max(n, 1)) + 12.0)
@@ -210,8 +213,9 @@ class PricingConfig:
     """Inputs of a call price computation under the Jacobi model.
 
     ``scaling`` is None for norm-driven adaptive scaling or a fixed
-    nonnegative power.  ``eps`` is the relative truncation tolerance of
-    the Hermite series; eps = 0 disables the test and runs to ``n_max``.
+    nonnegative integer power.  ``eps`` is the relative truncation
+    tolerance of the Hermite series; eps = 0 disables the test and runs
+    to ``n_max``.
     """
 
     params: JacobiParams
@@ -234,6 +238,8 @@ class PricingConfig:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        if self.scaling is not None:
+            as_scaling_power(self.scaling)
         if not (self.params.vmin <= self.v0 <= self.params.vmax):
             raise ValueError(
                 f"v0 must lie in [vmin, vmax] = [{self.params.vmin}, {self.params.vmax}]"

@@ -150,3 +150,6 @@ def test_column_stream_errors(tmp_path):
     p.write_text("1\n1\n1 1\n0.5\n1 1\n0.5\n")  # trailing content
     with pytest.raises(ValueError):
         read_column_stream(p)
+    p.write_text("-2\n")  # negative column count
+    with pytest.raises(ValueError, match="-2"):
+        read_column_stream(p)

@@ -106,6 +106,15 @@ def test_incremental_bad_scaling(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_incremental_negative_block_count(tmp_path, capsys):
+    stream = tmp_path / "cols.txt"
+    stream.write_text("-2\n")
+    rc = main(["incremental", "--columns", str(stream), "--emit", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "-2" in err[0]
+
+
 def test_incremental_fixed_scaling_too_small(tmp_path, capsys):
     rng = np.random.default_rng(5)
     cols = make_columns(rng, (2, 3, 2), scale=4.0)

@@ -195,6 +195,19 @@ def test_fixed_run_checks_scaling_before_reading_columns():
         run_fixed(Unread(), s=-1)
 
 
+def test_non_integer_scaling_is_refused():
+    cols = random_columns(np.random.default_rng(7), (2, 1), scale=0.5)
+    for s in (2.7, 1.9, 2.0):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            run_fixed(cols, s=s)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            IncrementalExpState(np.eye(2), s)
+    # Python and numpy integers stay accepted
+    for s in (2, np.int64(2)):
+        assert [report.s for _, report in run_fixed(cols, s=s)] == [2, 2]
+    assert IncrementalExpState(np.eye(2), np.int32(1)).s == 1
+
+
 def test_fixed_run_refuses_too_small_scaling_instead_of_a_wrong_result():
     # three blocks, dim 10, ||G||_1 = 106.6: at s = 0 the last stage is
     # off by a relative 1.0 against scipy, and the driver must not emit it

@@ -184,6 +184,8 @@ def test_gauss_legendre_nodes_are_cached_read_only():
 def test_fourier_validation():
     with pytest.raises(ValueError):
         fourier_coefficient(0, 0.0, 0.0, -1.0)
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        fourier_coefficient(-1, math.log(1.1), 0.0, 0.5)
 
 
 # -- conditional moments -----------------------------------------------------
@@ -342,6 +344,12 @@ def test_pricing_config_validation():
         bench_config(n_max=-1)
     with pytest.raises(ValueError):
         bench_config(v0=2.0)  # above vmax
+    # a float scaling power is refused, not truncated
+    for scaling in (7.9, 7.0, -1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            bench_config(scaling=scaling)
+    assert bench_config(scaling=np.int64(7)).scaling == 7
+    assert bench_config(scaling=7).scaling == 7
 
 
 def test_scaling_from_bound():
