@@ -149,7 +149,8 @@ class BlockTriangularMatrix:
 
     @classmethod
     def _wrap(cls, data: np.ndarray, partition: Partition) -> "BlockTriangularMatrix":
-        # trusted constructor: data already validated and owned by the caller
+        # trusted constructor: data already validated, and the caller never
+        # writes to it again (it may be a view into a larger buffer)
         obj = object.__new__(cls)
         data.setflags(write=False)
         object.__setattr__(obj, "_data", data)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -42,7 +43,8 @@ class Polynomial:
     """Validated coefficient map of a polynomial: exponent tuple -> coefficient.
 
     Zero coefficients are dropped, so equal polynomials have equal term
-    maps.  Instances are immutable.
+    maps.  Instances are immutable, and ``terms`` is a read-only view of
+    the map, so an operator spec cannot be changed after its checks ran.
     """
 
     __slots__ = ("dim", "terms")
@@ -63,7 +65,7 @@ class Polynomial:
                 if clean[k] == 0.0:
                     del clean[k]
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -85,7 +87,7 @@ class Polynomial:
         )
 
     def __repr__(self) -> str:
-        return f"Polynomial(dim={self.dim}, terms={self.terms})"
+        return f"Polynomial(dim={self.dim}, terms={dict(self.terms)})"
 
 
 # -- graded basis ----------------------------------------------------------

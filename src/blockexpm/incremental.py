@@ -17,6 +17,13 @@ for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
+Each cache is the leading d x d block of a zeroed buffer with spare
+capacity, so a step writes only its new block column into it and copies
+nothing else; a full buffer is reallocated a few percent larger than it
+must be.  The first step adopts its new diagonal blocks as the buffers
+themselves.  An emitted exponential is a read-only view of the leading
+block of the squaring buffer, which no later step writes.
+
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
 THETA_13 * 2^s:
@@ -48,6 +55,11 @@ from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
 # call per product, which steps with thin blocks pay for.
 _PANELS = 4
 
+# A full cache buffer is reallocated to this multiple of the new dimension.
+# Growing by 5% spreads the copying over many steps while adding at most
+# about 10% to the bytes held; doubling would add up to 300%.
+_GROWTH = 1.05
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -56,6 +68,8 @@ class StepReport:
     ``restart`` is True when the stage was recomputed from scratch on a
     merged partition (adaptive driver only).  ``seconds`` covers the
     exponential work of the stage, not any caller-side consumption.
+    ``cache_bytes`` is what the state's cache buffers hold after the
+    stage, spare capacity included.
     """
 
     step: int
@@ -64,20 +78,21 @@ class StepReport:
     s: int
     restart: bool
     seconds: float
+    cache_bytes: int
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_cache_bytes(s: int, dim: int) -> None:
-    """Raise MemoryError if the s + 3 caches of a state of dimension
-    ``dim`` would not fit in physical memory."""
-    need = (s + 3) * dim * dim * 8
+def _check_cache_bytes(s: int, capacity: int) -> None:
+    """Raise MemoryError if the s + 3 cache buffers of ``capacity`` rows
+    and columns would not fit in physical memory."""
+    need = (s + 3) * capacity * capacity * 8
     have = _physical_memory_bytes()
     if need > have:
         raise MemoryError(
-            f"the caches of dimension {dim} at scaling power {s} would hold "
+            f"the caches of capacity {capacity} at scaling power {s} would hold "
             f"{need} bytes, more than the {have} bytes of physical memory"
         )
 
@@ -107,6 +122,32 @@ def _panel_product(a: np.ndarray, x: np.ndarray, cuts, c: int = 0, r: int = 0) -
     return out
 
 
+def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
+                  capacity: int) -> np.ndarray:
+    """Append the block column [top; diag] to the cache whose leading d x d
+    block ``buf`` holds, and return the buffer that holds the grown cache.
+
+    The buffer is ``buf`` itself while it has room; otherwise a zeroed one
+    of ``capacity`` rows and columns takes a copy of the leading block.  An
+    empty cache adopts ``diag`` as its buffer.  Nothing below the block
+    diagonal is written, so those entries stay the buffer's zeros.
+    """
+    if d == 0:
+        return diag
+    e = d + diag.shape[0]
+    if buf.shape[0] < e:
+        # Zero only what the copy leaves unset: clearing the whole buffer
+        # first, as np.zeros may, writes most of it twice.
+        grown = np.empty((capacity, capacity))
+        grown[:d, :d] = buf[:d, :d]
+        grown[:d, d:] = 0.0
+        grown[d:] = 0.0
+        buf = grown
+    buf[:d, d:e] = top
+    buf[d:e, d:e] = diag
+    return buf
+
+
 def _grow_lead(lead: np.ndarray, top: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Zero-row profile of a matrix after appending the block column
     [top; diag].
@@ -127,7 +168,8 @@ class IncrementalExpState:
     Construction is one :meth:`step` from an empty state, so the initial
     matrix, a single partition block, gets the same pivot check as every
     later block.  The state holds three caches, each block upper
-    triangular and grown by one block column per step:
+    triangular, stored as the leading ``dim`` x ``dim`` block of a buffer
+    with spare capacity, and grown by one block column per step:
 
     * the scaled matrix 2^-s G;
     * Q^-1, the inverse of the Pade denominator q(2^-s G), which turns the
@@ -157,18 +199,39 @@ class IncrementalExpState:
 
     @property
     def dim(self) -> int:
-        return self._gt.shape[0]
+        return self.partition.dim
+
+    @property
+    def cache_bytes(self) -> int:
+        """Bytes held by the cache buffers, spare capacity included."""
+        return self._gt.nbytes + self._qinv.nbytes + sum(sq.nbytes for sq in self._squares)
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
-        """The current exp(G) as an immutable block matrix, not a copy: no
-        step writes into a cache array after it has been emitted."""
-        return BlockTriangularMatrix._wrap(self._squares[-1], self.partition)
+        """The current exp(G) as an immutable block matrix, not a copy.
+
+        Its data is a read-only view of the leading block of the squaring
+        cache's buffer.  No step writes into that block, so the stage never
+        changes, but the view keeps the whole buffer alive, capacity
+        included, for as long as it is held: ``.data.copy()`` a stage that
+        outlives the run to release the buffer.
+        """
+        d = self.dim
+        return BlockTriangularMatrix._wrap(self._squares[-1][:d, :d], self.partition)
 
     def unscaled_matrix(self) -> np.ndarray:
         """Reconstruct G from the scaled cache; exact, since the scale is a
         power of two."""
-        return self._gt * 2.0**self.s
+        d = self.dim
+        return self._gt[:d, :d] * 2.0**self.s
+
+    def _capacity(self, e: int) -> int:
+        """Rows and columns of the cache buffers once they hold dimension e;
+        the first step's adopted diagonal blocks have no spare room."""
+        held = self._gt.shape[0]
+        if held >= e:
+            return held
+        return e if self.dim == 0 else int(_GROWTH * e)
 
     def step(self, col: BlockColumn) -> None:
         """Grow the matrix by one block column and update all caches.
@@ -190,7 +253,9 @@ class IncrementalExpState:
             raise ValueError(
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
-        _check_cache_bytes(self.s, self.dim + col.block_size)
+        d = self.dim
+        capacity = self._capacity(d + col.block_size)
+        _check_cache_bytes(self.s, capacity)
         cuts = _panel_cuts(self.partition.offsets)
         p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col, cuts)
         f_col, f_diag, qinv_top, qinv_diag = self._solve_rational_column(
@@ -198,12 +263,14 @@ class IncrementalExpState:
         )
         new_square_cols = self._squaring_column(f_col, f_diag, cuts)
 
-        # Every phase has succeeded; only now are the caches grown.
+        # Every phase has succeeded; only now are the caches grown, one at a
+        # time, so a reallocation holds at most one old buffer beside its
+        # successor.
         self._lead = _grow_lead(self._lead, gt_col, dt)
-        self._gt = extend_square(self._gt, gt_col, dt)
-        self._qinv = extend_square(self._qinv, qinv_top, qinv_diag)
+        self._gt = _write_column(self._gt, d, gt_col, dt, capacity)
+        self._qinv = _write_column(self._qinv, d, qinv_top, qinv_diag, capacity)
         for l, (z, dsq) in enumerate(new_square_cols):
-            self._squares[l] = extend_square(self._squares[l], z, dsq)
+            self._squares[l] = _write_column(self._squares[l], d, z, dsq, capacity)
         self.partition = self.partition.append(col.block_size)
 
     # -- step phases --------------------------------------------------
@@ -233,8 +300,10 @@ class IncrementalExpState:
         gt_col = col.top * scale
         dt = col.diag * scale
 
+        d = self.dim
+        gt = self._gt[:d, :d]
         nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
-        c = int(nonzero_rows[0]) if nonzero_rows.size else self.dim
+        c = int(nonzero_rows[0]) if nonzero_rows.size else d
         eye = np.eye(dt.shape[0])
         # D^(l-1) at the top of iteration l; D^1 is I @ D, as in the baseline
         d_prev = eye @ dt
@@ -245,7 +314,7 @@ class IncrementalExpState:
         q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
             r = min(int(self._lead[c]), c)
-            x = _panel_product(self._gt, x, cuts, c, r) + gt_col @ d_prev
+            x = _panel_product(gt, x, cuts, c, r) + gt_col @ d_prev
             c = r
             d_prev = d_prev @ dt
             p_top += alpha[l] * x
@@ -277,7 +346,9 @@ class IncrementalExpState:
         b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
         qinv_diag = lu_solve(lu_nn, np.eye(b))
-        prod = _panel_product(self._qinv, np.hstack([p_top - q_top @ f_diag, q_top]), cuts, c)
+        d = self.dim
+        rhs = np.hstack([p_top - q_top @ f_diag, q_top])
+        prod = _panel_product(self._qinv[:d, :d], rhs, cuts, c)
         f_col = prod[:, :b]
         qinv_top = -(prod[:, b:] @ qinv_diag)
         return f_col, f_diag, qinv_top, qinv_diag
@@ -293,10 +364,11 @@ class IncrementalExpState:
         where Fprev powers come from the cache before extension and D
         powers are squared locally along the way.
         """
+        d = self.dim
         z, dsq = f_col, f_diag
         cols = [(z, dsq)]
         for l in range(1, self.s + 1):
-            z = _panel_product(self._squares[l - 1], z, cuts) + z @ dsq
+            z = _panel_product(self._squares[l - 1][:d, :d], z, cuts) + z @ dsq
             dsq = dsq @ dsq
             cols.append((z, dsq))
         return cols
@@ -326,12 +398,14 @@ def _drive(columns, fixed: int | None):
             state = IncrementalExpState(col.diag, need if fixed is None else fixed)
         elif restart:
             g = extend_square(state.unscaled_matrix(), col.top, col.diag)
+            # Free the old caches before the merged pass builds its own.
+            state = None
             state = IncrementalExpState(g, need)
         else:
             state.step(col)
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
-                            restart=restart, seconds=seconds)
+                            restart=restart, seconds=seconds, cache_bytes=state.cache_bytes)
         yield state.exponential, report
 
 

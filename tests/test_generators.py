@@ -119,6 +119,15 @@ def test_polynomial_validation():
         Polynomial(1).dim = 2
 
 
+def test_polynomial_terms_are_read_only():
+    p = Polynomial(2, {(1, 0): 2.0})
+    assert repr(p) == "Polynomial(dim=2, terms={(1, 0): 2.0})"
+    spec = jacobi_spec(BENCH_JACOBI)
+    with pytest.raises(TypeError):
+        spec.b[0].terms[(0, 3)] = 1.0
+    assert spec.b[0].degree == 1
+
+
 # -- graded basis ------------------------------------------------------------
 
 

@@ -346,7 +346,7 @@ def test_zero_row_profile_of_generator():
     state = IncrementalExpState(cols[0].diag, s=3)
     for col in cols[1:]:
         state.step(col)
-    gt = state._gt
+    gt = state.unscaled_matrix()  # the zero pattern of the scaled cache
     d = gt.shape[0]
     first = [int(np.flatnonzero(gt[:, j])[0]) if gt[:, j].any() else j for j in range(d)]
     want = [min(first[c:]) for c in range(d)] + [d]
@@ -373,3 +373,52 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 1000)
     state.step(cols[1])
     assert state.dim == 5
+
+
+def _upper_block_mask(capacity, offsets):
+    """True on the block upper triangle of the leading block of a buffer."""
+    mask = np.zeros((capacity, capacity), dtype=bool)
+    for r0, r1 in zip(offsets, offsets[1:]):
+        mask[:r1, r0:r1] = True
+    return mask
+
+
+def test_caches_grow_in_place_reallocate_and_adopt(monkeypatch):
+    rng = np.random.default_rng(179)
+    sizes = tuple(int(b) for b in rng.integers(1, 4, 60))
+    cols = random_columns(rng, sizes, scale=0.02)
+    # one heavy column forces exactly one restart
+    cols[30] = BlockColumn(100.0 * cols[30].top, 100.0 * cols[30].diag)
+
+    seen = set()
+    step = IncrementalExpState.step
+
+    def checked_step(state, col):
+        before = state._gt
+        step(state, col)
+        if before.size == 0:
+            seen.add("adopt")
+            assert state._gt is not before
+        else:
+            seen.add("in place" if state._gt is before else "reallocate")
+        buffers = [state._gt, state._qinv, *state._squares]
+        assert {buf.shape for buf in buffers} == {state._gt.shape}
+        outside = ~_upper_block_mask(state._gt.shape[0], state.partition.offsets)
+        for buf in buffers:
+            assert not buf[outside].any()
+        assert state.cache_bytes == sum(buf.nbytes for buf in buffers)
+
+    monkeypatch.setattr(IncrementalExpState, "step", checked_step)
+    held = list(run_adaptive(cols))
+    monkeypatch.undo()
+
+    assert seen == {"adopt", "in place", "reallocate"}
+    assert [n for n, (_, r) in enumerate(held) if r.restart] == [30]
+    fresh = [f.data.copy() for f, _ in run_adaptive(cols)]
+    prev = None
+    for (f, report), want in zip(held, fresh, strict=True):
+        assert np.array_equal(f.data, want)
+        assert report.cache_bytes >= (report.s + 3) * report.dim**2 * 8
+        if prev is not None and not report.restart:
+            assert np.array_equal(f.data[: prev.dim, : prev.dim], prev.data)
+        prev = f
