@@ -61,13 +61,14 @@ def _model_params(model: str, text: str):
     return _MODELS[model][0](**values)
 
 
-def _parse_scaling(text: str) -> int | None:
-    """Fixed scaling power for "fixed:<s>", None for "adaptive"; the
-    benchmark's method grammar without "naive"."""
+def _parse_scaling(text: str, adaptive: bool = True) -> int | None:
+    """Fixed scaling power for "fixed:<s>", None for "adaptive" where
+    ``adaptive`` allows it; the benchmark's method grammar without "naive"."""
     method = parse_method(text)
-    if method.kind == "naive":
-        raise ValueError(f"bad scaling {text!r}, expected fixed:<s> or adaptive")
-    return method.s
+    if method.kind == "fixed" or (adaptive and method.kind == "adaptive"):
+        return method.s
+    expected = "fixed:<s> or adaptive" if adaptive else "fixed:<s>"
+    raise ValueError(f"bad scaling {text!r}, expected {expected}")
 
 
 def _cmd_expm(args) -> int:
@@ -130,21 +131,22 @@ def _cmd_price(args) -> int:
         sigmaw=args.sigmaw,
         eps=args.eps,
         n_max=args.n_max,
-        scaling=_parse_scaling(args.scaling),
+        scaling=None if args.scaling is None else _parse_scaling(args.scaling, adaptive=False),
     )
     result = price_call(cfg)
-    rows = ["n,l_n,f_n,term,partial_price,cum_seconds"]
+    rows = ["n,l_n,f_n,term,partial_price,cum_seconds,expm_seconds,quad_seconds"]
     for r in result.rows:
         rows.append(
             f"{r.n},{r.l_n:.17g},{r.f_n:.17g},{r.term:.17g},"
-            f"{r.partial_price:.17g},{r.cum_seconds:.9f}"
+            f"{r.partial_price:.17g},{r.cum_seconds:.9f},"
+            f"{r.expm_seconds:.9f},{r.quad_seconds:.9f}"
         )
     with open(args.ledger, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     status = "converged" if result.converged else "stopped at degree cap"
     print(
         f"price {result.price:.12g} at degree {result.terminal_degree} "
-        f"({status}, {result.seconds:.3f}s, ledger: {args.ledger})"
+        f"({status}, s = {result.scaling}, {result.seconds:.3f}s, ledger: {args.ledger})"
     )
     return 0
 
@@ -211,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--muw", type=float, required=True)
     p.add_argument("--sigmaw", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--scaling", default="adaptive", help="adaptive or fixed:<s>")
+    p.add_argument("--scaling", metavar="fixed:<s>",
+                   help="scaling power of every exponential (default: from the "
+                        "Jacobi norm bound at --n-max)")
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--ledger", required=True, metavar="CSV")
     p.set_defaults(func=_cmd_price)

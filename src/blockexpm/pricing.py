@@ -35,7 +35,7 @@ from .generators import (
     jacobi_norm_bound,
     jacobi_spec,
 )
-from .incremental import run_adaptive, run_fixed
+from .incremental import run_fixed
 from .pade import as_scaling_power, scaling_power
 
 # Tiny floor that keeps the relative termination test meaningful when the
@@ -189,7 +189,13 @@ def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PriceLedgerRow:
-    """One term of the Hermite series with its running aggregates."""
+    """One term of the Hermite series with its running aggregates.
+
+    ``expm_seconds`` is the engine's time for exp(tau G_n), from the
+    stage's ``StepReport``; ``quad_seconds`` the payoff quadrature's time
+    for f_n.  ``cum_seconds`` is the wall time since the series started,
+    generator assembly and moment read-off included.
+    """
 
     n: int
     l_n: float
@@ -197,25 +203,33 @@ class PriceLedgerRow:
     term: float
     partial_price: float
     cum_seconds: float
+    expm_seconds: float
+    quad_seconds: float
 
 
 @dataclass(frozen=True)
 class PriceResult:
+    """The price, where the series stopped, its ledger, and the scaling
+    power every exponential of the series was computed at."""
+
     price: float
     terminal_degree: int
     converged: bool
     rows: tuple[PriceLedgerRow, ...]
     seconds: float
+    scaling: int
 
 
 @dataclass(frozen=True)
 class PricingConfig:
     """Inputs of a call price computation under the Jacobi model.
 
-    ``scaling`` is None for norm-driven adaptive scaling or a fixed
-    nonnegative integer power.  ``eps`` is the relative truncation
-    tolerance of the Hermite series; eps = 0 disables the test and runs
-    to ``n_max``.
+    ``scaling`` is the scaling power of every exponential in the series:
+    None takes it from the Jacobi norm bound at ``n_max``
+    (:func:`scaling_from_bound`), which covers every degree the series
+    can reach, or a nonnegative integer fixes it.  ``eps`` is the
+    relative truncation tolerance of the Hermite series; eps = 0 disables
+    the test and runs to ``n_max``.
     """
 
     params: JacobiParams
@@ -274,14 +288,23 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     centered on the log-price law, odd-degree terms are much smaller
     than their even neighbours long before the tail has decayed, so a
     single small term says nothing about truncation error.  The ledger
-    rows record every term, its partial sum, and cumulative wall time.
+    rows record every term, its partial sum, cumulative wall time and the
+    seconds of its exponential and its quadrature.
+
+    Every exponential is computed at one scaling power, chosen before any
+    matrix is formed (see :class:`PricingConfig`), so the engine extends
+    its caches by one block column per degree and never restarts.  A
+    fixed power too small for a degree's generator stops the series with
+    a ``ValueError`` before that degree instead of returning an
+    inaccurate price.
     """
+    if cfg.scaling is None:
+        s = scaling_from_bound(cfg.params, cfg.tau, cfg.n_max)
+    else:
+        s = as_scaling_power(cfg.scaling)
     spec = jacobi_spec(cfg.params)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
-    if cfg.scaling is None:
-        runner = run_adaptive(columns)
-    else:
-        runner = run_fixed(columns, s=cfg.scaling)
+    runner = run_fixed(columns, s=s)
 
     t0 = time.perf_counter()
     price = 0.0
@@ -292,9 +315,11 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     for f, report in runner:
         n = report.step
         l_n = hermite_moment(f, cfg, n)
+        tq = time.perf_counter()
         f_n = fourier_coefficient(
             n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau
         )
+        quad_seconds = time.perf_counter() - tq
         term = l_n * f_n
         price += term
         terminal = n
@@ -306,6 +331,8 @@ def price_call(cfg: PricingConfig) -> PriceResult:
                 term=term,
                 partial_price=price,
                 cum_seconds=time.perf_counter() - t0,
+                expm_seconds=report.seconds,
+                quad_seconds=quad_seconds,
             )
         )
         small = cfg.eps > 0 and abs(term) <= cfg.eps * max(abs(price), _PRICE_FLOOR)
@@ -322,4 +349,5 @@ def price_call(cfg: PricingConfig) -> PriceResult:
         converged=converged,
         rows=tuple(rows),
         seconds=time.perf_counter() - t0,
+        scaling=s,
     )

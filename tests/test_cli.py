@@ -220,7 +220,8 @@ def test_price_run(tmp_path, capsys):
     assert out.startswith("price ") and "converged" in out
 
     rows = read_csv(ledger)
-    assert list(rows[0]) == ["n", "l_n", "f_n", "term", "partial_price", "cum_seconds"]
+    assert list(rows[0]) == ["n", "l_n", "f_n", "term", "partial_price", "cum_seconds",
+                             "expm_seconds", "quad_seconds"]
     assert [int(r["n"]) for r in rows] == list(range(len(rows)))
     params = JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
     res = price_call(
@@ -231,6 +232,8 @@ def test_price_run(tmp_path, capsys):
     assert float(rows[-1]["partial_price"]) == pytest.approx(res.price, rel=1e-12)
     printed = float(out.split()[1])
     assert printed == pytest.approx(res.price, rel=1e-9)
+    # s comes from the Jacobi norm bound at the default --n-max of 100
+    assert res.scaling == 9 and "s = 9," in out
 
 
 def test_price_errors(tmp_path, capsys):
@@ -244,6 +247,12 @@ def test_price_errors(tmp_path, capsys):
     # price accepts no custom adaptive threshold
     rc = main(["price", "--params", JACOBI_ARG, "--scaling", "adaptive:4.0"] + base)
     assert rc == 2
+    capsys.readouterr()
+    # nor adaptive scaling at all: the series runs at one scaling power
+    rc = main(["price", "--params", JACOBI_ARG, "--scaling", "adaptive"] + base)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: bad scaling 'adaptive', expected fixed:<s>"
     rc = main(["price", "--params", JACOBI_ARG, "--eps", "-1"] + base)
     assert rc == 2
 

@@ -266,14 +266,22 @@ def test_hermite_moment_identity_exponential():
 
 
 def test_hermite_moment_matches_baseline():
-    # one incremental sweep to degree 40 against from-scratch exponentials
+    # one adaptive sweep to degree 40, restarts included, against
+    # from-scratch exponentials and against every moment of the default
+    # price's ledger, which runs at one scaling power and never restarts
     cfg = bench_config()
     spec = jacobi_spec(BENCH_PARAMS)
+    ledger = price_call(bench_config(eps=0.0, n_max=40)).rows
     moments = {}
+    restarts = 0
     for f, rep in run_adaptive(generator_block_columns(spec, max_degree=40, scale=cfg.tau)):
         n = rep.step
+        restarts += rep.restart
+        l_inc = hermite_moment(f, cfg, n)
+        assert abs(l_inc - ledger[n].l_n) <= 1e-11 * abs(ledger[n].l_n), f"degree {n}"
         if n <= 10 or n % 5 == 0:
-            moments[n] = hermite_moment(f, cfg, n)
+            moments[n] = l_inc
+    assert n == 40 and restarts >= 1
     for n, l_inc in moments.items():
         g, _ = build_generator_matrix(spec, n)
         l_base = hermite_moment(expm_baseline(cfg.tau * g), cfg, n)
@@ -318,6 +326,9 @@ def test_price_call_structure():
     secs = [row.cum_seconds for row in res.rows]
     assert all(b >= a for a, b in zip(secs, secs[1:]))
     assert res.seconds >= secs[-1]
+    # each row's exponential and quadrature seconds lie inside the wall clock
+    assert all(row.expm_seconds > 0.0 and row.quad_seconds > 0.0 for row in res.rows)
+    assert sum(row.expm_seconds + row.quad_seconds for row in res.rows) <= res.seconds
     # termination needed two consecutive sub-threshold terms
     for row in res.rows[-2:]:
         assert abs(row.term) <= eps * abs(row.partial_price)
@@ -360,15 +371,45 @@ def test_scaling_from_bound():
     assert scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
 
 
+def _random_jacobi_params(rng):
+    vmin = rng.uniform(0.0, 0.2)
+    vmax = vmin + rng.uniform(0.05, 2.0)
+    return JacobiParams(
+        kappa=rng.uniform(0.0, 3.0), theta=rng.uniform(vmin, vmax),
+        sigma=rng.uniform(0.05, 1.0), r=rng.uniform(0.0, 0.1),
+        rho=rng.uniform(-1.0, 1.0), vmin=vmin, vmax=vmax,
+    )
+
+
 def test_norm_bound_covers_fixed_scaling_prices_to_degree_100():
-    # a fixed scaling from the bound can never hit the driver's norm check:
-    # the running 1-norm of tau G_n stays within tau times the bound
-    tau = 0.25
-    columns = generator_block_columns(jacobi_spec(BENCH_PARAMS), max_degree=100, scale=tau)
-    norm = 0.0
-    for n, col in enumerate(columns):
-        col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
-        norm = max(norm, float(col_norms.max()))
-        assert norm <= tau * jacobi_norm_bound(BENCH_PARAMS, n)
-        assert scaling_power(norm) <= scaling_from_bound(BENCH_PARAMS, tau, n)
-    assert n == 100
+    # every default price runs at the bound's scaling, so it must never hit
+    # the driver's norm check: the running 1-norm of tau G_n stays within
+    # tau times the bound, for criterion 9's parameters to degree 100 and
+    # for random valid parameters and horizons to degree 20
+    rng = np.random.default_rng(12)
+    cases = [(BENCH_PARAMS, 0.25, 100)]
+    cases += [(_random_jacobi_params(rng), rng.uniform(0.05, 2.0), 20) for _ in range(10)]
+    for params, tau, max_degree in cases:
+        columns = generator_block_columns(jacobi_spec(params), max_degree=max_degree, scale=tau)
+        norm = 0.0
+        for n, col in enumerate(columns):
+            col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
+            norm = max(norm, float(col_norms.max()))
+            assert norm <= tau * jacobi_norm_bound(params, n), (params, tau, n)
+            assert scaling_power(norm) <= scaling_from_bound(params, tau, n), (params, tau, n)
+        assert n == max_degree
+
+
+def test_default_price_runs_at_the_bound_scaling():
+    # scaling=None is the bound's power at n_max, with no restart: every
+    # ledger row and the price are bit-identical to an explicit run at it
+    res = price_call(bench_config(eps=0.05))
+    assert res.scaling == scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
+    fixed = price_call(bench_config(eps=0.05, scaling=res.scaling))
+    assert fixed.scaling == res.scaling
+    assert [row.l_n for row in res.rows] == [row.l_n for row in fixed.rows]
+    assert res.price == fixed.price
+    assert price_call(bench_config(eps=0.05, n_max=30)).scaling == scaling_from_bound(
+        BENCH_PARAMS, 0.25, 30
+    )
+
