@@ -125,17 +125,30 @@ def basis_index(k: MultiIndex) -> int:
     return basis_size(d, j - 1) + _degree_positions(d, j)[tuple(k)]
 
 
+@lru_cache(maxsize=None)
+def _degree_exponents(d: int, j: int) -> np.ndarray:
+    """Exponent tuples of total degree j, one per row, in basis order."""
+    exps = np.array(degree_monomials(d, j), dtype=np.intp).reshape(-1, d)
+    exps.setflags(write=False)
+    return exps
+
+
 def basis_values(d: int, n: int, point) -> np.ndarray:
-    """Evaluate every basis monomial of degree <= n at a point."""
+    """Evaluate every basis monomial of degree <= n at a point.
+
+    Each monomial is the product, in variable order, of entries of the
+    table of powers x_i^e for e = 0 .. n.
+    """
     point = tuple(float(x) for x in point)
     if len(point) != d:
         raise ValueError(f"point has {len(point)} coordinates, expected {d}")
-    vals = np.empty(basis_size(d, n))
-    i = 0
-    for j in range(n + 1):
-        for k in degree_monomials(d, j):
-            vals[i] = math.prod(x**e for x, e in zip(point, k))
-            i += 1
+    if n < 0:
+        return np.empty(0)
+    exps = np.concatenate([_degree_exponents(d, j) for j in range(n + 1)])
+    powers = np.power.outer(np.array(point), np.arange(n + 1, dtype=np.float64))
+    vals = powers[0, exps[:, 0]]
+    for i in range(1, d):
+        vals *= powers[i, exps[:, i]]
     return vals
 
 

@@ -9,7 +9,7 @@ rational approximant -- and extends all of them by one block column per
 step.  The per-step cost drops to O(d^2 b) for a new block of size b, and
 counts only the blocks that can be nonzero: every cache is block upper
 triangular, so each product with a new block column skips the zero lower
-block triangle (in row panels cut at partition offsets), and the power
+block triangle (down to the edges of the column chunks below), and the power
 recurrence also skips the leading rows that the scaled matrix's zero-row
 profile keeps exactly zero, such as the band of a polynomial generator.
 Only new block columns are ever computed, so earlier stages survive bit
@@ -17,12 +17,16 @@ for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
-Each cache is the leading d x d block of a zeroed buffer with spare
-capacity, so a step writes only its new block column into it and copies
-nothing else; a full buffer is reallocated a few percent larger than it
-must be.  The first step adopts its new diagonal blocks as the buffers
-themselves.  An emitted exponential is a read-only view of the leading
-block of the squaring buffer, which no later step writes.
+Every cache that a product reads -- the scaled matrix, Q^-1 and all
+squares but the last -- is an append-only list of column chunks.  A chunk
+of block columns keeps only the rows down to its last column, so the zero
+lower block triangle is mostly not stored, and a step writes its new block
+column into the open chunk or into a new one: no chunk is copied or
+written once a later one opens.  The first step adopts its new diagonal
+blocks as the first chunks.  The current exponential, which no product
+reads, is instead the leading d x d block of one contiguous buffer with a
+few percent of spare capacity, reallocated when full, so an emitted stage
+is a read-only view of it that no later step writes.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -50,14 +54,16 @@ from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
 from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
 
-# Row panels of every cache product.  Four skip 3/8 of a dense product on
-# evenly cut blocks; each further panel skips less and adds one more BLAS
-# call per product, which steps with thin blocks pay for.
-_PANELS = 4
+# A new chunk has room for at least _CHUNK_MIN columns and for a
+# 1/_CHUNK_SHARE share of the dimension it starts at: wider chunks store
+# more of the zero lower triangle, narrower ones cost each product more
+# BLAS calls, and a cache of dimension d has O(log d) chunks.
+_CHUNK_MIN = 128
+_CHUNK_SHARE = 4
 
-# A full cache buffer is reallocated to this multiple of the new dimension.
-# Growing by 5% spreads the copying over many steps while adding at most
-# about 10% to the bytes held; doubling would add up to 300%.
+# A full exponential buffer is reallocated to this multiple of the new
+# dimension.  Growing by 5% spreads the copying over many steps while adding
+# at most about 10% to the bytes held; doubling would add up to 300%.
 _GROWTH = 1.05
 
 
@@ -85,41 +91,104 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_cache_bytes(s: int, capacity: int) -> None:
-    """Raise MemoryError if the s + 3 cache buffers of ``capacity`` rows
-    and columns would not fit in physical memory."""
-    need = (s + 3) * capacity * capacity * 8
+def _check_cache_bytes(need: int, dim: int, s: int) -> None:
+    """Raise MemoryError if the ``need`` bytes that the caches of dimension
+    ``dim`` at scaling power ``s`` would hold exceed physical memory."""
     have = _physical_memory_bytes()
     if need > have:
         raise MemoryError(
-            f"the caches of capacity {capacity} at scaling power {s} would hold "
+            f"the caches of dimension {dim} at scaling power {s} would hold "
             f"{need} bytes, more than the {have} bytes of physical memory"
         )
 
 
-def _panel_cuts(offsets) -> list[int]:
-    """Row cuts of the panel products: 0, the partition offsets nearest to
-    k d / _PANELS for k = 1 .. _PANELS - 1, and the dimension d."""
-    d = offsets[-1]
-    off = np.asarray(offsets)
-    inner = {int(off[np.abs(off - k * d / _PANELS).argmin()]) for k in range(1, _PANELS)}
-    return sorted(inner | {0, d})
+class _ChunkedCache:
+    """A block upper triangular cache stored as an append-only list of
+    column chunks.
 
-
-def _panel_product(a: np.ndarray, x: np.ndarray, cuts, c: int = 0, r: int = 0) -> np.ndarray:
-    """``a @ x`` without the blocks that are zero by construction.
-
-    ``a`` is a block upper triangular cache and ``cuts`` are offsets of its
-    partition from 0 to its dimension, so the rows of a panel [r0, r1)
-    are zero left of column r0.  The rows of ``x`` above ``c`` are zero,
-    and the caller knows that the rows of the product above ``r`` are.
+    Chunk k holds the columns [starts[k], k1), where k1 is the next
+    chunk's start or, for the last chunk, ``dim``; it keeps only their rows
+    [0, k1), in a zeroed array of starts[k] + cap rows and cap columns.  A
+    block column goes into the last chunk while it fits; otherwise a new
+    chunk opens.  An empty cache adopts the first diagonal block as its
+    first chunk.  No chunk is written once a later one opens.
     """
-    out = np.zeros((a.shape[0], x.shape[1]))
-    for r0, r1 in zip(cuts, cuts[1:]):
-        if r1 > r:
-            k0 = max(r0, c)
-            np.matmul(a[max(r0, r) : r1, k0:], x[k0:], out=out[max(r0, r) : r1])
-    return out
+
+    def __init__(self):
+        self.dim = 0
+        self.starts: list[int] = []
+        self.chunks: list[np.ndarray] = []
+
+    @property
+    def nbytes(self) -> int:
+        return sum(chunk.nbytes for chunk in self.chunks)
+
+    def _fits(self, b: int) -> bool:
+        return bool(self.chunks) and self.starts[-1] + self.chunks[-1].shape[1] >= self.dim + b
+
+    def _opened_columns(self, b: int) -> int:
+        return max(b, _CHUNK_MIN, -(-self.dim // _CHUNK_SHARE))
+
+    def opened_bytes(self, b: int) -> int:
+        """Bytes of the chunk that appending a block column of size b opens
+        or adopts; 0 if the column fits the last chunk."""
+        if self._fits(b):
+            return 0
+        if self.dim == 0:
+            return b * b * 8
+        cap = self._opened_columns(b)
+        return (self.dim + cap) * cap * 8
+
+    def append(self, top: np.ndarray, diag: np.ndarray) -> None:
+        """Append the block column [top; diag]."""
+        d = self.dim
+        e = d + diag.shape[0]
+        if d == 0:
+            self.starts.append(0)
+            self.chunks.append(diag)
+        else:
+            if not self._fits(diag.shape[0]):
+                cap = self._opened_columns(diag.shape[0])
+                self.starts.append(d)
+                self.chunks.append(np.zeros((d + cap, cap)))
+            k0, chunk = self.starts[-1], self.chunks[-1]
+            chunk[:d, d - k0 : e - k0] = top
+            chunk[d:e, d - k0 : e - k0] = diag
+        self.dim = e
+
+    def product(self, x: np.ndarray, c: int = 0, r: int = 0) -> np.ndarray:
+        """``a @ x`` for the cache a, reading no stored zero below the chunks.
+
+        The rows of ``x`` above ``c`` are zero, so only the chunks right of
+        c contribute, and the caller knows that the rows of the product
+        above ``r`` are zero.  The last chunk writes the product and each
+        earlier one adds to its leading rows.
+        """
+        d = self.dim
+        if c >= d:
+            return np.zeros((d, x.shape[1]))
+        out = np.empty((d, x.shape[1]))
+        out[:r] = 0.0
+        k1 = d
+        for k0, chunk in zip(reversed(self.starts), reversed(self.chunks)):
+            if k1 <= c:
+                break
+            j0 = max(k0, c)
+            part = chunk[r:k1, j0 - k0 : k1 - k0]
+            if k1 == d:
+                np.matmul(part, x[j0:k1], out=out[r:k1])
+            else:
+                out[r:k1] += part @ x[j0:k1]
+            k1 = k0
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The cache as a d x d array."""
+        d = self.dim
+        out = np.zeros((d, d))
+        for k0, k1, chunk in zip(self.starts, self.starts[1:] + [d], self.chunks):
+            out[:k1, k0:k1] = chunk[:k1, : k1 - k0]
+        return out
 
 
 def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
@@ -168,16 +237,19 @@ class IncrementalExpState:
     Construction is one :meth:`step` from an empty state, so the initial
     matrix, a single partition block, gets the same pivot check as every
     later block.  The state holds three caches, each block upper
-    triangular, stored as the leading ``dim`` x ``dim`` block of a buffer
-    with spare capacity, and grown by one block column per step:
+    triangular and grown by one block column per step:
 
     * the scaled matrix 2^-s G;
     * Q^-1, the inverse of the Pade denominator q(2^-s G), which turns the
       rational solve of each step into one matrix product;
-    * the squaring cache, whose entry l is r(2^-s G)^(2^l); the last
-      entry is the current exponential.
+    * the squares r(2^-s G)^(2^l) for l = 0 .. s; square s is the current
+      exponential.
 
-    It also keeps the zero-row profile of the scaled matrix (see
+    The scaled matrix, Q^-1 and squares 0 .. s - 1 are read by the next
+    step's products and are stored as column chunks
+    (:class:`_ChunkedCache`); square s is only emitted, and is the leading
+    ``dim`` x ``dim`` block of one buffer with spare capacity.  The state
+    also keeps the zero-row profile of the scaled matrix (see
     :func:`_grow_lead`), which windows the power recurrence.
     """
 
@@ -189,13 +261,17 @@ class IncrementalExpState:
         if g0.shape[0] != g0.shape[1] or g0.shape[0] == 0:
             raise ValueError(f"initial matrix must be square and nonempty, got {g0.shape}")
         self.s = as_scaling_power(s)
-        _check_cache_bytes(self.s, g0.shape[0])
+        b = g0.shape[0]
+        # The first step checks this too; checking before the s chunk lists
+        # exist refuses an absurd s at once.
+        _check_cache_bytes((self.s + 3) * b * b * 8, b, self.s)
         self.partition = Partition(())
-        self._gt = np.empty((0, 0))
         self._lead = np.zeros(1, dtype=np.intp)
-        self._qinv = np.empty((0, 0))
-        self._squares = [np.empty((0, 0)) for _ in range(self.s + 1)]
-        self.step(BlockColumn(np.empty((0, g0.shape[0])), g0, check_finite=False))
+        self._gt = _ChunkedCache()
+        self._qinv = _ChunkedCache()
+        self._squares = [_ChunkedCache() for _ in range(self.s)]
+        self._exp = np.empty((0, 0))
+        self.step(BlockColumn(np.empty((0, b)), g0, check_finite=False))
 
     @property
     def dim(self) -> int:
@@ -203,32 +279,37 @@ class IncrementalExpState:
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes held by the cache buffers, spare capacity included."""
-        return self._gt.nbytes + self._qinv.nbytes + sum(sq.nbytes for sq in self._squares)
+        """Bytes of every array the state holds: the chunks, the
+        exponential buffer with its spare capacity, and the zero-row
+        profile."""
+        chunks = self._gt.nbytes + self._qinv.nbytes + sum(sq.nbytes for sq in self._squares)
+        return chunks + self._exp.nbytes + self._lead.nbytes
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
         """The current exp(G) as an immutable block matrix, not a copy.
 
-        Its data is a read-only view of the leading block of the squaring
-        cache's buffer.  No step writes into that block, so the stage never
-        changes, but the view keeps the whole buffer alive, capacity
+        Its data is a read-only view of the leading block of the
+        exponential buffer.  No step writes into that block, so the stage
+        never changes, but the view keeps the whole buffer alive, capacity
         included, for as long as it is held: ``.data.copy()`` a stage that
         outlives the run to release the buffer.
         """
         d = self.dim
-        return BlockTriangularMatrix._wrap(self._squares[-1][:d, :d], self.partition)
+        return BlockTriangularMatrix._wrap(self._exp[:d, :d], self.partition)
 
     def unscaled_matrix(self) -> np.ndarray:
-        """Reconstruct G from the scaled cache; exact, since the scale is a
-        power of two."""
-        d = self.dim
-        return self._gt[:d, :d] * 2.0**self.s
+        """Assemble G from the scaled cache's chunks; exact, since the scale
+        is a power of two."""
+        g = self._gt.dense()
+        g *= 2.0**self.s
+        return g
 
     def _capacity(self, e: int) -> int:
-        """Rows and columns of the cache buffers once they hold dimension e;
-        the first step's adopted diagonal blocks have no spare room."""
-        held = self._gt.shape[0]
+        """Rows and columns of the exponential buffer once it holds
+        dimension e; the first step's adopted diagonal block has no spare
+        room."""
+        held = self._exp.shape[0]
         if held >= e:
             return held
         return e if self.dim == 0 else int(_GROWTH * e)
@@ -253,29 +334,34 @@ class IncrementalExpState:
             raise ValueError(
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
-        d = self.dim
-        capacity = self._capacity(d + col.block_size)
-        _check_cache_bytes(self.s, capacity)
-        cuts = _panel_cuts(self.partition.offsets)
-        p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col, cuts)
+        d, b = self.dim, col.block_size
+        capacity = self._capacity(d + b)
+        # What the step leaves held, plus the old exponential buffer while
+        # a full one is reallocated: the s + 2 chunked caches open their
+        # chunks together, and the zero-row profile grows by b entries.
+        need = self.cache_bytes + 8 * b + (self.s + 2) * self._gt.opened_bytes(b)
+        if capacity > self._exp.shape[0]:
+            need += capacity * capacity * 8
+        _check_cache_bytes(need, d + b, self.s)
+        p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col)
         f_col, f_diag, qinv_top, qinv_diag = self._solve_rational_column(
-            p_top, p_diag, q_top, q_diag, c, cuts
+            p_top, p_diag, q_top, q_diag, c
         )
-        new_square_cols = self._squaring_column(f_col, f_diag, cuts)
+        new_square_cols = self._squaring_column(f_col, f_diag)
 
-        # Every phase has succeeded; only now are the caches grown, one at a
-        # time, so a reallocation holds at most one old buffer beside its
-        # successor.
+        # Every phase has succeeded; only now are the caches grown.
         self._lead = _grow_lead(self._lead, gt_col, dt)
-        self._gt = _write_column(self._gt, d, gt_col, dt, capacity)
-        self._qinv = _write_column(self._qinv, d, qinv_top, qinv_diag, capacity)
-        for l, (z, dsq) in enumerate(new_square_cols):
-            self._squares[l] = _write_column(self._squares[l], d, z, dsq, capacity)
-        self.partition = self.partition.append(col.block_size)
+        self._gt.append(gt_col, dt)
+        self._qinv.append(qinv_top, qinv_diag)
+        for cache, (z, dsq) in zip(self._squares, new_square_cols):
+            cache.append(z, dsq)
+        z, dsq = new_square_cols[-1]
+        self._exp = _write_column(self._exp, d, z, dsq, capacity)
+        self.partition = self.partition.append(b)
 
     # -- step phases --------------------------------------------------
 
-    def _extend_pq(self, col: BlockColumn, cuts):
+    def _extend_pq(self, col: BlockColumn):
         """New block columns of the numerator and denominator polynomials.
 
         With the scaled column g and scaled diagonal block D, the powers of
@@ -301,7 +387,6 @@ class IncrementalExpState:
         dt = col.diag * scale
 
         d = self.dim
-        gt = self._gt[:d, :d]
         nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
         c = int(nonzero_rows[0]) if nonzero_rows.size else d
         eye = np.eye(dt.shape[0])
@@ -314,7 +399,8 @@ class IncrementalExpState:
         q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
             r = min(int(self._lead[c]), c)
-            x = _panel_product(gt, x, cuts, c, r) + gt_col @ d_prev
+            x = self._gt.product(x, c, r)
+            x += gt_col @ d_prev
             c = r
             d_prev = d_prev @ dt
             p_top += alpha[l] * x
@@ -323,7 +409,7 @@ class IncrementalExpState:
             q_diag += beta[l] * d_prev
         return p_top, p_diag, q_top, q_diag, gt_col, dt, c
 
-    def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c, cuts):
+    def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
         """Last block columns of F = Q^-1 P and of Q^-1 for the extended
         polynomials.
 
@@ -346,14 +432,13 @@ class IncrementalExpState:
         b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
         qinv_diag = lu_solve(lu_nn, np.eye(b))
-        d = self.dim
         rhs = np.hstack([p_top - q_top @ f_diag, q_top])
-        prod = _panel_product(self._qinv[:d, :d], rhs, cuts, c)
+        prod = self._qinv.product(rhs, c)
         f_col = prod[:, :b]
         qinv_top = -(prod[:, b:] @ qinv_diag)
         return f_col, f_diag, qinv_top, qinv_diag
 
-    def _squaring_column(self, f_col, f_diag, cuts):
+    def _squaring_column(self, f_col, f_diag):
         """New block column of every cached repeated square.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
@@ -364,11 +449,10 @@ class IncrementalExpState:
         where Fprev powers come from the cache before extension and D
         powers are squared locally along the way.
         """
-        d = self.dim
         z, dsq = f_col, f_diag
         cols = [(z, dsq)]
         for l in range(1, self.s + 1):
-            z = _panel_product(self._squares[l - 1][:d, :d], z, cuts) + z @ dsq
+            z = self._squares[l - 1].product(z) + z @ dsq
             dsq = dsq @ dsq
             cols.append((z, dsq))
         return cols

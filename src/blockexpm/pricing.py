@@ -171,7 +171,8 @@ def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
     ``exp_tau_g`` is exp(tau G_n) on the graded basis (array or block
     matrix), ``x0`` the state at time zero, and ``pvec`` the coordinate
     vector of the polynomial.  The result is the basis evaluation row at
-    x0 applied to exp(tau G_n) pvec.
+    x0 applied to exp(tau G_n) pvec, formed from only the columns of the
+    matrix where ``pvec`` is nonzero.
     """
     mat = exp_tau_g.data if isinstance(exp_tau_g, BlockTriangularMatrix) else exp_tau_g
     size = mat.shape[0]
@@ -184,7 +185,8 @@ def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
         n += 1
     if basis_size(d, n) != size:
         raise ValueError(f"matrix size {size} is not a full graded basis in {d} variables")
-    return float(basis_values(d, n, x0) @ (mat @ pvec))
+    nz = np.flatnonzero(pvec)
+    return float(basis_values(d, n, x0) @ (mat[:, nz] @ pvec[nz]))
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,21 @@ def test_basis_values():
         basis_values(2, 2, (1.0,))
 
 
+def test_basis_values_match_the_monomial_products():
+    rng = np.random.default_rng(191)
+    for d, n in ((1, 9), (2, 0), (2, 7), (2, 60), (3, 12)):
+        for _ in range(4):
+            point = rng.uniform(-1.5, 1.5, d)
+            want = np.array([
+                math.prod(float(x) ** e for x, e in zip(point, k))
+                for j in range(n + 1)
+                for k in degree_monomials(d, j)
+            ])
+            got = basis_values(d, n, point)
+            assert got.shape == (basis_size(d, n),)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 # -- operator application ----------------------------------------------------
 
 

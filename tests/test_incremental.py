@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import blockexpm.incremental as incremental
-from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
+from blockexpm.blocks import BlockColumn, Partition, extend_square, matrix_from_columns
 from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
 from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
@@ -295,16 +296,28 @@ def test_input_validation():
         IncrementalExpState(np.eye(2), s=-1)
 
 
+def _chunked(a, sizes):
+    """The block upper triangular ``a`` appended block column by block
+    column to an empty chunked cache."""
+    cache = incremental._ChunkedCache()
+    off = Partition(sizes).offsets
+    for r0, r1 in zip(off, off[1:]):
+        cache.append(a[:r0, r0:r1], a[r0:r1, r0:r1].copy())
+    assert np.array_equal(cache.dense(), a)
+    return cache
+
+
+# The chunks are the column panels of the cache products.
 @pytest.mark.parametrize(
     "sizes, where",
     [
-        (None, "inside"),  # x zero above a row inside a panel
-        (None, "boundary"),  # x zero above a panel boundary
+        (None, "inside"),  # x zero above a column inside a chunk
+        (None, "boundary"),  # x zero above a chunk edge
         (None, "top"),  # c = 0
-        (None, "zero"),  # all-zero x
-        ((7,), "inside"),  # a single block
+        (None, "zero"),  # c = d: all-zero x
+        ((7,), "inside"),  # a single block, adopted as the only chunk
         ((7,), "top"),
-        ((3, 5, 2), "inside"),  # fewer than four blocks
+        ((3, 5, 2), "inside"),  # the adopted block and one opened chunk
         ((3, 5, 2), "top"),
     ],
     ids=["inside", "boundary", "top", "zero", "single-inside", "single-top",
@@ -313,30 +326,44 @@ def test_input_validation():
 def test_panel_product_matches_dense_product(sizes, where):
     rng = np.random.default_rng(151)
     if sizes is None:
-        sizes = tuple(int(b) for b in rng.integers(1, 6, 12))
+        # about 350 columns: the adopted first block and three opened chunks
+        sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data
     d = a.shape[0]
-    cuts = incremental._panel_cuts(Partition(sizes).offsets)
-    assert cuts[0] == 0 and cuts[-1] == d and len(cuts) <= 5
-    c = {"inside": cuts[1] - 1, "boundary": cuts[1], "top": 0, "zero": d}[where]
+    cache = _chunked(a, sizes)
+    starts = cache.starts
+    # the first block is adopted whole; each opened chunk has at least 128
+    # columns
+    assert starts[0] == 0 and starts[1:2] in ([], [sizes[0]])
+    assert len(starts) == {(7,): 1, (3, 5, 2): 2}.get(sizes, 4)
     if where == "inside":
-        # the row falls strictly inside the first panel
-        assert cuts[0] < c < cuts[1]
+        # strictly inside the second chunk, or the only one
+        k = min(1, len(starts) - 1)
+        k1 = (starts[1:] + [d])[k]
+        c = (starts[k] + k1) // 2
+        assert starts[k] < c < k1
+    elif where == "boundary":
+        c = starts[-2]
+    else:
+        c = 0 if where == "top" else d
     x = rng.standard_normal((d, 3))
     x[:c] = 0.0
-    assert rel_error_fro(incremental._panel_product(a, x, cuts, c), a @ x) <= 1e-14
+    assert rel_error_fro(cache.product(x, c), a @ x) <= 1e-14
 
 
 def test_panel_product_skips_rows_known_zero():
     rng = np.random.default_rng(157)
-    sizes = tuple(int(b) for b in rng.integers(1, 6, 12))
+    sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
-    cuts = incremental._panel_cuts(Partition(sizes).offsets)
-    c, r = cuts[2] + 1, cuts[1] + 1
+    # rows above r are zero right of c: r inside the second chunk, c inside
+    # the third
+    starts = _chunked(a, sizes).starts
+    c, r = starts[2] + 5, starts[1] + 5
     a[:r, c:] = 0.0
+    cache = _chunked(a, sizes)
     x = rng.standard_normal((a.shape[0], 2))
     x[:c] = 0.0
-    got = incremental._panel_product(a, x, cuts, c, r)
+    got = cache.product(x, c, r)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
 
@@ -361,64 +388,137 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(cols[0].diag, s=2)
     before = state.exponential.data
-    # five caches of 5 x 5 doubles need 1000 bytes after the step
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 999)
-    with pytest.raises(MemoryError, match="1000 bytes.*999 bytes"):
+    # The step holds the four adopted 3 x 3 chunks (288 bytes), four opened
+    # chunks of 131 x 128 doubles (536576), the new 5 x 5 exponential beside
+    # the old 3 x 3 one (200 + 72) and a zero-row profile of 6 entries (48):
+    # 537184 bytes.
+    held = 4 * 72 + 72 + 32
+    assert state.cache_bytes == held
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537183)
+    with pytest.raises(MemoryError, match="dimension 5 .* 537184 bytes.*537183 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
+    assert state.cache_bytes == held
     assert np.array_equal(state.exponential.data, before)
     with pytest.raises(MemoryError):
         IncrementalExpState(np.eye(2), s=10**6)
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 1000)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537184)
     state.step(cols[1])
     assert state.dim == 5
+    assert state.cache_bytes == 537184 - 72
 
 
-def _upper_block_mask(capacity, offsets):
-    """True on the block upper triangle of the leading block of a buffer."""
-    mask = np.zeros((capacity, capacity), dtype=bool)
-    for r0, r1 in zip(offsets, offsets[1:]):
-        mask[:r1, r0:r1] = True
-    return mask
+def _held_bytes(obj) -> int:
+    """Bytes of the arrays reachable from ``obj`` through attributes,
+    lists, tuples and dataclass fields: what a profiler that walks the
+    state's attributes, as the benchmark's tracer does, counts."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(_held_bytes(x) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return sum(_held_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if hasattr(obj, "__dict__"):
+        return sum(_held_bytes(x) for x in vars(obj).values())
+    return 0
 
 
-def test_caches_grow_in_place_reallocate_and_adopt(monkeypatch):
+def _stored_below_diagonal(state):
+    """Entries of the state's arrays that lie below the block diagonal or
+    past the dimension, where only zeros belong."""
+    d = state.dim
+    ends = np.repeat(state.partition.offsets[1:], state.partition.sizes)
+    caches = [state._gt, state._qinv, *state._squares]
+    out = []
+    for cache in caches:
+        for k0, chunk in zip(cache.starts, cache.chunks):
+            cols = k0 + np.arange(chunk.shape[1])
+            col_end = np.where(cols < d, ends[np.minimum(cols, d - 1)], 0)
+            out.append(chunk[np.arange(chunk.shape[0])[:, None] >= col_end])
+    rows = np.arange(state._exp.shape[0])[:, None]
+    cols = np.arange(state._exp.shape[1])
+    col_end = np.where(cols < d, ends[np.minimum(cols, d - 1)], 0)
+    out.append(state._exp[rows >= col_end])
+    return np.concatenate(out)
+
+
+def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
     rng = np.random.default_rng(179)
-    sizes = tuple(int(b) for b in rng.integers(1, 4, 60))
+    sizes = tuple(int(b) for b in rng.integers(1, 5, 200))
     cols = random_columns(rng, sizes, scale=0.02)
     # one heavy column forces exactly one restart
-    cols[30] = BlockColumn(100.0 * cols[30].top, 100.0 * cols[30].diag)
+    cols[100] = BlockColumn(100.0 * cols[100].top, 100.0 * cols[100].diag)
 
-    seen = set()
+    # per pass: (cache index, chunk index) -> (array, contents at closing)
+    passes = []
+    adopted = []
     step = IncrementalExpState.step
 
     def checked_step(state, col):
-        before = state._gt
+        first = state.dim == 0
         step(state, col)
-        if before.size == 0:
-            seen.add("adopt")
-            assert state._gt is not before
-        else:
-            seen.add("in place" if state._gt is before else "reallocate")
-        buffers = [state._gt, state._qinv, *state._squares]
-        assert {buf.shape for buf in buffers} == {state._gt.shape}
-        outside = ~_upper_block_mask(state._gt.shape[0], state.partition.offsets)
-        for buf in buffers:
-            assert not buf[outside].any()
-        assert state.cache_bytes == sum(buf.nbytes for buf in buffers)
+        caches = [state._gt, state._qinv, *state._squares]
+        d = state.dim
+        if first:
+            # a first step, at construction or a restart, adopts its
+            # diagonal blocks: one chunk and a buffer without spare room
+            passes.append({})
+            adopted.append(d)
+            for cache in caches:
+                assert cache.starts == [0] and cache.chunks[0].shape == (d, d)
+            assert state._exp.shape == (d, d)
+        closed = passes[-1]
+        for i, cache in enumerate(caches):
+            assert cache.dim == d
+            for k, chunk in enumerate(cache.chunks[:-1]):
+                if (i, k) in closed:
+                    array, contents = closed[i, k]
+                    assert chunk is array
+                    assert np.array_equal(chunk, contents)
+                else:
+                    closed[i, k] = (chunk, chunk.copy())
+        assert not _stored_below_diagonal(state).any()
+        assert state.cache_bytes == (
+            sum(chunk.nbytes for cache in caches for chunk in cache.chunks)
+            + state._exp.nbytes + state._lead.nbytes
+        )
 
     monkeypatch.setattr(IncrementalExpState, "step", checked_step)
     held = list(run_adaptive(cols))
     monkeypatch.undo()
 
-    assert seen == {"adopt", "in place", "reallocate"}
-    assert [n for n, (_, r) in enumerate(held) if r.restart] == [30]
+    restarts = [n for n, (_, r) in enumerate(held) if r.restart]
+    assert restarts == [100]
+    assert adopted == [sizes[0], held[100][0].dim]
+    # every cache closed at least two chunks in each pass: the adopted
+    # first block and an opened one
+    for closed, (_, report) in zip(passes, (held[0], held[-1]), strict=True):
+        assert len(closed) >= 2 * (report.s + 2)
     fresh = [f.data.copy() for f, _ in run_adaptive(cols)]
     prev = None
     for (f, report), want in zip(held, fresh, strict=True):
         assert np.array_equal(f.data, want)
-        assert report.cache_bytes >= (report.s + 3) * report.dim**2 * 8
         if prev is not None and not report.restart:
             assert np.array_equal(f.data[: prev.dim, : prev.dim], prev.data)
         prev = f
+
+
+def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
+    rng = np.random.default_rng(181)
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(20, 41, 12)), scale=0.05)
+    cols[6] = BlockColumn(60.0 * cols[6].top, 60.0 * cols[6].diag)
+    walked = []
+    step = IncrementalExpState.step
+
+    def walking_step(state, col):
+        step(state, col)
+        walked.append(_held_bytes(state))
+
+    monkeypatch.setattr(IncrementalExpState, "step", walking_step)
+    reports = [r for _, r in run_adaptive(cols)]
+    assert any(r.restart for r in reports)
+    assert [r.cache_bytes for r in reports] == walked
+    # the extension routine stays a module attribute, where tracing tools
+    # look it up
+    assert incremental.__dict__["extend_square"] is extend_square

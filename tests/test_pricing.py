@@ -240,6 +240,26 @@ def test_conditional_moment_block_matrix_input():
     assert conditional_moment(last, x0, pvec) == conditional_moment(last.data, x0, pvec)
 
 
+def test_conditional_moment_matches_the_dense_formula():
+    # only the columns where pvec is nonzero are read; the dense formula
+    # applies the whole matrix
+    rng = np.random.default_rng(193)
+    for n in (0, 3, 20, 60):
+        size = basis_size(2, n)
+        mat = rng.standard_normal((size, size))
+        x0 = tuple(float(x) for x in rng.uniform(-1.0, 1.0, 2))
+        row = basis_values(2, n, x0)
+        sparse = np.zeros(size)
+        sparse[rng.choice(size, min(size, 5), replace=False)] = rng.standard_normal(min(size, 5))
+        hermite = hermite_vector(n, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.2, 1.0)))
+        for pvec in (hermite, sparse, rng.standard_normal(size)):
+            want = float(row @ (mat @ pvec))
+            # relative to the sum of the absolute terms, which bounds the
+            # rounding of either order of summation
+            scale = float(np.abs(row) @ (np.abs(mat) @ np.abs(pvec)))
+            assert abs(conditional_moment(mat, x0, pvec) - want) <= 1e-13 * scale
+
+
 def test_conditional_moment_validation():
     with pytest.raises(ValueError):
         conditional_moment(np.eye(3), (0.0, 0.1), np.zeros(2))
