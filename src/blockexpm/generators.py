@@ -193,33 +193,36 @@ def _lowered(k: MultiIndex, i: int) -> MultiIndex:
     return k[:i] + (k[i] - 1,) + k[i + 1 :]
 
 
-def _add_shifted(out, coeff: Polynomial, shift: MultiIndex, scale: float, weight: float):
-    """Add weight * scale * coeff * x^shift into the coefficient map."""
-    for kc, c in coeff.terms.items():
-        m = tuple(a + b for a, b in zip(kc, shift))
-        out[m] = out.get(m, 0.0) + c * scale * weight
+def _stencil(spec: PolynomialOperatorSpec, k: MultiIndex, c: float):
+    """Yield the (exponent, coefficient) contributions of c x^k under the
+    operator, in the order i, drift before diffusion, j.
+
+    The term contributes c k_i b_i x^(k - e_i) for each variable i with
+    k_i > 0, and 1/2 c k_i (k - e_i)_j a_ij x^(k - e_i - e_j) for each j
+    with (k - e_i)_j > 0.
+    """
+    for i in range(spec.dim):
+        if k[i] == 0:
+            continue
+        ki, ci = _lowered(k, i), c * k[i]
+        for kb, cb in spec.b[i].terms.items():
+            yield tuple(x + y for x, y in zip(kb, ki)), cb * ci
+        for j in range(spec.dim):
+            if ki[j] > 0:
+                kij, cij = _lowered(ki, j), ci * ki[j]
+                for ka, ca in spec.a[i][j].terms.items():
+                    yield tuple(x + y for x, y in zip(ka, kij)), ca * cij * 0.5
 
 
 def apply_generator(spec: PolynomialOperatorSpec, f: Polynomial) -> Polynomial:
-    """Apply the operator to a polynomial by its derivative stencil.
-
-    A term c x^k contributes c k_i b_i x^(k - e_i) for each variable i
-    with k_i > 0, and 1/2 c k_i (k - e_i)_j a_ij x^(k - e_i - e_j) for each
-    j with (k - e_i)_j > 0.  The contributions are summed into one
-    coefficient map in the order i, drift before diffusion, j.
-    """
+    """Apply the operator to a polynomial by its derivative stencil,
+    summing the contributions of each term into one coefficient map."""
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between operator and polynomial")
     out: dict[MultiIndex, float] = {}
     for k, c in f.terms.items():
-        for i in range(spec.dim):
-            if k[i] == 0:
-                continue
-            ki, ci = _lowered(k, i), c * k[i]
-            _add_shifted(out, spec.b[i], ki, ci, 1.0)
-            for j in range(spec.dim):
-                if ki[j] > 0:
-                    _add_shifted(out, spec.a[i][j], _lowered(ki, j), ci * ki[j], 0.5)
+        for m, v in _stencil(spec, k, c):
+            out[m] = out.get(m, 0.0) + v
     return Polynomial(spec.dim, out)
 
 
@@ -253,21 +256,12 @@ def generator_block_columns(
         monos = degree_monomials(d, j)
         b = len(monos)
         prev = basis_size(d, j - 1)
-        top = np.zeros((prev, b))
-        diag = np.zeros((b, b))
+        col = np.zeros((prev + b, b))
         for local, k in enumerate(monos):
-            for mi, c in apply_generator(spec, Polynomial.monomial(k)).terms.items():
-                if sum(mi) > j:
-                    raise ValueError(
-                        f"operator raised the degree of monomial {k}: produced {mi}; "
-                        "the coefficient degree bounds are violated"
-                    )
-                row = basis_index(mi)
-                if row < prev:
-                    top[row, local] = c * scale
-                else:
-                    diag[row - prev, local] = c * scale
-        yield BlockColumn(top, diag, check_finite=False)
+            for m, c in _stencil(spec, k, 1.0):
+                col[basis_index(m), local] += c
+        col *= scale
+        yield BlockColumn(col[:prev], col[prev:], check_finite=False)
         j += 1
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +45,11 @@ _PRICE_FLOOR = 1e-300
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     """Coefficients in y of (1/sqrt(n!)) h_n((y - muw) / sigmaw).
 
-    h_n is the probabilists' Hermite polynomial, built with the recurrence
-    h_{j+1}(x) = x h_j(x) - j h_{j-1}(x).  Entry p of the result multiplies
-    y^p.
+    h_n is the probabilists' Hermite polynomial.  The coefficients are
+    built with the normalized recurrence
+    h~_{j+1}(x) = (x h~_j(x) - sqrt(j) h~_{j-1}(x)) / sqrt(j + 1), so no
+    factorial is formed and they stay finite past degree 170.  Entry p of
+    the result multiplies y^p.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -56,17 +57,18 @@ def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
     # x = (y - muw) / sigmaw; multiply-by-x maps coefficient vectors via a
     # shift (for the y factor) and a scalar combination.
-    prev = np.array([1.0])  # h_0
+    prev = np.array([1.0])  # h~_0
     if n == 0:
         return prev
-    cur = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h_1(x(y))
+    cur = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h~_1(x(y))
     for j in range(1, n):
         nxt = np.zeros(j + 2)
         nxt[1:] += cur / sigmaw
         nxt[: j + 1] += -(muw / sigmaw) * cur
-        nxt[: j] += -j * prev
+        nxt[: j] += -math.sqrt(j) * prev
+        nxt /= math.sqrt(j + 1)
         prev, cur = cur, nxt
-    return cur / math.sqrt(math.factorial(n))
+    return cur
 
 
 def hermite_vector(n: int, muw: float, sigmaw: float) -> np.ndarray:
@@ -83,39 +85,9 @@ def hermite_vector(n: int, muw: float, sigmaw: float) -> np.ndarray:
     return vec
 
 
-def _normalized_hermite_values(x: np.ndarray, n: int) -> np.ndarray:
-    """h_n(x) / sqrt(n!) evaluated pointwise by the stable recurrence.
-
-    Expanding the polynomial in powers of y and summing monomials loses
-    tens of digits to cancellation once n is large; the normalized
-    three-term recurrence keeps the evaluation accurate.
-    """
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = x.copy()
-    for j in range(1, n):
-        prev, cur = cur, (x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    return cur
-
-
-def _call_integrand(y: np.ndarray, n: int, logstrike: float, muw: float,
-                    sigmaw: float) -> np.ndarray:
-    payoff = np.exp(y) - math.exp(logstrike)
-    herm = _normalized_hermite_values((y - muw) / sigmaw, n)
-    density = np.exp(-((y - muw) ** 2) / (2 * sigmaw**2)) / (sigmaw * math.sqrt(2 * math.pi))
-    return payoff * herm * density
-
-
-@lru_cache(maxsize=4)
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] for one of the four node
-    counts of :func:`fourier_coefficient`, read-only and shared by every
-    call."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _normal_cdf(z: float) -> float:
+    """Standard normal distribution function, accurate in both tails."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def fourier_coefficient(
@@ -131,38 +103,37 @@ def fourier_coefficient(
     Computes e^(-r tau) * integral over (logstrike, inf) of
     (e^y - e^logstrike) h~_n(y) phi(y) dy with phi the N(muw, sigmaw^2)
     density and h~_n the normalized Hermite polynomial of
-    :func:`hermite_y_coefficients`.
+    :func:`hermite_y_coefficients`, in closed form (Ackerer, Filipovic &
+    Pulido, "The Jacobi stochastic volatility model", 2018).
 
-    The integrand has a kink at the strike, so the quadrature is
-    Gauss-Legendre on [logstrike, b] where b covers the oscillatory range
-    of the Hermite factor plus a wide Gaussian tail margin.  Node counts
-    are doubled from 64 to 512 until two successive values agree to
-    1e-12 relative (with an absolute floor of 1).
+    With x = (y - muw) / sigmaw, k the strike in x, N and Phi the standard
+    normal density and distribution, and I_m the integral over (k, inf) of
+    e^(sigmaw x) h~_m(x) N(x) dx, integrating by parts with
+    (h_(m-1) N)' = -h_m N gives
+    I_m = (h~_(m-1)(k) e^(sigmaw k) N(k) + sigmaw I_(m-1)) / sqrt(m) from
+    I_0 = e^(sigmaw^2 / 2) Phi(sigmaw - k).  The strike term cancels the
+    boundary term of I_n, so f_n = e^(-r tau) e^muw sigmaw I_(n-1) / sqrt(n)
+    for n >= 1.  The weighted values h~_m(k) e^(sigmaw k) N(k) start from
+    one exponential, so a strike far out of the money gives exact zeros.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
-    upper = muw + sigmaw * (2.0 * math.sqrt(max(n, 1)) + 12.0)
-    if upper <= logstrike:
-        return 0.0
-    discount = math.exp(-r * tau)
-    half = 0.5 * (upper - logstrike)
-    mid = 0.5 * (upper + logstrike)
-    prev = None
-    increment = math.inf
-    for nodes in (64, 128, 256, 512):
-        x, w = _gauss_legendre(nodes)
-        val = half * float(w @ _call_integrand(mid + half * x, n, logstrike, muw, sigmaw))
-        if prev is not None:
-            increment = abs(val - prev)
-            if increment <= 1e-12 * max(1.0, abs(val)):
-                return discount * val
-        prev = val
-    raise RuntimeError(
-        f"payoff quadrature did not converge at 512 nodes for degree {n}; "
-        f"last increment {increment:.3e}"
-    )
+    k = (logstrike - muw) / sigmaw
+    integral = math.exp(sigmaw**2 / 2) * _normal_cdf(sigmaw - k)
+    if n == 0:
+        return math.exp(-r * tau) * (
+            math.exp(muw) * integral - math.exp(logstrike) * _normal_cdf(-k)
+        )
+    weighted_prev, weighted = 0.0, math.exp(sigmaw * k - k * k / 2) / math.sqrt(2 * math.pi)
+    for m in range(1, n):
+        integral = (weighted + sigmaw * integral) / math.sqrt(m)
+        weighted_prev, weighted = (
+            weighted,
+            (k * weighted - math.sqrt(m - 1) * weighted_prev) / math.sqrt(m),
+        )
+    return math.exp(-r * tau) * math.exp(muw) * sigmaw * integral / math.sqrt(n)
 
 
 def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
@@ -180,6 +151,8 @@ def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
     if mat.shape != (size, size) or pvec.shape != (size,):
         raise ValueError(f"shape mismatch: matrix {mat.shape}, vector {pvec.shape}")
     d = len(tuple(x0))
+    if d < 1:
+        raise ValueError("the state x0 needs at least one coordinate")
     n = 0
     while basis_size(d, n) < size:
         n += 1
@@ -194,8 +167,8 @@ class PriceLedgerRow:
     """One term of the Hermite series with its running aggregates.
 
     ``expm_seconds`` is the engine's time for exp(tau G_n), from the
-    stage's ``StepReport``; ``quad_seconds`` the payoff quadrature's time
-    for f_n.  ``cum_seconds`` is the wall time since the series started,
+    stage's ``StepReport``; ``quad_seconds`` the time spent on the payoff
+    coefficient f_n (closed form).  ``cum_seconds`` is the wall time since the series started,
     generator assembly and moment read-off included.
     """
 
@@ -283,7 +256,8 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     """Price a European call by the truncated Hermite series.
 
     Degree n contributes l_n * f_n, with l_n read off exp(tau G_n) from
-    the incremental engine and f_n from quadrature.  The series stops
+    the incremental engine and f_n in closed form from
+    :func:`fourier_coefficient`.  The series stops
     once two consecutive terms satisfy |l_n f_n| <= eps * |price so far|;
     with eps = 0 it runs to n_max.  Requiring two terms guards against
     the parity structure of the series: when the weight is nearly
@@ -291,7 +265,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     than their even neighbours long before the tail has decayed, so a
     single small term says nothing about truncation error.  The ledger
     rows record every term, its partial sum, cumulative wall time and the
-    seconds of its exponential and its quadrature.
+    seconds of its exponential and of its payoff coefficient.
 
     Every exponential is computed at one scaling power, chosen before any
     matrix is formed (see :class:`PricingConfig`), so the engine extends

@@ -343,6 +343,19 @@ def test_block_columns_assemble_to_matrix():
         assert np.array_equal(matrix_from_columns(cols).data, scale * g)
 
 
+def test_block_columns_are_the_images_of_the_monomials():
+    # column j holds scale * G x^k for each degree-j monomial k, entry for
+    # entry as apply_generator sums it, and nothing else
+    rng = np.random.default_rng(61)
+    for spec in (jacobi_spec(random_jacobi(rng)), heston_spec(random_heston(rng))):
+        for j, col in enumerate(generator_block_columns(spec, max_degree=12, scale=0.3)):
+            want = np.zeros((basis_size(2, j), len(degree_monomials(2, j))))
+            for local, k in enumerate(degree_monomials(2, j)):
+                for m, c in apply_generator(spec, Polynomial.monomial(k)).terms.items():
+                    want[basis_index(m), local] = c * 0.3
+            assert np.array_equal(col.stacked(), want), j
+
+
 def test_block_column_stream_is_unbounded():
     spec = heston_spec(random_heston(np.random.default_rng(5)))
     cols = list(itertools.islice(generator_block_columns(spec), 8))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from blockexpm.generators import (
     JacobiParams,
@@ -16,8 +18,6 @@ from blockexpm.incremental import run_adaptive, run_fixed
 from blockexpm.pade import expm_baseline, scaling_power
 from blockexpm.pricing import (
     PricingConfig,
-    _gauss_legendre,
-    _normalized_hermite_values,
     conditional_moment,
     fourier_coefficient,
     hermite_moment,
@@ -55,6 +55,11 @@ def lognormal_call(logstrike, muw, sigmaw):
     d1 = (muw + sigmaw**2 - logstrike) / sigmaw
     d2 = d1 - sigmaw
     return math.exp(muw + sigmaw**2 / 2) * norm_cdf(d1) - math.exp(logstrike) * norm_cdf(d2)
+
+
+def normalized_hermite_e(x, n):
+    # h_n(x) / sqrt(n!) from numpy's probabilists' Hermite series
+    return np.polynomial.hermite_e.hermeval(x, [0.0] * n + [1.0]) / math.sqrt(math.factorial(n))
 
 
 # -- Hermite polynomials -----------------------------------------------------
@@ -96,27 +101,37 @@ def test_hermite_values_match_coefficients():
     for n in range(16):
         coeffs = hermite_y_coefficients(n, mu, sg)
         direct = np.polynomial.polynomial.polyval(y, coeffs)
-        recur = _normalized_hermite_values((y - mu) / sg, n)
+        recur = normalized_hermite_e((y - mu) / sg, n)
         assert np.max(np.abs(direct - recur)) <= 1e-10 * max(1.0, np.max(np.abs(recur)))
 
 
 def test_hermite_orthonormality():
-    # the normalized family is orthonormal under the standard Gaussian;
-    # 64-node Gauss quadrature is exact through degree 127
+    # the normalized family is orthonormal under N(mu, sg^2); 64-node
+    # Gauss quadrature is exact through degree 127
+    mu, sg = 0.2, 0.6
     x, w = np.polynomial.hermite_e.hermegauss(64)
-    v = np.vstack([_normalized_hermite_values(x, m) for m in range(16)])
+    v = np.vstack(
+        [np.polynomial.polynomial.polyval(mu + sg * x, hermite_y_coefficients(m, mu, sg))
+         for m in range(16)]
+    )
     gram = (v * w) @ v.T / math.sqrt(2.0 * math.pi)
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
-def test_hermite_values_stable_at_high_degree():
-    # the classical envelope |h_n(x)|/sqrt(n!) < 1.0865 e^{x^2/4} holds
-    # pointwise; summing monomial contributions instead would have lost
-    # ~30 digits to cancellation by this degree
-    x = np.linspace(-6.0, 6.0, 121)
-    vals = _normalized_hermite_values(x, 80)
-    assert np.all(np.isfinite(vals))
-    assert np.all(np.abs(vals) < 1.09 * np.exp(x**2 / 4))
+def test_hermite_y_coefficients_past_factorial_overflow():
+    # 171! overflows a float; the normalized recurrence never forms it.
+    # At y = muw the polynomial is h_n(0) / sqrt(n!), which for even n is
+    # (-1)^(n/2) sqrt(n!) / (2^(n/2) (n/2)!), and the leading coefficient
+    # is 1 / (sigmaw^n sqrt(n!))
+    n, sg = 200, 0.5
+    coeffs = hermite_y_coefficients(n, 0.0, sg)
+    assert coeffs.shape == (n + 1,) and np.all(np.isfinite(coeffs))
+    log_h0 = 0.5 * math.lgamma(n + 1) - (n / 2) * math.log(2.0) - math.lgamma(n / 2 + 1)
+    assert coeffs[0] == pytest.approx(math.exp(log_h0), rel=1e-12)
+    log_lead = -n * math.log(sg) - 0.5 * math.lgamma(n + 1)
+    assert coeffs[-1] == pytest.approx(math.exp(log_lead), rel=1e-12)
+    # odd powers vanish exactly for a centered weight
+    assert np.all(coeffs[1::2] == 0.0)
 
 
 def test_hermite_vector_pure_y():
@@ -136,7 +151,8 @@ def test_hermite_vector_pure_y():
 
 
 def test_fourier_zero_payoff():
-    # strike far beyond the quadrature window: zero payoff on the support
+    # strike 40 standard deviations out of the money: the Gaussian tail
+    # underflows, and the coefficients are exact zeros
     mu, sg = 0.1, 0.4
     k = mu + 40.0 * sg
     for n in range(21):
@@ -161,7 +177,7 @@ def test_fourier_discount_factor():
 
 
 def test_fourier_high_degree_converges():
-    # the node-doubling ladder must settle even deep into the series
+    # the coefficients stay finite and decay deep into the series
     for n in (1, 5, 10, 20, 40, 60):
         f = fourier_coefficient(n, math.log(1.1), 0.0, 0.5)
         assert math.isfinite(f)
@@ -169,16 +185,36 @@ def test_fourier_high_degree_converges():
             assert abs(f) < 1e-2
 
 
-def test_gauss_legendre_nodes_are_cached_read_only():
-    x, w = _gauss_legendre(64)
-    again = _gauss_legendre(64)
-    assert again[0] is x and again[1] is w
-    want_x, want_w = np.polynomial.legendre.leggauss(64)
-    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-    with pytest.raises(ValueError):
-        w[0] = 0.0
+def _reference_fourier_coefficients(n_max, logstrike, muw, sigmaw, r, tau):
+    # composite Gauss-Legendre quadrature, 32 nodes on each panel of width
+    # 1/4 from the strike to 40 standard deviations, with h_n / sqrt(n!)
+    # from numpy's hermite_e; returns f_0 .. f_n_max
+    k = (logstrike - muw) / sigmaw
+    edges = np.linspace(k, 40.0, int(math.ceil((40.0 - k) * 4)) + 1)
+    t, w = np.polynomial.legendre.leggauss(32)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel()
+    weights = (half * w).ravel()
+    payoff = np.exp(muw + sigmaw * x) - math.exp(logstrike)
+    density = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    herm = np.polynomial.hermite_e.hermevander(x, n_max)
+    norms = np.array([math.sqrt(math.factorial(m)) for m in range(n_max + 1)])
+    return math.exp(-r * tau) * ((weights * payoff * density) @ herm) / norms
+
+
+def test_fourier_matches_quadrature_reference():
+    # closed form against an independent quadrature for degrees 0..100, on
+    # criterion 9's inputs and on random weights, strikes and discounts
+    cases = [(math.log(1.1), 0.0, 0.5, 0.0, 0.25)]
+    rng = np.random.default_rng(2018)
+    for _ in range(24):
+        muw, sigmaw = float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.1, 1.0))
+        k = muw + float(rng.uniform(-3.0, 3.0)) * sigmaw
+        cases.append((k, muw, sigmaw, float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.1, 2.0))))
+    for case in cases:
+        want = _reference_fourier_coefficients(100, *case)
+        got = np.array([fourier_coefficient(n, *case) for n in range(101)])
+        assert np.max(np.abs(got - want)) <= 1e-13, case
 
 
 def test_fourier_validation():
@@ -267,6 +303,10 @@ def test_conditional_moment_validation():
         conditional_moment(np.eye(4), (0.0, 0.1), np.zeros(4))  # 4 is not a graded size
     with pytest.raises(ValueError):
         conditional_moment(np.ones((3, 2)), (0.0, 0.1), np.zeros(3))
+    # an empty state has a one-element basis at every degree, so no
+    # degree search could end
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        conditional_moment(np.eye(3), (), np.ones(3))
 
 
 # -- Hermite moments ---------------------------------------------------------
@@ -281,7 +321,7 @@ def test_hermite_moment_identity_exponential():
     cfg = bench_config(y0=0.3, muw=0.1, sigmaw=0.7)
     n = 9
     got = hermite_moment(np.eye(basis_size(2, n)), cfg, n)
-    expect = _normalized_hermite_values(np.array([(0.3 - 0.1) / 0.7]), n)[0]
+    expect = normalized_hermite_e(np.array([(0.3 - 0.1) / 0.7]), n)[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
 
@@ -307,6 +347,20 @@ def test_hermite_moment_matches_baseline():
         l_base = hermite_moment(expm_baseline(cfg.tau * g), cfg, n)
         tol = 1e-12 if n <= 10 else 1e-11
         assert abs(l_inc - l_base) <= tol * abs(l_base), f"degree {n}"
+
+
+def test_hermite_moments_match_a_sparse_expm_action():
+    # independent of the engine: by nesting, w = exp(tau G_40^T) e_40(x0)
+    # gives l_n = w[:d_n] . h_n for every n <= 40, and scipy's
+    # expm_multiply (Al-Mohy and Higham) computes w from the sparse matrix
+    cfg = bench_config(eps=0.0, n_max=40)
+    rows = price_call(cfg).rows
+    g, _ = build_generator_matrix(jacobi_spec(BENCH_PARAMS), 40)
+    w = expm_multiply(csr_matrix(cfg.tau * g.T), basis_values(2, 40, (cfg.y0, cfg.v0)))
+    assert len(rows) == 41
+    for n, row in enumerate(rows):
+        terms = w[: basis_size(2, n)] * hermite_vector(n, cfg.muw, cfg.sigmaw)
+        assert abs(row.l_n - terms.sum()) <= 1e-12 * np.abs(terms).sum(), f"degree {n}"
 
 
 # -- the pricing loop --------------------------------------------------------
