@@ -9,9 +9,10 @@ rational approximant -- and extends all of them by one block column per
 step.  The per-step cost drops to O(d^2 b) for a new block of size b, and
 counts only the blocks that can be nonzero: every cache is block upper
 triangular, so each product with a new block column skips the zero lower
-block triangle (down to the edges of the column chunks below), and the power
-recurrence also skips the leading rows that the scaled matrix's zero-row
-profile keeps exactly zero, such as the band of a polynomial generator.
+block triangle (down to the edges of the column chunks below).  The power
+recurrence also skips, column chunk by column chunk, the leading rows that
+the scaled matrix's zero-row profile keeps exactly zero, so a banded scaled
+matrix, such as a polynomial generator, costs only its band.
 Only new block columns are ever computed, so earlier stages survive bit
 for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
@@ -76,6 +77,12 @@ class StepReport:
     exponential work of the stage, not any caller-side consumption.
     ``cache_bytes`` is what the state's cache buffers hold after the
     stage, spare capacity included.
+
+    The last four fields split the stage's one :meth:`IncrementalExpState.step`
+    into its phases: the power recurrence, the rational solve, the squaring
+    and the growth of the caches.  A restart or first stage is one step from
+    an empty state, so they time that step; ``seconds`` of a restart also
+    covers merging the matrix.
     """
 
     step: int
@@ -85,6 +92,10 @@ class StepReport:
     restart: bool
     seconds: float
     cache_bytes: int
+    power_seconds: float
+    solve_seconds: float
+    squaring_seconds: float
+    growth_seconds: float
 
 
 def _physical_memory_bytes() -> int:
@@ -156,29 +167,41 @@ class _ChunkedCache:
             chunk[d:e, d - k0 : e - k0] = diag
         self.dim = e
 
-    def product(self, x: np.ndarray, c: int = 0, r: int = 0) -> np.ndarray:
+    def product(self, x: np.ndarray, c: int = 0, r: int = 0,
+                lead: np.ndarray | None = None) -> np.ndarray:
         """``a @ x`` for the cache a, reading no stored zero below the chunks.
 
         The rows of ``x`` above ``c`` are zero, so only the chunks right of
         c contribute, and the caller knows that the rows of the product
         above ``r`` are zero.  The last chunk writes the product and each
         earlier one adds to its leading rows.
+
+        ``lead``, the zero-row profile of a (see :func:`_grow_lead`),
+        windows each chunk further: the columns [j0, k1) that a chunk
+        contributes are zero above row lead[j0], so it reads only the rows
+        from max(r, lead[j0]), and the last chunk writes zeros above its
+        window.  The profile never decreases, so when the last chunk's
+        window starts at r every chunk's does, and the profile is not read
+        again.
         """
         d = self.dim
         if c >= d:
             return np.zeros((d, x.shape[1]))
+        if lead is not None and lead[max(self.starts[-1], c)] <= r:
+            lead = None
         out = np.empty((d, x.shape[1]))
-        out[:r] = 0.0
         k1 = d
         for k0, chunk in zip(reversed(self.starts), reversed(self.chunks)):
             if k1 <= c:
                 break
             j0 = max(k0, c)
-            part = chunk[r:k1, j0 - k0 : k1 - k0]
+            i0 = r if lead is None else max(r, int(lead[j0]))
+            part = chunk[i0:k1, j0 - k0 : k1 - k0]
             if k1 == d:
-                np.matmul(part, x[j0:k1], out=out[r:k1])
+                out[:i0] = 0.0
+                np.matmul(part, x[j0:k1], out=out[i0:k1])
             else:
-                out[r:k1] += part @ x[j0:k1]
+                out[i0:k1] += part @ x[j0:k1]
             k1 = k0
         return out
 
@@ -250,7 +273,9 @@ class IncrementalExpState:
     (:class:`_ChunkedCache`); square s is only emitted, and is the leading
     ``dim`` x ``dim`` block of one buffer with spare capacity.  The state
     also keeps the zero-row profile of the scaled matrix (see
-    :func:`_grow_lead`), which windows the power recurrence.
+    :func:`_grow_lead`), which windows the power recurrence, and in
+    ``phase_seconds`` the seconds of each phase of the last step, keyed
+    by the matching :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -343,11 +368,15 @@ class IncrementalExpState:
         if capacity > self._exp.shape[0]:
             need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
+        t0 = time.perf_counter()
         p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col)
+        t1 = time.perf_counter()
         f_col, f_diag, qinv_top, qinv_diag = self._solve_rational_column(
             p_top, p_diag, q_top, q_diag, c
         )
+        t2 = time.perf_counter()
         new_square_cols = self._squaring_column(f_col, f_diag)
+        t3 = time.perf_counter()
 
         # Every phase has succeeded; only now are the caches grown.
         self._lead = _grow_lead(self._lead, gt_col, dt)
@@ -358,6 +387,12 @@ class IncrementalExpState:
         z, dsq = new_square_cols[-1]
         self._exp = _write_column(self._exp, d, z, dsq, capacity)
         self.partition = self.partition.append(b)
+        self.phase_seconds = {
+            "power_seconds": t1 - t0,
+            "solve_seconds": t2 - t1,
+            "squaring_seconds": t3 - t2,
+            "growth_seconds": time.perf_counter() - t3,
+        }
 
     # -- step phases --------------------------------------------------
 
@@ -376,9 +411,13 @@ class IncrementalExpState:
         the baseline sums its powers in.
 
         If the rows of X_{l-1} above c are zero, so are those of X_l above
-        r = min(lead[c], c), and the product reads only Gprev[r:, c:].
-        The last such row bound is returned with the columns: the rows of
-        both top parts above it are zero.
+        r = min(lead[c], c), and the product reads only Gprev[r:, c:];
+        within that window each column chunk of Gprev starts at the
+        profile's row for its first column read, so a banded Gprev costs
+        only its band.  The term g D^(l-1) is formed only on the rows from
+        g's first nonzero row, and both sums are accumulated only on the
+        rows from r.  The last such row bound is returned with the
+        columns: the rows of both top parts above it are zero.
         """
         m = self.pade.degree
         alpha, beta = self.pade.alpha, self.pade.beta
@@ -388,7 +427,7 @@ class IncrementalExpState:
 
         d = self.dim
         nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
-        c = int(nonzero_rows[0]) if nonzero_rows.size else d
+        c = g0 = int(nonzero_rows[0]) if nonzero_rows.size else d
         eye = np.eye(dt.shape[0])
         # D^(l-1) at the top of iteration l; D^1 is I @ D, as in the baseline
         d_prev = eye @ dt
@@ -399,12 +438,12 @@ class IncrementalExpState:
         q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
             r = min(int(self._lead[c]), c)
-            x = self._gt.product(x, c, r)
-            x += gt_col @ d_prev
+            x = self._gt.product(x, c, r, self._lead)
+            x[g0:] += gt_col[g0:] @ d_prev
             c = r
             d_prev = d_prev @ dt
-            p_top += alpha[l] * x
-            q_top += beta[l] * x
+            p_top[c:] += alpha[l] * x[c:]
+            q_top[c:] += beta[l] * x[c:]
             p_diag += alpha[l] * d_prev
             q_diag += beta[l] * d_prev
         return p_top, p_diag, q_top, q_diag, gt_col, dt, c
@@ -419,7 +458,7 @@ class IncrementalExpState:
         F_nn and Q_nn^-1 come from the LU factors of the new diagonal
         block; both top parts come from one product of the cached
         Qprev^-1 with [p_top - q_top F_nn | q_top], whose rows above c
-        are zero.
+        are zero and are not formed.
         """
         lu_nn = lu_factor(q_diag)
         if lu_nn.ill_conditioned:
@@ -432,7 +471,9 @@ class IncrementalExpState:
         b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
         qinv_diag = lu_solve(lu_nn, np.eye(b))
-        rhs = np.hstack([p_top - q_top @ f_diag, q_top])
+        rhs = np.zeros((q_top.shape[0], 2 * b))
+        rhs[c:, :b] = p_top[c:] - q_top[c:] @ f_diag
+        rhs[c:, b:] = q_top[c:]
         prod = self._qinv.product(rhs, c)
         f_col = prod[:, :b]
         qinv_top = -(prod[:, b:] @ qinv_diag)
@@ -489,7 +530,8 @@ def _drive(columns, fixed: int | None):
             state.step(col)
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
-                            restart=restart, seconds=seconds, cache_bytes=state.cache_bytes)
+                            restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
+                            **state.phase_seconds)
         yield state.exponential, report
 
 

@@ -115,11 +115,28 @@ def fourier_coefficient(
     boundary term of I_n, so f_n = e^(-r tau) e^muw sigmaw I_(n-1) / sqrt(n)
     for n >= 1.  The weighted values h~_m(k) e^(sigmaw k) N(k) start from
     one exponential, so a strike far out of the money gives exact zeros.
+
+    Raises ``ValueError`` if the coefficient leaves the float range, as it
+    does for a wide weight: f_0 grows like e^(sigmaw^2 / 2).
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
+    try:
+        f_n = _closed_form_coefficient(n, logstrike, muw, sigmaw, r, tau)
+    except OverflowError:
+        f_n = math.inf
+    if not math.isfinite(f_n):
+        raise ValueError(
+            f"payoff coefficient f_{n} overflows the float range for the weight "
+            f"N(muw = {muw!r}, sigmaw = {sigmaw!r}^2)"
+        )
+    return f_n
+
+
+def _closed_form_coefficient(n, logstrike, muw, sigmaw, r, tau) -> float:
+    """The recursion of :func:`fourier_coefficient` on validated input."""
     k = (logstrike - muw) / sigmaw
     integral = math.exp(sigmaw**2 / 2) * _normal_cdf(sigmaw - k)
     if n == 0:

@@ -255,6 +255,13 @@ def test_price_errors(tmp_path, capsys):
     assert len(err) == 1 and err[0] == "error: bad scaling 'adaptive', expected fixed:<s>"
     rc = main(["price", "--params", JACOBI_ARG, "--eps", "-1"] + base)
     assert rc == 2
+    capsys.readouterr()
+    # a payoff coefficient out of the float range is one error, not a
+    # traceback (the last --sigmaw wins)
+    rc = main(["price", "--params", JACOBI_ARG] + base + ["--sigmaw", "40"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: payoff coefficient f_0 overflows")
 
 
 def test_model_keys_the_model_does_not_read_are_rejected(tmp_path, capsys):

@@ -82,7 +82,10 @@ def test_fixed_run_matches_baseline_every_stage(make_columns):
         assert report.dim == partial.shape[0]
         assert report.s == s
         assert not report.restart
-        assert report.seconds >= 0.0
+        # the four phases of the stage's one step lie inside its seconds
+        phases = (report.power_seconds, report.solve_seconds, report.squaring_seconds,
+                  report.growth_seconds)
+        assert min(phases) >= 0.0 and sum(phases) <= report.seconds
     # last stage against an independent implementation
     assert rel_error_fro(f.data, scipy.linalg.expm(g.data)) <= 1e-12
 
@@ -254,6 +257,8 @@ def test_adaptive_restarts_match_baseline_exactly():
             assert np.array_equal(f.data, expm_baseline(partial, s=report.s))
             # the partition was merged down to (leading, new) blocks
             assert f.nblocks <= 2
+            # the phases time the one from-scratch step, not the merge
+            assert 0.0 < report.power_seconds + report.squaring_seconds < report.seconds
         else:
             assert rel_error_fro(f.data, expm_baseline(partial, s=report.s)) <= 1e-12
             if prev is not None:
@@ -364,6 +369,46 @@ def test_panel_product_skips_rows_known_zero():
     x = rng.standard_normal((a.shape[0], 2))
     x[:c] = 0.0
     got = cache.product(x, c, r)
+    assert rel_error_fro(got, a @ x) <= 1e-14
+    assert not got[:r].any()
+
+
+@pytest.mark.parametrize("where", ["inside", "boundary", "top"])
+def test_panel_product_reads_only_the_band(where):
+    rng = np.random.default_rng(163)
+    # about 350 columns: the adopted first block and three opened chunks
+    sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
+    a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
+    d, width = a.shape[0], 40
+    # a band: column j is zero above row j - width, so the profile rises
+    # inside every chunk and each chunk's window starts at its own row
+    rows, cols = np.indices(a.shape)
+    a[rows < cols - width] = 0.0
+    cache = _chunked(a, sizes)
+    off = Partition(sizes).offsets
+    lead = np.zeros(1, dtype=np.intp)
+    for r0, r1 in zip(off, off[1:]):
+        lead = incremental._grow_lead(lead, a[:r0, r0:r1], a[r0:r1, r0:r1])
+    assert lead.tolist() == np.maximum(np.arange(d) - width, 0).tolist() + [d]
+    starts = cache.starts
+    assert len(starts) == 4
+    if where == "inside":
+        c = (starts[2] + starts[3]) // 2
+        assert starts[2] < c < starts[3]
+    elif where == "boundary":
+        c = starts[2]
+    else:
+        c = 0
+    r = min(int(lead[c]), c)
+    # the last chunk's window starts below r, so the windows trim
+    assert lead[max(starts[-1], c)] > r
+    x = rng.standard_normal((d, 3))
+    x[:c] = 0.0
+    # leave NaN in the memory the product's output is likely to reuse, so
+    # that an output row nothing writes shows
+    junk = np.full((d, 3), np.nan)
+    del junk
+    got = cache.product(x, c, r, lead)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
 

@@ -222,6 +222,13 @@ def test_fourier_validation():
         fourier_coefficient(0, 0.0, 0.0, -1.0)
     with pytest.raises(ValueError, match="nonnegative, got -1"):
         fourier_coefficient(-1, math.log(1.1), 0.0, 0.5)
+    # a wide weight takes the coefficient out of the float range, as f_0
+    # grows like e^(sigmaw^2 / 2): at sigmaw = 40 math.exp overflows, at 37.5
+    # the recursion reaches inf
+    with pytest.raises(ValueError, match=r"f_0 overflows .* sigmaw = 40\.0"):
+        fourier_coefficient(0, 0.1, 0.0, 40.0)
+    with pytest.raises(ValueError, match=r"f_5 overflows .* sigmaw = 37\.5"):
+        fourier_coefficient(5, 0.1, 0.0, 37.5)
 
 
 # -- conditional moments -----------------------------------------------------
