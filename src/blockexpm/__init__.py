@@ -48,6 +48,7 @@ from .generators import (
     heston_norm_bound,
     heston_spec,
     jacobi_norm_bound,
+    jacobi_rescaled_norm_bound,
     jacobi_spec,
 )
 from .incremental import IncrementalExpState, StepReport, run_adaptive, run_fixed
@@ -68,6 +69,7 @@ from .pricing import (
     hermite_vector,
     hermite_y_coefficients,
     price_call,
+    rescaled_basis,
     scaling_from_bound,
 )
 

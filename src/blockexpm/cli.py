@@ -146,7 +146,8 @@ def _cmd_price(args) -> int:
     status = "converged" if result.converged else "stopped at degree cap"
     print(
         f"price {result.price:.12g} at degree {result.terminal_degree} "
-        f"({status}, s = {result.scaling}, {result.seconds:.3f}s, ledger: {args.ledger})"
+        f"({status}, s = {result.scaling}, log2 basis scale {result.basis_scale}, "
+        f"{result.seconds:.3f}s, ledger: {args.ledger})"
     )
     return 0
 
@@ -214,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmaw", type=float, required=True)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--scaling", metavar="fixed:<s>",
-                   help="scaling power of every exponential (default: from the "
-                        "Jacobi norm bound at --n-max)")
+                   help="scaling power of every exponential of the generator on "
+                        "the rescaled basis the series runs on (default: from "
+                        "that generator's norm bound at --n-max)")
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--ledger", required=True, metavar="CSV")
     p.set_defaults(func=_cmd_price)

@@ -242,15 +242,30 @@ def build_generator_matrix(
 
 
 def generator_block_columns(
-    spec: PolynomialOperatorSpec, max_degree: int | None = None, scale: float = 1.0
+    spec: PolynomialOperatorSpec,
+    max_degree: int | None = None,
+    scale: float = 1.0,
+    basis_scale: tuple[int, ...] | None = None,
 ):
     """Yield the generator matrix one degree block at a time.
 
     Block column j covers the monomials of total degree j; entries are
     multiplied by ``scale`` (e.g. a time horizon).  With ``max_degree``
     None the stream is unbounded.
+
+    ``basis_scale``, integer exponents (e_1, ..., e_d), takes the matrix on
+    the monomials of the rescaled variables 2^e_i x_i instead: the entry
+    in row m of column k is multiplied by 2^(e . (k - m)), so the matrix is
+    D^-1 G D with D = diag(prod_i 2^(e_i k_i)).  The factors are powers of
+    two, so every entry is exact, and D's leading part does not depend on
+    the degree, so the rescaled matrices stay nested.
     """
     d = spec.dim
+    if basis_scale is not None:
+        shifts = np.array(basis_scale, dtype=np.intp)
+        if shifts.shape != (d,) or any(int(e) != e for e in basis_scale):
+            raise ValueError(f"basis_scale needs {d} integer exponents, got {basis_scale!r}")
+        row_shift = np.zeros(0, dtype=np.intp)
     j = 0
     while max_degree is None or j <= max_degree:
         monos = degree_monomials(d, j)
@@ -261,6 +276,10 @@ def generator_block_columns(
             for m, c in _stencil(spec, k, 1.0):
                 col[basis_index(m), local] += c
         col *= scale
+        if basis_scale is not None:
+            # e . m for every row m; the last b rows are this degree's columns
+            row_shift = np.concatenate([row_shift, _degree_exponents(d, j) @ shifts])
+            col = np.ldexp(col, row_shift[prev:] - row_shift[:, None])
         yield BlockColumn(col[:prev], col[prev:], check_finite=False)
         j += 1
 
@@ -378,6 +397,53 @@ def jacobi_norm_bound(params: JacobiParams, n: int) -> float:
     return n * (p.r + p.kappa + p.kappa * p.theta - p.sigma * alpha) + 0.5 * n**2 * (
         1 + abs(p.rho) * alpha + 2 * p.sigma * alpha
     )
+
+
+def jacobi_rescaled_norm_bound(
+    params: JacobiParams, n: int, basis_scale: tuple[int, int]
+) -> float:
+    """Upper bound on the 1-norm of the degree-n Jacobi generator matrix on
+    the rescaled basis of :func:`generator_block_columns`.
+
+    With ``basis_scale`` = (log2 a, log2 b) the matrix is D^-1 G_n D,
+    D = diag(a^i b^j) over the monomials y^i v^j.  The generator sends
+    y^i v^j to seven monomials; with S = (sqrt(vmax) - sqrt(vmin))^2,
+    w = vmax + vmin, p = vmax vmin, c = |rho| sigma / S and
+    q = sigma^2 / (2 S), the triangle inequality bounds their entries by
+
+    * y^(i-1) v^j, weight a: i (r + c w j);
+    * y^(i-1) v^(j+1), weight a / b: i (1/2 + c j);
+    * y^(i-2) v^(j+1), weight a^2 / b: i (i - 1) / 2;
+    * y^(i-1) v^(j-1), weight a b: c p i j;
+    * y^i v^j, weight 1: j (kappa + q (j - 1));
+    * y^i v^(j-1), weight b: j (kappa theta + q w (j - 1));
+    * y^i v^(j-2), weight b^2: q p j (j - 1).
+
+    Every term grows with i and with j, so the largest weighted column sum
+    over i + j <= n sits at i + j = n, and the bound grows with n.  With
+    a = b = 1 it bounds the unscaled matrix, more tightly than
+    :func:`jacobi_norm_bound`.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    p = params
+    a, b = (2.0**e for e in basis_scale)
+    s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
+    c = abs(p.rho) * p.sigma / s_den
+    q = p.sigma**2 / (2 * s_den)
+    w, pv = p.vmax + p.vmin, p.vmax * p.vmin
+    i = np.arange(n + 1, dtype=np.float64)
+    j = n - i
+    sums = (
+        a * i * (p.r + c * w * j)
+        + a / b * i * (0.5 + c * j)
+        + a * a / b * i * (i - 1) / 2
+        + a * b * c * pv * i * j
+        + j * (p.kappa + q * (j - 1))
+        + b * j * (p.kappa * p.theta + q * w * (j - 1))
+        + b * b * q * pv * j * (j - 1)
+    )
+    return float(sums.max())
 
 
 def heston_norm_bound(params: HestonParams, n: int) -> float:

@@ -63,8 +63,12 @@ _CHUNK_MIN = 128
 _CHUNK_SHARE = 4
 
 # A full exponential buffer is reallocated to this multiple of the new
-# dimension.  Growing by 5% spreads the copying over many steps while adding
-# at most about 10% to the bytes held; doubling would add up to 300%.
+# dimension, or to room for two more blocks of the size just added if that
+# is more.  Growing by 5% spreads the copying over many steps while adding
+# at most about 10% to the bytes held; doubling would add up to 300%.  The
+# two blocks matter where blocks grow as a share of the dimension, as the
+# degree blocks of a polynomial generator do below degree 80: there 5% does
+# not hold the next block, and every step would copy the buffer.
 _GROWTH = 1.05
 
 
@@ -330,14 +334,14 @@ class IncrementalExpState:
         g *= 2.0**self.s
         return g
 
-    def _capacity(self, e: int) -> int:
+    def _capacity(self, e: int, b: int) -> int:
         """Rows and columns of the exponential buffer once it holds
-        dimension e; the first step's adopted diagonal block has no spare
-        room."""
+        dimension e after a block of size b; the first step's adopted
+        diagonal block has no spare room."""
         held = self._exp.shape[0]
         if held >= e:
             return held
-        return e if self.dim == 0 else int(_GROWTH * e)
+        return e if self.dim == 0 else max(int(_GROWTH * e), e + 2 * b)
 
     def step(self, col: BlockColumn) -> None:
         """Grow the matrix by one block column and update all caches.
@@ -360,7 +364,7 @@ class IncrementalExpState:
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
         d, b = self.dim, col.block_size
-        capacity = self._capacity(d + b)
+        capacity = self._capacity(d + b, b)
         # What the step leaves held, plus the old exponential buffer while
         # a full one is reallocated: the s + 2 chunked caches open their
         # chunks together, and the zero-row profile grows by b entries.

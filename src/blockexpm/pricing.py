@@ -32,6 +32,7 @@ from .generators import (
     basis_values,
     generator_block_columns,
     jacobi_norm_bound,
+    jacobi_rescaled_norm_bound,
     jacobi_spec,
 )
 from .incremental import run_fixed
@@ -40,6 +41,11 @@ from .pade import as_scaling_power, scaling_power
 # Tiny floor that keeps the relative termination test meaningful when the
 # accumulated price is still zero.
 _PRICE_FLOOR = 1e-300
+
+# Limits of the pricing basis (see rescaled_basis): a >= 2^-_BASIS_SHIFT,
+# and a^n_max >= 2^-_BASIS_RANGE, far above the subnormal range (2^-1022).
+_BASIS_SHIFT = 3
+_BASIS_RANGE = 300
 
 
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
@@ -201,8 +207,10 @@ class PriceLedgerRow:
 
 @dataclass(frozen=True)
 class PriceResult:
-    """The price, where the series stopped, its ledger, and the scaling
-    power every exponential of the series was computed at."""
+    """The price, where the series stopped, its ledger, the scaling power
+    every exponential of the series was computed at, and the exponents
+    (log2 a, log2 b) of the basis they were computed on (see
+    :func:`price_call`)."""
 
     price: float
     terminal_degree: int
@@ -210,18 +218,21 @@ class PriceResult:
     rows: tuple[PriceLedgerRow, ...]
     seconds: float
     scaling: int
+    basis_scale: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PricingConfig:
     """Inputs of a call price computation under the Jacobi model.
 
-    ``scaling`` is the scaling power of every exponential in the series:
-    None takes it from the Jacobi norm bound at ``n_max``
-    (:func:`scaling_from_bound`), which covers every degree the series
-    can reach, or a nonnegative integer fixes it.  ``eps`` is the
-    relative truncation tolerance of the Hermite series; eps = 0 disables
-    the test and runs to ``n_max``.
+    ``scaling`` is the scaling power of every exponential in the series,
+    each one of the generator on the rescaled basis of
+    :func:`rescaled_basis` (see :func:`price_call`): None takes it from
+    that generator's norm bound at ``n_max``
+    (:func:`~blockexpm.generators.jacobi_rescaled_norm_bound`), which
+    covers every degree the series can reach, or a nonnegative integer
+    fixes it.  ``eps`` is the relative truncation tolerance of the
+    Hermite series; eps = 0 disables the test and runs to ``n_max``.
     """
 
     params: JacobiParams
@@ -257,15 +268,41 @@ def scaling_from_bound(params: JacobiParams, tau: float, n: int) -> int:
     return scaling_power(tau * jacobi_norm_bound(params, n))
 
 
-def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int) -> float:
+def rescaled_basis(n_max: int) -> tuple[int, int]:
+    """Exponents (log2 a, log2 b) of the basis of monomials of (a y, b v)
+    that a series to degree ``n_max`` is priced on.
+
+    a is the smallest power of two with a >= 2^-3 and a^n_max >= 2^-300,
+    and b = 2a capped at 1.  With a <= b <= 1 every entry of the rescaled
+    matrices is its unscaled value times a factor in [a^n_max, 1], so no
+    entry grows and the factor alone takes none near the subnormal range.
+    Past n_max = 300 the rule backs off to a = b = 1, the unscaled basis.
+    """
+    e = min(_BASIS_SHIFT, _BASIS_RANGE // max(n_max, 1))
+    return -e, min(0, 1 - e)
+
+
+def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int,
+                   basis_scale: tuple[int, int] = (0, 0)) -> float:
     """Expected normalized Hermite polynomial of the log price.
 
     Reads the moment off ``exp_tau_g`` (the exponential of tau G_n on
     the graded degree-n basis): the conditional moment of the polynomial
     whose coordinate vector is :func:`hermite_vector`.
+
+    ``basis_scale`` = (log2 a, log2 b) says that ``exp_tau_g`` is taken on
+    the monomials of (a y, b v), that is D^-1 exp(tau G_n) D with
+    D = diag(a^i b^j) (see
+    :func:`~blockexpm.generators.generator_block_columns`).  The moment is
+    then u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is the Hermite
+    polynomial of y / a, the one for the weight N(a muw, (a sigmaw)^2).
+    So D^-1, whose a^-n overflows at high degree, is never formed.
     """
+    ea, eb = basis_scale
     return conditional_moment(
-        exp_tau_g, (cfg.y0, cfg.v0), hermite_vector(n, cfg.muw, cfg.sigmaw)
+        exp_tau_g,
+        (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb)),
+        hermite_vector(n, math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)),
     )
 
 
@@ -284,19 +321,30 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     rows record every term, its partial sum, cumulative wall time and the
     seconds of its exponential and of its payoff coefficient.
 
+    The engine exponentiates B = D^-1 tau G_n D, the generator on the
+    monomials of (a y, b v) with a and b the powers of two of
+    :func:`rescaled_basis`, and each moment is read off exp(B) (see
+    :func:`hermite_moment`).  This is the balancing step of classical
+    expm codes (Ward 1977; Higham 2005) with one scale per variable: it
+    shrinks the off-diagonal blocks that dominate the 1-norm of tau G_n,
+    and so the scaling power, while the sequence stays nested.
+
     Every exponential is computed at one scaling power, chosen before any
     matrix is formed (see :class:`PricingConfig`), so the engine extends
     its caches by one block column per degree and never restarts.  A
-    fixed power too small for a degree's generator stops the series with
-    a ``ValueError`` before that degree instead of returning an
-    inaccurate price.
+    fixed power too small for a degree's rescaled generator stops the
+    series with a ``ValueError`` before that degree instead of returning
+    an inaccurate price.
     """
+    basis = rescaled_basis(cfg.n_max)
     if cfg.scaling is None:
-        s = scaling_from_bound(cfg.params, cfg.tau, cfg.n_max)
+        s = scaling_power(cfg.tau * jacobi_rescaled_norm_bound(cfg.params, cfg.n_max, basis))
     else:
         s = as_scaling_power(cfg.scaling)
     spec = jacobi_spec(cfg.params)
-    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
+    columns = generator_block_columns(
+        spec, max_degree=cfg.n_max, scale=cfg.tau, basis_scale=basis
+    )
     runner = run_fixed(columns, s=s)
 
     t0 = time.perf_counter()
@@ -307,7 +355,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     prev_small = False
     for f, report in runner:
         n = report.step
-        l_n = hermite_moment(f, cfg, n)
+        l_n = hermite_moment(f, cfg, n, basis)
         tq = time.perf_counter()
         f_n = fourier_coefficient(
             n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau
@@ -343,4 +391,5 @@ def price_call(cfg: PricingConfig) -> PriceResult:
         rows=tuple(rows),
         seconds=time.perf_counter() - t0,
         scaling=s,
+        basis_scale=basis,
     )

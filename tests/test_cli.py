@@ -232,8 +232,20 @@ def test_price_run(tmp_path, capsys):
     assert float(rows[-1]["partial_price"]) == pytest.approx(res.price, rel=1e-12)
     printed = float(out.split()[1])
     assert printed == pytest.approx(res.price, rel=1e-9)
-    # s comes from the Jacobi norm bound at the default --n-max of 100
-    assert res.scaling == 9 and "s = 9," in out
+    # s comes from the rescaled Jacobi norm bound at the default --n-max of
+    # 100, on the basis of monomials of (y / 8, v / 4)
+    assert res.scaling == 4 and res.basis_scale == (-3, -2)
+    assert "s = 4, log2 basis scale (-3, -2)," in out
+    # past n_max = 300 the basis backs off to the unscaled one, and the
+    # summary line says so; the series still stops near degree 20
+    rc = main(
+        ["price", "--params", JACOBI_ARG,
+         "--y0", "0", "--v0", "0.04", "--tau", "0.25",
+         "--logstrike", str(math.log(1.1)), "--muw", "0", "--sigmaw", "0.5",
+         "--eps", "0.05", "--n-max", "400", "--ledger", str(ledger)]
+    )
+    assert rc == 0
+    assert ", log2 basis scale (0, 0)," in capsys.readouterr().out
 
 
 def test_price_errors(tmp_path, capsys):

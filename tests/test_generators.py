@@ -21,6 +21,7 @@ from blockexpm.generators import (
     heston_norm_bound,
     heston_spec,
     jacobi_norm_bound,
+    jacobi_rescaled_norm_bound,
     jacobi_spec,
 )
 
@@ -356,6 +357,25 @@ def test_block_columns_are_the_images_of_the_monomials():
             assert np.array_equal(col.stacked(), want), j
 
 
+def test_block_columns_on_a_rescaled_basis_are_exact():
+    # basis_scale (ea, eb) gives D^-1 G D with D = diag(2^(ea i + eb j)):
+    # each entry is the unscaled one times a power of two, bit for bit
+    rng = np.random.default_rng(67)
+    for spec in (jacobi_spec(random_jacobi(rng)), heston_spec(random_heston(rng))):
+        for scale in ((-3, -2), (2, -1), (0, 0)):
+            g = matrix_from_columns(generator_block_columns(spec, max_degree=9, scale=0.3)).data
+            cols = generator_block_columns(spec, max_degree=9, scale=0.3, basis_scale=scale)
+            b = matrix_from_columns(cols).data
+            shift = np.concatenate(
+                [[scale[0] * k[0] + scale[1] * k[1] for k in degree_monomials(2, j)]
+                 for j in range(10)]
+            )
+            assert np.array_equal(b, np.ldexp(g, shift[None, :] - shift[:, None]))
+    for bad in ((-3,), (-3, -2, 0), (-2.5, 0)):
+        with pytest.raises(ValueError, match="basis_scale needs 2 integer exponents"):
+            next(generator_block_columns(spec, basis_scale=bad))
+
+
 def test_block_column_stream_is_unbounded():
     spec = heston_spec(random_heston(np.random.default_rng(5)))
     cols = list(itertools.islice(generator_block_columns(spec), 8))
@@ -420,6 +440,24 @@ def test_norm_bounds_dominate():
             gh, _ = build_generator_matrix(sh, n)
             bh = heston_norm_bound(ph, n)
             assert one_norm(gh) <= bh + 1e-9 * abs(bh)
+
+
+def test_rescaled_norm_bound_on_the_unscaled_basis():
+    # with a = b = 1 the rescaled bound bounds the unscaled matrix, and it
+    # is never looser than the closed form of jacobi_norm_bound
+    rng = np.random.default_rng(2719)
+    for p in [BENCH_JACOBI] + [random_jacobi(rng) for _ in range(10)]:
+        g, _ = build_generator_matrix(jacobi_spec(p), 12)
+        for n in (0, 1, 2, 5, 12):
+            bound = jacobi_rescaled_norm_bound(p, n, (0, 0))
+            assert one_norm(g[: basis_size(2, n), : basis_size(2, n)]) <= bound * (1 + 1e-14)
+            assert bound <= jacobi_norm_bound(p, n) * (1 + 1e-14)
+    # the degree-100 generator of criterion 9: the off-diagonal blocks give
+    # the unscaled norm of 5000, and the basis of (y / 8, v / 4) cuts it 15x
+    assert jacobi_rescaled_norm_bound(BENCH_JACOBI, 100, (0, 0)) == pytest.approx(5000.0)
+    assert jacobi_rescaled_norm_bound(BENCH_JACOBI, 100, (-3, -2)) == pytest.approx(334.375)
+    with pytest.raises(ValueError):
+        jacobi_rescaled_norm_bound(BENCH_JACOBI, -1, (0, 0))
 
 
 def test_norm_bounds_grow_quadratically():

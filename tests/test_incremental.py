@@ -428,19 +428,36 @@ def test_zero_row_profile_of_generator():
     assert state._lead[off[9]] == off[7]
 
 
+def test_exponential_buffer_is_reallocated_every_other_step_or_less():
+    # degree n adds a block of n + 1 to a dimension of about n^2 / 2, more
+    # than 5% below degree 40: the buffer grows by at least two blocks, so
+    # at most every other step copies it
+    cols = generator_block_columns(jacobi_spec(JACOBI), max_degree=60, scale=0.25,
+                                   basis_scale=(-3, -2))
+    state = IncrementalExpState(next(cols).diag, s=3)
+    buffers = [state._exp]
+    for col in cols:
+        state.step(col)
+        if state._exp is not buffers[-1]:
+            buffers.append(state._exp)
+    assert state.dim == 1891
+    assert len(buffers) - 1 <= 31
+    assert all(b.shape[0] <= max(int(1.05 * 1891), 1891 + 2 * 61) for b in buffers)
+
+
 def test_memory_guard_raises_and_leaves_state(monkeypatch):
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(cols[0].diag, s=2)
     before = state.exponential.data
     # The step holds the four adopted 3 x 3 chunks (288 bytes), four opened
-    # chunks of 131 x 128 doubles (536576), the new 5 x 5 exponential beside
-    # the old 3 x 3 one (200 + 72) and a zero-row profile of 6 entries (48):
-    # 537184 bytes.
+    # chunks of 131 x 128 doubles (536576), the new exponential buffer with
+    # room for two more blocks of 2, 9 x 9, beside the old 3 x 3 one
+    # (648 + 72) and a zero-row profile of 6 entries (48): 537632 bytes.
     held = 4 * 72 + 72 + 32
     assert state.cache_bytes == held
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537183)
-    with pytest.raises(MemoryError, match="dimension 5 .* 537184 bytes.*537183 bytes"):
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537631)
+    with pytest.raises(MemoryError, match="dimension 5 .* 537632 bytes.*537631 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
@@ -448,10 +465,10 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     assert np.array_equal(state.exponential.data, before)
     with pytest.raises(MemoryError):
         IncrementalExpState(np.eye(2), s=10**6)
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537184)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537632)
     state.step(cols[1])
     assert state.dim == 5
-    assert state.cache_bytes == 537184 - 72
+    assert state.cache_bytes == 537632 - 72
 
 
 def _held_bytes(obj) -> int:

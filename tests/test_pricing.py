@@ -5,6 +5,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
+from blockexpm.blocks import matrix_from_columns
+from blockexpm.dense import one_norm
 from blockexpm.generators import (
     JacobiParams,
     basis_size,
@@ -12,6 +14,7 @@ from blockexpm.generators import (
     build_generator_matrix,
     generator_block_columns,
     jacobi_norm_bound,
+    jacobi_rescaled_norm_bound,
     jacobi_spec,
 )
 from blockexpm.incremental import run_adaptive, run_fixed
@@ -24,6 +27,7 @@ from blockexpm.pricing import (
     hermite_vector,
     hermite_y_coefficients,
     price_call,
+    rescaled_basis,
     scaling_from_bound,
 )
 
@@ -481,16 +485,114 @@ def test_norm_bound_covers_fixed_scaling_prices_to_degree_100():
         assert n == max_degree
 
 
+def _rescaled_bound_scaling(params, tau, n_max):
+    return scaling_power(tau * jacobi_rescaled_norm_bound(params, n_max, rescaled_basis(n_max)))
+
+
 def test_default_price_runs_at_the_bound_scaling():
-    # scaling=None is the bound's power at n_max, with no restart: every
-    # ledger row and the price are bit-identical to an explicit run at it
+    # scaling=None is the rescaled bound's power at n_max, with no restart:
+    # every ledger row and the price are bit-identical to an explicit run
+    # at it
     res = price_call(bench_config(eps=0.05))
-    assert res.scaling == scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
+    assert res.scaling == _rescaled_bound_scaling(BENCH_PARAMS, 0.25, 100) == 4
     fixed = price_call(bench_config(eps=0.05, scaling=res.scaling))
     assert fixed.scaling == res.scaling
+    assert fixed.basis_scale == res.basis_scale == rescaled_basis(100)
     assert [row.l_n for row in res.rows] == [row.l_n for row in fixed.rows]
     assert res.price == fixed.price
-    assert price_call(bench_config(eps=0.05, n_max=30)).scaling == scaling_from_bound(
+    assert price_call(bench_config(eps=0.05, n_max=30)).scaling == _rescaled_bound_scaling(
         BENCH_PARAMS, 0.25, 30
     )
+
+
+def test_default_scaling_on_the_rescaled_basis():
+    # the default n_max of 100 prices on the monomials of (y / 8, v / 4),
+    # where the bound needs s = 4 against the unscaled bound's 9; degree 60
+    # needs 3 there
+    assert rescaled_basis(100) == (-3, -2)
+    assert _rescaled_bound_scaling(BENCH_PARAMS, 0.25, 100) == 4
+    assert scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
+    assert scaling_power(0.25 * jacobi_rescaled_norm_bound(BENCH_PARAMS, 60, (-3, -2))) == 3
+
+
+def _rescaled_norms(params, tau, max_degree, basis_scale):
+    # exact 1-norms of tau G_n on the rescaled basis for n = 0..max_degree;
+    # the degree-max_degree matrix nests every smaller one
+    cols = generator_block_columns(
+        jacobi_spec(params), max_degree=max_degree, scale=tau, basis_scale=basis_scale
+    )
+    b = matrix_from_columns(cols).data
+    return [one_norm(b[: basis_size(2, n), : basis_size(2, n)]) for n in range(max_degree + 1)]
+
+
+def test_rescaled_norm_bound_dominates():
+    # as criterion 6 does for the unscaled bound: 20 random valid draws to
+    # degree 30 on the pricing basis and on two others, and criterion 9's
+    # parameters to degree 100, where the bound is the exact norm
+    rng = np.random.default_rng(1606)
+    cases = [(BENCH_PARAMS, 100, rescaled_basis(100))]
+    for _ in range(20):
+        params = _random_jacobi_params(rng)
+        cases += [(params, 30, scale) for scale in (rescaled_basis(30), (-1, 0), (0, 0))]
+    for params, max_degree, scale in cases:
+        for n, norm in enumerate(_rescaled_norms(params, 1.0, max_degree, scale)):
+            bound = jacobi_rescaled_norm_bound(params, n, scale)
+            assert norm <= bound * (1 + 1e-14), (params, scale, n)
+    bench = _rescaled_norms(BENCH_PARAMS, 1.0, 100, (-3, -2))[100]
+    assert bench == pytest.approx(jacobi_rescaled_norm_bound(BENCH_PARAMS, 100, (-3, -2)), rel=1e-14)
+
+
+def test_rescaled_basis_rule():
+    # a = 2^ea is the smallest power of two >= 2^-3 with a^n_max >= 2^-300,
+    # and b = 2a capped at 1
+    for n_max in range(0, 1001):
+        ea, eb = rescaled_basis(n_max)
+        assert -3 <= ea <= 0 and n_max * ea >= -300, n_max
+        assert ea == -3 or n_max * (ea - 1) < -300, n_max
+        assert eb == min(0, ea + 1), n_max
+    assert rescaled_basis(400) == (0, 0)
+
+
+def test_price_at_a_generous_n_max_backs_off_the_basis():
+    # n_max = 400 is past the rule's range: the basis is the unscaled one
+    # there, and the price matches n_max = 30's at the same terminal degree
+    wide = price_call(bench_config(eps=0.05, n_max=400))
+    narrow = price_call(bench_config(eps=0.05, n_max=30))
+    ea, _ = wide.basis_scale
+    assert 400 * ea >= -300
+    assert narrow.basis_scale == (-3, -2)
+    assert wide.terminal_degree == narrow.terminal_degree
+    assert abs(wide.price - narrow.price) <= 1e-12 * abs(narrow.price)
+
+
+def test_price_at_too_small_a_scaling_raises_before_the_degree():
+    # the driver's norm check guards the rescaled generator: at s = 2 the
+    # series stops with one error at the first degree whose rescaled norm
+    # passes THETA_13 * 4, before that degree is exponentiated
+    scale = rescaled_basis(60)
+    norms = _rescaled_norms(BENCH_PARAMS, 0.25, 60, scale)
+    first = next(n for n, norm in enumerate(norms) if scaling_power(norm) > 2)
+    with pytest.raises(ValueError, match=f"block column {first} .* s = 2 is too small"):
+        price_call(bench_config(eps=0.0, n_max=60, scaling=2))
+
+
+def test_rescaled_read_off_matches_the_unscaled_one():
+    # the moment read off exp(D^-1 tau G D) at (a y0, b v0) against the
+    # Hermite polynomial of y / a is the moment read off exp(tau G)
+    cfg = bench_config(y0=0.1, v0=0.3, muw=0.05, sigmaw=0.4)
+    scale = (-3, -2)
+    spec = jacobi_spec(BENCH_PARAMS)
+    for n in (0, 1, 5, 12):
+        g = matrix_from_columns(generator_block_columns(spec, max_degree=n, scale=cfg.tau)).data
+        b = matrix_from_columns(
+            generator_block_columns(spec, max_degree=n, scale=cfg.tau, basis_scale=scale)
+        ).data
+        want = hermite_moment(expm_baseline(g), cfg, n)
+        got = hermite_moment(expm_baseline(b), cfg, n, scale)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), n
+    # D^-1 h_n is exact: the coefficient of y^p is scaled by 2^(3p)
+    h = hermite_vector(12, cfg.muw, cfg.sigmaw)
+    h_scaled = hermite_vector(12, cfg.muw / 8, cfg.sigmaw / 8)
+    pure_y = [p * (p + 1) // 2 for p in range(13)]
+    assert np.array_equal(h_scaled[pure_y], np.ldexp(h[pure_y], 3 * np.arange(13)))
 
