@@ -48,8 +48,9 @@ from .generators import (
     heston_norm_bound,
     heston_spec,
     jacobi_norm_bound,
-    jacobi_rescaled_norm_bound,
     jacobi_spec,
+    norm_bound,
+    scaled_spec,
 )
 from .incremental import IncrementalExpState, StepReport, run_adaptive, run_fixed
 from .pade import (

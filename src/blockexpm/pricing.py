@@ -32,8 +32,9 @@ from .generators import (
     basis_values,
     generator_block_columns,
     jacobi_norm_bound,
-    jacobi_rescaled_norm_bound,
     jacobi_spec,
+    norm_bound,
+    scaled_spec,
 )
 from .incremental import run_fixed
 from .pade import as_scaling_power, scaling_power
@@ -229,10 +230,11 @@ class PricingConfig:
     each one of the generator on the rescaled basis of
     :func:`rescaled_basis` (see :func:`price_call`): None takes it from
     that generator's norm bound at ``n_max``
-    (:func:`~blockexpm.generators.jacobi_rescaled_norm_bound`), which
-    covers every degree the series can reach, or a nonnegative integer
-    fixes it.  ``eps`` is the relative truncation tolerance of the
-    Hermite series; eps = 0 disables the test and runs to ``n_max``.
+    (:func:`~blockexpm.generators.norm_bound`), which covers every degree
+    the series can reach, or a nonnegative integer fixes it.  ``eps`` is
+    the relative truncation tolerance of the Hermite series; eps = 0
+    disables the test and runs to ``n_max``.  Every float input must be
+    finite.
     """
 
     params: JacobiParams
@@ -247,6 +249,9 @@ class PricingConfig:
     scaling: int | None = None
 
     def __post_init__(self):
+        for name in ("y0", "v0", "tau", "logstrike", "muw", "sigmaw", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.sigmaw <= 0:
@@ -292,10 +297,9 @@ def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int,
 
     ``basis_scale`` = (log2 a, log2 b) says that ``exp_tau_g`` is taken on
     the monomials of (a y, b v), that is D^-1 exp(tau G_n) D with
-    D = diag(a^i b^j) (see
-    :func:`~blockexpm.generators.generator_block_columns`).  The moment is
-    then u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is the Hermite
-    polynomial of y / a, the one for the weight N(a muw, (a sigmaw)^2).
+    D = diag(a^i b^j) (see :func:`~blockexpm.generators.scaled_spec`).
+    The moment is then u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is
+    the Hermite polynomial of y / a, the one for N(a muw, (a sigmaw)^2).
     So D^-1, whose a^-n overflows at high degree, is never formed.
     """
     ea, eb = basis_scale
@@ -321,9 +325,10 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     rows record every term, its partial sum, cumulative wall time and the
     seconds of its exponential and of its payoff coefficient.
 
-    The engine exponentiates B = D^-1 tau G_n D, the generator on the
-    monomials of (a y, b v) with a and b the powers of two of
-    :func:`rescaled_basis`, and each moment is read off exp(B) (see
+    The engine exponentiates B = D^-1 tau G_n D, tau times the generator
+    of the model in the variables (a y, b v)
+    (:func:`~blockexpm.generators.scaled_spec`) with a and b the powers of
+    two of :func:`rescaled_basis`, and each moment is read off exp(B) (see
     :func:`hermite_moment`).  This is the balancing step of classical
     expm codes (Ward 1977; Higham 2005) with one scale per variable: it
     shrinks the off-diagonal blocks that dominate the 1-norm of tau G_n,
@@ -337,14 +342,12 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     an inaccurate price.
     """
     basis = rescaled_basis(cfg.n_max)
+    spec = scaled_spec(jacobi_spec(cfg.params), basis)
     if cfg.scaling is None:
-        s = scaling_power(cfg.tau * jacobi_rescaled_norm_bound(cfg.params, cfg.n_max, basis))
+        s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
     else:
         s = as_scaling_power(cfg.scaling)
-    spec = jacobi_spec(cfg.params)
-    columns = generator_block_columns(
-        spec, max_degree=cfg.n_max, scale=cfg.tau, basis_scale=basis
-    )
+    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
     runner = run_fixed(columns, s=s)
 
     t0 = time.perf_counter()

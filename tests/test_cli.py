@@ -274,6 +274,11 @@ def test_price_errors(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: payoff coefficient f_0 overflows")
+    # a non-finite input is refused by name, not priced to nan
+    rc = main(["price", "--params", JACOBI_ARG] + base + ["--y0", "nan"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: y0 must be finite, got nan"
 
 
 def test_model_keys_the_model_does_not_read_are_rejected(tmp_path, capsys):

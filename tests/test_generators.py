@@ -21,8 +21,9 @@ from blockexpm.generators import (
     heston_norm_bound,
     heston_spec,
     jacobi_norm_bound,
-    jacobi_rescaled_norm_bound,
     jacobi_spec,
+    norm_bound,
+    scaled_spec,
 )
 
 BENCH_JACOBI = JacobiParams(
@@ -358,22 +359,35 @@ def test_block_columns_are_the_images_of_the_monomials():
 
 
 def test_block_columns_on_a_rescaled_basis_are_exact():
-    # basis_scale (ea, eb) gives D^-1 G D with D = diag(2^(ea i + eb j)):
-    # each entry is the unscaled one times a power of two, bit for bit
+    # the operator of (2^ea y, 2^eb v) has the matrix D^-1 G D with
+    # D = diag(2^(ea i + eb j)): each entry is the unscaled one times a
+    # power of two, bit for bit
     rng = np.random.default_rng(67)
     for spec in (jacobi_spec(random_jacobi(rng)), heston_spec(random_heston(rng))):
         for scale in ((-3, -2), (2, -1), (0, 0)):
             g = matrix_from_columns(generator_block_columns(spec, max_degree=9, scale=0.3)).data
-            cols = generator_block_columns(spec, max_degree=9, scale=0.3, basis_scale=scale)
+            cols = generator_block_columns(scaled_spec(spec, scale), max_degree=9, scale=0.3)
             b = matrix_from_columns(cols).data
             shift = np.concatenate(
                 [[scale[0] * k[0] + scale[1] * k[1] for k in degree_monomials(2, j)]
                  for j in range(10)]
             )
             assert np.array_equal(b, np.ldexp(g, shift[None, :] - shift[:, None]))
-    for bad in ((-3,), (-3, -2, 0), (-2.5, 0)):
-        with pytest.raises(ValueError, match="basis_scale needs 2 integer exponents"):
-            next(generator_block_columns(spec, basis_scale=bad))
+    for bad in ((-3,), (-3, -2, 0), (-2.5, 0), (math.nan, 0)):
+        with pytest.raises(ValueError, match="needs 2 integer exponents"):
+            scaled_spec(spec, bad)
+    # 2^-1200 times the v coefficient of a_yy would flush to zero, and
+    # 2^1200 times it would overflow: both are refused, not rounded
+    for bad in ((-600, 0), (600, 0)):
+        with pytest.raises(ValueError, match=r"1.0 of monomial \(0, 1\) out of the normal"):
+            scaled_spec(jacobi_spec(BENCH_JACOBI), bad)
+    # a coefficient that stays put is kept even when it is subnormal
+    tiny = Polynomial(2, {(0, 0): 1e-310})
+    zero = Polynomial(2)
+    spec = PolynomialOperatorSpec(dim=2, a=((zero, zero), (zero, zero)), b=(zero, tiny))
+    assert scaled_spec(spec, (-3, 0)) == spec
+    with pytest.raises(ValueError, match="normal float range"):
+        scaled_spec(spec, (0, -3))
 
 
 def test_block_column_stream_is_unbounded():
@@ -402,6 +416,10 @@ def test_jacobi_params_validation():
     ):
         with pytest.raises(ValueError):
             JacobiParams(**bad)
+    for name in good:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                JacobiParams(**dict(good, **{name: value}))
 
 
 def test_heston_params_validation():
@@ -416,6 +434,10 @@ def test_heston_params_validation():
     ):
         with pytest.raises(ValueError):
             HestonParams(**bad)
+    for name in good:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                HestonParams(**dict(good, **{name: value}))
 
 
 def test_norm_bound_pinned_value():
@@ -443,21 +465,24 @@ def test_norm_bounds_dominate():
 
 
 def test_rescaled_norm_bound_on_the_unscaled_basis():
-    # with a = b = 1 the rescaled bound bounds the unscaled matrix, and it
-    # is never looser than the closed form of jacobi_norm_bound
+    # the stencil bound bounds the unscaled matrix, and it is never looser
+    # than the closed form of jacobi_norm_bound
     rng = np.random.default_rng(2719)
     for p in [BENCH_JACOBI] + [random_jacobi(rng) for _ in range(10)]:
         g, _ = build_generator_matrix(jacobi_spec(p), 12)
         for n in (0, 1, 2, 5, 12):
-            bound = jacobi_rescaled_norm_bound(p, n, (0, 0))
+            bound = norm_bound(jacobi_spec(p), n)
             assert one_norm(g[: basis_size(2, n), : basis_size(2, n)]) <= bound * (1 + 1e-14)
             assert bound <= jacobi_norm_bound(p, n) * (1 + 1e-14)
     # the degree-100 generator of criterion 9: the off-diagonal blocks give
     # the unscaled norm of 5000, and the basis of (y / 8, v / 4) cuts it 15x
-    assert jacobi_rescaled_norm_bound(BENCH_JACOBI, 100, (0, 0)) == pytest.approx(5000.0)
-    assert jacobi_rescaled_norm_bound(BENCH_JACOBI, 100, (-3, -2)) == pytest.approx(334.375)
+    spec = jacobi_spec(BENCH_JACOBI)
+    assert norm_bound(spec, 100) == pytest.approx(5000.0)
+    assert jacobi_norm_bound(BENCH_JACOBI, 100) == pytest.approx(5797.343, rel=1e-6)
+    assert norm_bound(scaled_spec(spec, (-3, -2)), 100) == pytest.approx(334.375)
+    assert norm_bound(spec, 0) == 0.0
     with pytest.raises(ValueError):
-        jacobi_rescaled_norm_bound(BENCH_JACOBI, -1, (0, 0))
+        norm_bound(spec, -1)
 
 
 def test_norm_bounds_grow_quadratically():

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 import blockexpm.incremental as incremental
-from blockexpm.blocks import BlockColumn, Partition, extend_square, matrix_from_columns
+from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
 from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
-from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec
+from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec, scaled_spec
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
 from blockexpm.pade import (
     THETA_13,
@@ -432,8 +432,8 @@ def test_exponential_buffer_is_reallocated_every_other_step_or_less():
     # degree n adds a block of n + 1 to a dimension of about n^2 / 2, more
     # than 5% below degree 40: the buffer grows by at least two blocks, so
     # at most every other step copies it
-    cols = generator_block_columns(jacobi_spec(JACOBI), max_degree=60, scale=0.25,
-                                   basis_scale=(-3, -2))
+    cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
+                                   max_degree=60, scale=0.25)
     state = IncrementalExpState(next(cols).diag, s=3)
     buffers = [state._exp]
     for col in cols:
@@ -581,6 +581,3 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
     reports = [r for _, r in run_adaptive(cols)]
     assert any(r.restart for r in reports)
     assert [r.cache_bytes for r in reports] == walked
-    # the extension routine stays a module attribute, where tracing tools
-    # look it up
-    assert incremental.__dict__["extend_square"] is extend_square
