@@ -15,13 +15,15 @@ incremental engine at a fixed scaling power, and the incremental engine
 with adaptive scaling.  Timings use a monotonic clock and report
 per-stage medians over a configurable number of repeats, accumulated into
 cumulative seconds as the stage index grows.  The runs use whatever BLAS
-thread count the process has; nothing here limits or records it.  To pin
-it, set ``OPENBLAS_NUM_THREADS`` (or the variable of the BLAS in use)
-before numpy is first imported, as the ``perfbench`` harness does.
+thread count the process has; nothing here limits it, and
+:func:`blas_threads` reads it back for the record.  To pin it, set
+``OPENBLAS_NUM_THREADS`` (or the variable of the BLAS in use) before numpy
+is first imported, as the ``perfbench`` harness does.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -36,6 +38,34 @@ from .pade import expm_baseline
 _EPS = float(np.finfo(np.float64).eps)
 # Noise rescales generate_instance tries before giving up on the target.
 _MAX_RESCALES = 50
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count this process runs with, read back through
+    ctypes from the OpenBLAS libraries it has loaded (numpy and scipy may
+    each load one): the largest count any of them reports, or None if no
+    count can be read, as without OpenBLAS or without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.rsplit("/", 1)[-1].lower()}
+    except OSError:
+        return None
+    counts = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's and scipy's wheels export the OpenBLAS API under a
+        # "scipy_openblas" prefix, numpy's with a "64_" suffix.
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                counts.append(int(fn()))
+                break
+    return max(counts, default=None)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import dataclasses
 import os
 import sys
 
-from .bench import (RandomInstanceSpec, generate_instance, parse_method, run_benchmark,
-                    write_bench_csv)
+from .bench import (RandomInstanceSpec, blas_threads, generate_instance, parse_method,
+                    run_benchmark, write_bench_csv)
 from .blocks import matrix_from_columns, read_column_stream
 from .dense import read_matrix, rel_error_fro, write_matrix, write_partition
 from .generators import (
@@ -35,6 +35,9 @@ from .pricing import PricingConfig, price_call
 
 # Each model's parameter class and generator builder.
 _MODELS = {"jacobi": (JacobiParams, jacobi_spec), "heston": (HestonParams, heston_spec)}
+
+# The StepReport fields that split a step into its phases.
+_PHASES = ("power_seconds", "solve_seconds", "squaring_seconds", "growth_seconds")
 
 
 def _model_params(model: str, text: str):
@@ -97,13 +100,15 @@ def _cmd_incremental(args) -> int:
     csv_path = os.path.join(args.emit, "steps.csv")
     emitted = 0
     with open(csv_path, "w") as fh:
-        fh.write("step,dim,s,restart,seconds,rel_err_vs_baseline\n")
+        fh.write("step,dim,s,restart,seconds,rel_err_vs_baseline,cache_bytes,"
+                 + ",".join(_PHASES) + "\n")
         for f, report in runner:
             write_matrix(os.path.join(args.emit, f"f_{report.step:04d}.txt"), f.data)
             err = "" if refs is None else f"{rel_error_fro(f.data, refs[report.step]):.6e}"
+            phases = ",".join(f"{getattr(report, p):.9f}" for p in _PHASES)
             fh.write(
                 f"{report.step},{report.dim},{report.s},{int(report.restart)},"
-                f"{report.seconds:.9f},{err}\n"
+                f"{report.seconds:.9f},{err},{report.cache_bytes},{phases}\n"
             )
             emitted += 1
     print(f"emitted {emitted} exponentials to {args.emit} (report: {csv_path})")
@@ -134,12 +139,14 @@ def _cmd_price(args) -> int:
         scaling=None if args.scaling is None else _parse_scaling(args.scaling, adaptive=False),
     )
     result = price_call(cfg)
-    rows = ["n,l_n,f_n,term,partial_price,cum_seconds,expm_seconds,quad_seconds"]
+    rows = ["n,l_n,f_n,term,partial_price,cum_seconds,expm_seconds,quad_seconds,"
+            "moment_seconds,cache_bytes"]
     for r in result.rows:
         rows.append(
             f"{r.n},{r.l_n:.17g},{r.f_n:.17g},{r.term:.17g},"
             f"{r.partial_price:.17g},{r.cum_seconds:.9f},"
-            f"{r.expm_seconds:.9f},{r.quad_seconds:.9f}"
+            f"{r.expm_seconds:.9f},{r.quad_seconds:.9f},"
+            f"{r.moment_seconds:.9f},{r.cache_bytes}"
         )
     with open(args.ledger, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -170,7 +177,8 @@ def _cmd_bench(args) -> int:
     for r in records:
         totals[r.method] = r.cum_seconds
     summary = ", ".join(f"{k} {v:.3f}s" for k, v in totals.items())
-    print(f"instance dim {instance.dim}; total seconds: {summary}; wrote {args.out}")
+    print(f"instance dim {instance.dim}; total seconds: {summary}; "
+          f"BLAS threads {blas_threads()}; wrote {args.out}")
     return 0
 
 

@@ -27,7 +27,10 @@ written once a later one opens.  The first step adopts its new diagonal
 blocks as the first chunks.  The current exponential, which no product
 reads, is instead the leading d x d block of one contiguous buffer with a
 few percent of spare capacity, reallocated when full, so an emitted stage
-is a read-only view of it that no later step writes.
+is a read-only view of it that no later step writes.  Each step also hands
+back the new block column of the exponential; a reader that needs only
+some columns, as Hermite-series pricing does, keeps those and drives the
+engine without the buffer (see ``_drive``).
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -275,7 +278,9 @@ class IncrementalExpState:
     The scaled matrix, Q^-1 and squares 0 .. s - 1 are read by the next
     step's products and are stored as column chunks
     (:class:`_ChunkedCache`); square s is only emitted, and is the leading
-    ``dim`` x ``dim`` block of one buffer with spare capacity.  The state
+    ``dim`` x ``dim`` block of one buffer with spare capacity, except in a
+    state of ``_drive``'s column stream (``_stages=False``), which keeps no
+    square s and only hands back its new block columns.  The state
     also keeps the zero-row profile of the scaled matrix (see
     :func:`_grow_lead`), which windows the power recurrence, and in
     ``phase_seconds`` the seconds of each phase of the last step, keyed
@@ -285,7 +290,7 @@ class IncrementalExpState:
     # The approximant every cache extends; tracing tools read its degree.
     pade = PADE_13
 
-    def __init__(self, g0, s: int):
+    def __init__(self, g0, s: int, *, _stages: bool = True):
         g0 = as_matrix(g0)
         if g0.shape[0] != g0.shape[1] or g0.shape[0] == 0:
             raise ValueError(f"initial matrix must be square and nonempty, got {g0.shape}")
@@ -293,13 +298,16 @@ class IncrementalExpState:
         b = g0.shape[0]
         # The first step checks this too; checking before the s chunk lists
         # exist refuses an absurd s at once.
-        _check_cache_bytes((self.s + 3) * b * b * 8, b, self.s)
+        _check_cache_bytes((self.s + 3 if _stages else self.s + 2) * b * b * 8, b, self.s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt = _ChunkedCache()
         self._qinv = _ChunkedCache()
         self._squares = [_ChunkedCache() for _ in range(self.s)]
-        self._exp = np.empty((0, 0))
+        # A state of _drive's column stream keeps no buffer, and holds each
+        # new block column of the exponential until the stream takes it.
+        self._exp = np.empty((0, 0)) if _stages else None
+        self._column = None
         self.step(BlockColumn(np.empty((0, b)), g0, check_finite=False))
 
     @property
@@ -309,10 +317,11 @@ class IncrementalExpState:
     @property
     def cache_bytes(self) -> int:
         """Bytes of every array the state holds: the chunks, the
-        exponential buffer with its spare capacity, and the zero-row
-        profile."""
+        exponential buffer with its spare capacity, if the state keeps
+        one, and the zero-row profile."""
         chunks = self._gt.nbytes + self._qinv.nbytes + sum(sq.nbytes for sq in self._squares)
-        return chunks + self._exp.nbytes + self._lead.nbytes
+        exp = 0 if self._exp is None else self._exp.nbytes
+        return chunks + exp + self._lead.nbytes
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
@@ -324,6 +333,8 @@ class IncrementalExpState:
         included, for as long as it is held: ``.data.copy()`` a stage that
         outlives the run to release the buffer.
         """
+        if self._exp is None:
+            raise RuntimeError("this state keeps no exponential, only its new block columns")
         d = self.dim
         return BlockTriangularMatrix._wrap(self._exp[:d, :d], self.partition)
 
@@ -343,10 +354,12 @@ class IncrementalExpState:
             return held
         return e if self.dim == 0 else max(int(_GROWTH * e), e + 2 * b)
 
-    def step(self, col: BlockColumn) -> None:
+    def step(self, col: BlockColumn) -> tuple[np.ndarray, np.ndarray]:
         """Grow the matrix by one block column and update all caches.
 
-        The new exponential is available as :attr:`exponential` afterwards.
+        Returns the new block column [top; diag] of exp(G) as the pair
+        (top, diag); the whole new exponential is available as
+        :attr:`exponential` afterwards.
 
         Raises
         ------
@@ -364,13 +377,14 @@ class IncrementalExpState:
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
         d, b = self.dim, col.block_size
-        capacity = self._capacity(d + b, b)
         # What the step leaves held, plus the old exponential buffer while
         # a full one is reallocated: the s + 2 chunked caches open their
         # chunks together, and the zero-row profile grows by b entries.
         need = self.cache_bytes + 8 * b + (self.s + 2) * self._gt.opened_bytes(b)
-        if capacity > self._exp.shape[0]:
-            need += capacity * capacity * 8
+        if self._exp is not None:
+            capacity = self._capacity(d + b, b)
+            if capacity > self._exp.shape[0]:
+                need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
         t0 = time.perf_counter()
         p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col)
@@ -389,7 +403,10 @@ class IncrementalExpState:
         for cache, (z, dsq) in zip(self._squares, new_square_cols):
             cache.append(z, dsq)
         z, dsq = new_square_cols[-1]
-        self._exp = _write_column(self._exp, d, z, dsq, capacity)
+        if self._exp is not None:
+            self._exp = _write_column(self._exp, d, z, dsq, capacity)
+        else:
+            self._column = z, dsq
         self.partition = self.partition.append(b)
         self.phase_seconds = {
             "power_seconds": t1 - t0,
@@ -397,6 +414,7 @@ class IncrementalExpState:
             "squaring_seconds": t3 - t2,
             "growth_seconds": time.perf_counter() - t3,
         }
+        return z, dsq
 
     # -- step phases --------------------------------------------------
 
@@ -503,10 +521,18 @@ class IncrementalExpState:
         return cols
 
 
-def _drive(columns, fixed: int | None):
-    """The one loop of both drivers: a fixed scaling power, or None for
-    adaptive scaling.  The running 1-norm is the largest absolute column
-    sum so far, exact for block upper triangular G."""
+def _drive(columns, fixed: int | None, stages: bool = True):
+    """The one loop of both drivers and of Hermite-series pricing: a fixed
+    scaling power, or None for adaptive scaling.  The running 1-norm is
+    the largest absolute column sum so far, exact for block upper
+    triangular G.
+
+    With ``stages`` it yields each stage as
+    :attr:`IncrementalExpState.exponential`.  Without, its states keep no
+    exponential buffer, and it yields in place of each stage the pair
+    (top, diag) of the stage's new block column of exp(G); at a first or
+    restart stage that column is the whole matrix, with an empty top.
+    """
     state = None
     norm = 0.0
     for n, col in enumerate(columns):
@@ -524,19 +550,21 @@ def _drive(columns, fixed: int | None):
         if state is None:
             if col.rows != 0:
                 raise ValueError(f"first block column must have no top part, got {col.rows} rows")
-            state = IncrementalExpState(col.diag, need if fixed is None else fixed)
+            state = IncrementalExpState(col.diag, need if fixed is None else fixed,
+                                        _stages=stages)
         elif restart:
             g = extend_square(state.unscaled_matrix(), col.top, col.diag)
             # Free the old caches before the merged pass builds its own.
             state = None
-            state = IncrementalExpState(g, need)
+            state = IncrementalExpState(g, need, _stages=stages)
         else:
             state.step(col)
         seconds = time.perf_counter() - t0
+        new_column, state._column = state._column, None
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
                             **state.phase_seconds)
-        yield state.exponential, report
+        yield (state.exponential if stages else new_column), report
 
 
 def run_fixed(columns, s: int):

@@ -36,7 +36,7 @@ from .generators import (
     norm_bound,
     scaled_spec,
 )
-from .incremental import run_fixed
+from .incremental import _drive
 from .pade import as_scaling_power, scaling_power
 
 # Tiny floor that keeps the relative termination test meaningful when the
@@ -190,10 +190,13 @@ def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
 class PriceLedgerRow:
     """One term of the Hermite series with its running aggregates.
 
-    ``expm_seconds`` is the engine's time for exp(tau G_n), from the
-    stage's ``StepReport``; ``quad_seconds`` the time spent on the payoff
-    coefficient f_n (closed form).  ``cum_seconds`` is the wall time since the series started,
-    generator assembly and moment read-off included.
+    ``expm_seconds`` is the engine's time for exp(tau G_n) and
+    ``cache_bytes`` the bytes its caches hold after it, both from the
+    stage's ``StepReport``; ``quad_seconds`` is the time spent on the
+    payoff coefficient f_n (closed form) and ``moment_seconds`` on reading
+    l_n off the exponential.  ``cum_seconds`` is the wall time since the
+    series started, so cum_seconds - expm - quad - moment is the generator
+    assembly and bookkeeping time.
     """
 
     n: int
@@ -204,6 +207,8 @@ class PriceLedgerRow:
     cum_seconds: float
     expm_seconds: float
     quad_seconds: float
+    moment_seconds: float
+    cache_bytes: int
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,11 @@ def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int,
 
     Reads the moment off ``exp_tau_g`` (the exponential of tau G_n on
     the graded degree-n basis): the conditional moment of the polynomial
-    whose coordinate vector is :func:`hermite_vector`.
+    whose coordinate vector is :func:`hermite_vector`.  That polynomial
+    involves only the pure-y monomials, so ``exp_tau_g`` may also be the
+    list of the exponential's columns at y^0 .. y^n, each possibly cut
+    off below the rows of its own degree, where the column is zero (see
+    :func:`price_call`); both forms give the same float.
 
     ``basis_scale`` = (log2 a, log2 b) says that ``exp_tau_g`` is taken on
     the monomials of (a y, b v), that is D^-1 exp(tau G_n) D with
@@ -303,11 +312,31 @@ def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int,
     So D^-1, whose a^-n overflows at high degree, is never formed.
     """
     ea, eb = basis_scale
-    return conditional_moment(
-        exp_tau_g,
-        (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb)),
-        hermite_vector(n, math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)),
-    )
+    x0 = (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb))
+    muw, sigmaw = math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
+    if isinstance(exp_tau_g, list):
+        return _pure_y_moment(exp_tau_g, x0, hermite_y_coefficients(n, muw, sigmaw))
+    return conditional_moment(exp_tau_g, x0, hermite_vector(n, muw, sigmaw))
+
+
+def _pure_y_moment(columns, x0, coeffs: np.ndarray) -> float:
+    """:func:`conditional_moment` of the polynomial sum_p coeffs[p] y^p,
+    from ``columns[p]``, the exponential's column at y^p down to the last
+    row where it can be nonzero.
+
+    The operand is the one :func:`conditional_moment` forms: the columns
+    of the nonzero coefficients, zero-padded to the full dimension, in the
+    Fortran order numpy gives the gather ``mat[:, nz]``, so the product
+    rounds the same.
+    """
+    n = len(coeffs) - 1
+    if len(columns) != n + 1:
+        raise ValueError(f"need the {n + 1} columns y^0 .. y^{n}, got {len(columns)}")
+    nz = np.flatnonzero(coeffs)
+    gathered = np.zeros((basis_size(2, n), nz.size), order="F")
+    for k, p in enumerate(nz):
+        gathered[: columns[p].shape[0], k] = columns[p]
+    return float(basis_values(2, n, x0) @ (gathered @ coeffs[nz]))
 
 
 def price_call(cfg: PricingConfig) -> PriceResult:
@@ -340,6 +369,12 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     fixed power too small for a degree's rescaled generator stops the
     series with a ``ValueError`` before that degree instead of returning
     an inaccurate price.
+
+    The engine keeps no exponential here.  The moment l_n reads only the
+    columns at y^0 .. y^n, and column y^p of exp(B_n) is column y^p of
+    exp(B_p) with zeros below it, since the engine never revises a block
+    column once it is computed.  So each degree keeps the column at y^n
+    of its new block column, and l_n is read off the n + 1 kept columns.
     """
     basis = rescaled_basis(cfg.n_max)
     spec = scaled_spec(jacobi_spec(cfg.params), basis)
@@ -348,7 +383,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     else:
         s = as_scaling_power(cfg.scaling)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
-    runner = run_fixed(columns, s=s)
+    runner = _drive(columns, s, stages=False)
 
     t0 = time.perf_counter()
     price = 0.0
@@ -356,10 +391,15 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     converged = False
     terminal = 0
     prev_small = False
-    for f, report in runner:
+    kept: list[np.ndarray] = []  # column y^p of exp(B_p), p = 0 .. n
+    for (top, diag), report in runner:
         n = report.step
-        l_n = hermite_moment(f, cfg, n, basis)
+        j = basis_index((n, 0)) - top.shape[0]
+        kept.append(np.concatenate([top[:, j], diag[:, j]]))
+        tm = time.perf_counter()
+        l_n = hermite_moment(kept, cfg, n, basis)
         tq = time.perf_counter()
+        moment_seconds = tq - tm
         f_n = fourier_coefficient(
             n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau
         )
@@ -377,6 +417,8 @@ def price_call(cfg: PricingConfig) -> PriceResult:
                 cum_seconds=time.perf_counter() - t0,
                 expm_seconds=report.seconds,
                 quad_seconds=quad_seconds,
+                moment_seconds=moment_seconds,
+                cache_bytes=report.cache_bytes,
             )
         )
         small = cfg.eps > 0 and abs(term) <= cfg.eps * max(abs(price), _PRICE_FLOOR)

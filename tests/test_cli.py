@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import blockexpm.incremental as incremental
+from blockexpm.bench import blas_threads
 from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
 from blockexpm.cli import main
 from blockexpm.dense import one_norm, read_matrix, read_partition, rel_error_fro, write_matrix
 from blockexpm.generators import JacobiParams, build_generator_matrix, jacobi_spec
+from blockexpm.incremental import run_fixed
 from blockexpm.pade import THETA_13, expm_baseline
 from blockexpm.pricing import PricingConfig, price_call
 
@@ -68,7 +70,9 @@ def test_incremental_fixed_with_check(tmp_path, capsys):
     assert "emitted 4 exponentials" in capsys.readouterr().out
 
     rows = read_csv(emit / "steps.csv")
-    assert list(rows[0]) == ["step", "dim", "s", "restart", "seconds", "rel_err_vs_baseline"]
+    assert list(rows[0]) == ["step", "dim", "s", "restart", "seconds", "rel_err_vs_baseline",
+                             "cache_bytes", "power_seconds", "solve_seconds",
+                             "squaring_seconds", "growth_seconds"]
     assert [int(r["step"]) for r in rows] == [0, 1, 2, 3]
     assert [int(r["dim"]) for r in rows] == [3, 5, 9, 11]
     assert all(int(r["s"]) == 5 for r in rows)
@@ -82,6 +86,26 @@ def test_incremental_fixed_with_check(tmp_path, capsys):
         stage = read_matrix(emit / f"f_{l:04d}.txt")
         ref = expm_baseline(full.data[: off[l + 1], : off[l + 1]].copy())
         assert rel_error_fro(stage, ref) <= 1e-12
+
+
+def test_incremental_steps_csv_has_cache_bytes_and_phase_seconds(tmp_path):
+    # the step ledger carries every StepReport figure: the bytes the caches
+    # hold and the four phases that split the step's seconds
+    cols = make_columns(np.random.default_rng(7), (3, 2, 4))
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, cols)
+    emit = tmp_path / "out"
+    assert main(["incremental", "--columns", str(stream), "--scaling", "fixed:3",
+                 "--emit", str(emit)]) == 0
+    rows = read_csv(emit / "steps.csv")
+    phases = ["power_seconds", "solve_seconds", "squaring_seconds", "growth_seconds"]
+    assert list(rows[0])[-5:] == ["cache_bytes", *phases]
+    reports = [r for _, r in run_fixed(cols, s=3)]
+    assert [int(r["cache_bytes"]) for r in rows] == [r.cache_bytes for r in reports]
+    for r in rows:
+        split = [float(r[p]) for p in phases]
+        assert all(t >= 0 for t in split)
+        assert sum(split) <= float(r["seconds"]) + 1e-8  # printed to 1e-9
 
 
 def test_incremental_adaptive_default(tmp_path):
@@ -221,7 +245,7 @@ def test_price_run(tmp_path, capsys):
 
     rows = read_csv(ledger)
     assert list(rows[0]) == ["n", "l_n", "f_n", "term", "partial_price", "cum_seconds",
-                             "expm_seconds", "quad_seconds"]
+                             "expm_seconds", "quad_seconds", "moment_seconds", "cache_bytes"]
     assert [int(r["n"]) for r in rows] == list(range(len(rows)))
     params = JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
     res = price_call(
@@ -230,6 +254,10 @@ def test_price_run(tmp_path, capsys):
     )
     assert len(rows) == res.terminal_degree + 1
     assert float(rows[-1]["partial_price"]) == pytest.approx(res.price, rel=1e-12)
+    assert [int(r["cache_bytes"]) for r in rows] == [r.cache_bytes for r in res.rows]
+    for r in rows:
+        spent = sum(float(r[k]) for k in ("expm_seconds", "quad_seconds", "moment_seconds"))
+        assert float(r["moment_seconds"]) >= 0 and spent <= float(r["cum_seconds"])
     printed = float(out.split()[1])
     assert printed == pytest.approx(res.price, rel=1e-9)
     # s comes from the rescaled Jacobi norm bound at the default --n-max of
@@ -324,7 +352,12 @@ def test_bench_run(tmp_path, capsys):
          "--out", str(out)]
     )
     assert rc == 0
-    assert "total seconds" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "total seconds" in printed
+    # the BLAS thread count is read back from the loaded libraries
+    threads = blas_threads()
+    assert threads is None or threads >= 1
+    assert f"; BLAS threads {threads}; " in printed
     rows = read_csv(out)
     assert list(rows[0]) == ["method", "step", "dim", "cum_seconds", "rel_err", "restart"]
     assert len(rows) == 3 * 4

@@ -581,3 +581,59 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
     reports = [r for _, r in run_adaptive(cols)]
     assert any(r.restart for r in reports)
     assert [r.cache_bytes for r in reports] == walked
+
+
+def test_column_stream_assembles_the_stages_bit_for_bit():
+    # the stream of new exponential block columns that pricing reads comes
+    # from the stage path's arithmetic: laid side by side, the columns are
+    # every stage bit for bit, at fixed scaling and across a restart, where
+    # the new column is the whole merged matrix
+    rng = np.random.default_rng(191)
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 40)), scale=0.1)
+    cols[25] = BlockColumn(40.0 * cols[25].top, 40.0 * cols[25].diag)
+    restarts = []
+    for fixed, stages in ((6, run_fixed(cols, s=6)), (None, run_adaptive(cols))):
+        streamed = incremental._drive(cols, fixed, stages=False)
+        full = np.zeros((sum(c.block_size for c in cols),) * 2)
+        for (f, report), ((top, diag), col_report) in zip(stages, streamed, strict=True):
+            d, e = report.dim - col_report.block_size, report.dim
+            if col_report.restart:
+                assert top.shape == (0, e)
+                full[:e, :e] = diag
+            else:
+                full[:d, d:e] = top
+                full[d:e, d:e] = diag
+            assert np.array_equal(full[:e, :e], f.data)
+            assert (col_report.step, col_report.dim, col_report.s, col_report.restart) == (
+                report.step, report.dim, report.s, report.restart)
+            restarts.append(report.restart)
+    assert any(restarts)
+
+
+def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
+    # the case of test_memory_guard_raises_and_leaves_state without the
+    # exponential buffer: four adopted 3 x 3 chunks and a zero-row profile
+    # of 4 entries, then four opened 131 x 128 chunks and 6 entries
+    rng = np.random.default_rng(163)
+    cols = random_columns(rng, (3, 2), scale=0.5)
+    state = IncrementalExpState(cols[0].diag, s=2, _stages=False)
+    staged = IncrementalExpState(cols[0].diag, s=2)
+    assert state._column[0].shape == (0, 3)
+    assert np.array_equal(state._column[1], staged.exponential.data)
+    state._column = None
+    assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
+    with pytest.raises(RuntimeError, match="keeps no exponential"):
+        state.exponential
+    need = 4 * 72 + 4 * 131 * 128 * 8 + 48
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"{need} bytes"):
+        state.step(cols[1])
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need)
+    top, diag = state.step(cols[1])
+    assert state._column[0] is top and state._column[1] is diag
+    state._column = None
+    assert state.cache_bytes == _held_bytes(state) == need
+    monkeypatch.undo()
+    staged.step(cols[1])
+    assert np.array_equal(staged.exponential.data[:3, 3:], top)
+    assert np.array_equal(staged.exponential.data[3:, 3:], diag)

@@ -12,6 +12,7 @@ from blockexpm.dense import one_norm
 from blockexpm.generators import (
     HestonParams,
     JacobiParams,
+    basis_index,
     basis_size,
     basis_values,
     build_generator_matrix,
@@ -643,3 +644,76 @@ def test_tracer_targets_are_looked_up_at_call_time(monkeypatch):
         monkeypatch.setattr(pricing, attr, counting)
     price_call(bench_config(eps=0.0, n_max=3))
     assert calls == {"generator_block_columns": 1, "hermite_moment": 4, "fourier_coefficient": 4}
+
+
+def _ledger_off_stages(cfg):
+    """price_call's series read through hermite_moment off whole run_fixed
+    stages, as the pricing path did before it kept only pure-y columns:
+    (n, l_n, f_n, term, partial_price) per degree, then the price, s,
+    terminal degree and basis."""
+    basis = rescaled_basis(cfg.n_max)
+    spec = scaled_spec(jacobi_spec(cfg.params), basis)
+    s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
+    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
+    rows, price, prev_small = [], 0.0, False
+    for f, report in run_fixed(columns, s=s):
+        n = report.step
+        l_n = hermite_moment(f, cfg, n, basis)
+        f_n = fourier_coefficient(n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau)
+        price += l_n * f_n
+        rows.append((n, l_n, f_n, l_n * f_n, price))
+        small = cfg.eps > 0 and abs(l_n * f_n) <= cfg.eps * max(abs(price), 1e-300)
+        if small and (n == 0 or prev_small):
+            break
+        prev_small = small
+    return rows, price, s, n, basis
+
+
+@pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
+def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
+    # the kept pure-y columns give every moment, term and partial sum bit
+    # for bit as the whole exponential does
+    cfg = bench_config(eps=eps, n_max=n_max)
+    res = price_call(cfg)
+    rows, price, s, terminal, basis = _ledger_off_stages(cfg)
+    assert [(r.n, r.l_n, r.f_n, r.term, r.partial_price) for r in res.rows] == rows
+    assert (res.price, res.scaling, res.terminal_degree, res.basis_scale) == (
+        price, s, terminal, basis)
+    assert terminal == (30 if eps == 0 else 60)
+
+
+def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
+    # no d x d array on the pricing path: each ledger row's cache_bytes is
+    # the chunks and the zero-row profile that its step left held
+    held = []
+    states = []
+    step = IncrementalExpState.step
+
+    def recording_step(state, col):
+        out = step(state, col)
+        caches = [state._gt, state._qinv, *state._squares]
+        held.append(sum(c.nbytes for c in caches) + state._lead.nbytes)
+        states.append(state)
+        return out
+
+    monkeypatch.setattr(IncrementalExpState, "step", recording_step)
+    res = price_call(bench_config(eps=0.0, n_max=25))
+    assert [r.cache_bytes for r in res.rows] == held
+    assert len({id(state) for state in states}) == 1
+    assert states[0]._exp is None and states[0]._column is None
+    assert all(r.moment_seconds >= 0 for r in res.rows)
+
+
+def test_pure_y_columns_read_off_as_the_whole_exponential():
+    # hermite_moment on the kept columns, each cut at its own degree's
+    # rows, equals its read-off of the whole matrix, also with zero Hermite
+    # coefficients (muw = 0 leaves every other one zero) and a shifted
+    # weight; a wrong column count is refused
+    n = 12
+    f = expm_baseline(0.25 * build_generator_matrix(jacobi_spec(BENCH_PARAMS), n)[0])
+    kept = [f[: basis_size(2, p), basis_index((p, 0))] for p in range(n + 1)]
+    for cfg in (bench_config(), bench_config(muw=0.3, y0=0.1)):
+        for basis in ((0, 0), (-3, -2)):
+            assert hermite_moment(kept, cfg, n, basis) == hermite_moment(f, cfg, n, basis)
+    with pytest.raises(ValueError, match="13 columns"):
+        hermite_moment(kept[:-1], bench_config(), n)
