@@ -33,7 +33,7 @@ import scipy.linalg
 from .blocks import BlockTriangularMatrix, Partition
 from .dense import one_norm, rel_error_fro
 from .incremental import run_adaptive, run_fixed
-from .pade import expm_baseline
+from .pade import as_scaling_power, expm_baseline
 
 _EPS = float(np.finfo(np.float64).eps)
 # Noise rescales generate_instance tries before giving up on the target.
@@ -185,10 +185,7 @@ def parse_method(name: str) -> MethodSpec:
     if kind == "naive" and len(parts) == 1:
         return MethodSpec(name=name, kind="naive")
     if kind == "fixed" and len(parts) == 2:
-        s = int(parts[1])
-        if s < 0:
-            raise ValueError(f"fixed scaling power must be nonnegative: {name!r}")
-        return MethodSpec(name=name, kind="fixed", s=s)
+        return MethodSpec(name=name, kind="fixed", s=as_scaling_power(int(parts[1])))
     if kind == "adaptive" and len(parts) == 1:
         return MethodSpec(name=name, kind="adaptive")
     raise ValueError(f"unrecognized method {name!r}")

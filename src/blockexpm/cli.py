@@ -87,14 +87,9 @@ def _cmd_incremental(args) -> int:
     s = _parse_scaling(args.scaling)
     runner = run_adaptive(columns) if s is None else run_fixed(columns, s=s)
     os.makedirs(args.emit, exist_ok=True)
-    refs = None
-    if args.check:
-        full = matrix_from_columns(columns)
-        off = full.partition.offsets
-        refs = [
-            expm_baseline(full.data[: off[l + 1], : off[l + 1]].copy())
-            for l in range(full.nblocks)
-        ]
+    # each stage's from-scratch reference is computed as the stage is
+    # written, so only one is held at a time
+    full = matrix_from_columns(columns) if args.check else None
     # one report row per stage file, written as the stage is, so a run
     # stopped by an error keeps the rows of the stages it emitted
     csv_path = os.path.join(args.emit, "steps.csv")
@@ -104,7 +99,10 @@ def _cmd_incremental(args) -> int:
                  + ",".join(_PHASES) + "\n")
         for f, report in runner:
             write_matrix(os.path.join(args.emit, f"f_{report.step:04d}.txt"), f.data)
-            err = "" if refs is None else f"{rel_error_fro(f.data, refs[report.step]):.6e}"
+            err = ""
+            if full is not None:
+                d = report.dim
+                err = f"{rel_error_fro(f.data, expm_baseline(full.data[:d, :d].copy())):.6e}"
             phases = ",".join(f"{getattr(report, p):.9f}" for p in _PHASES)
             fh.write(
                 f"{report.step},{report.dim},{report.s},{int(report.restart)},"

@@ -297,7 +297,8 @@ class IncrementalExpState:
         self.s = as_scaling_power(s)
         b = g0.shape[0]
         # The first step checks this too; checking before the s chunk lists
-        # exist refuses an absurd s at once.
+        # exist and BlockColumn copies g0 refuses a first block too large
+        # for memory at once.
         _check_cache_bytes((self.s + 3 if _stages else self.s + 2) * b * b * 8, b, self.s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)

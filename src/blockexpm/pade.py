@@ -86,11 +86,22 @@ def scaling_power(norm: float, theta: float = THETA_13) -> int:
     return s
 
 
+# The scaling power of the largest float: no finite matrix needs more, and
+# each further power only adds a squaring (and, in the incremental engine,
+# a cache).
+_MAX_SCALING = scaling_power(float(np.finfo(np.float64).max))
+
+
 def as_scaling_power(s) -> int:
     """``s`` as an int; ValueError unless it is a nonnegative Python or numpy
-    integer, so a float such as 2.7 is refused instead of truncated."""
+    integer, so a float such as 2.7 is refused instead of truncated, and
+    unless it is at most 1022, the power of the largest finite norm."""
     if not isinstance(s, (int, np.integer)) or s < 0:
         raise ValueError(f"scaling power must be a nonnegative integer, got {s!r}")
+    if s > _MAX_SCALING:
+        raise ValueError(
+            f"scaling power {s} is above {_MAX_SCALING}, the most any finite matrix needs"
+        )
     return int(s)
 
 

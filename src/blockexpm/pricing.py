@@ -263,8 +263,8 @@ class PricingConfig:
             raise ValueError(f"sigmaw must be positive, got {self.sigmaw}")
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {self.n_max}")
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
+            raise ValueError(f"n_max must be a nonnegative integer, got {self.n_max!r}")
         if self.scaling is not None:
             as_scaling_power(self.scaling)
         if not (self.params.vmin <= self.v0 <= self.params.vmax):
@@ -274,7 +274,14 @@ class PricingConfig:
 
 
 def scaling_from_bound(params: JacobiParams, tau: float, n: int) -> int:
-    """Scaling power that covers tau * G_n a priori, via the norm bound."""
+    """Scaling power that covers tau * G_n a priori, via the closed-form
+    bound :func:`~blockexpm.generators.jacobi_norm_bound`.
+
+    This is the s of the unscaled generator, the one acceptance criteria
+    7 and 9 use: 7 at degree 60 and 9 at degree 100.  It is not the s
+    :func:`price_call` runs at, which is taken on the rescaled basis
+    (4 at the default n_max = 100, see :class:`PricingConfig`).
+    """
     return scaling_power(tau * jacobi_norm_bound(params, n))
 
 
@@ -292,46 +299,22 @@ def rescaled_basis(n_max: int) -> tuple[int, int]:
     return -e, min(0, 1 - e)
 
 
-def hermite_moment(exp_tau_g, cfg: PricingConfig, n: int,
-                   basis_scale: tuple[int, int] = (0, 0)) -> float:
-    """Expected normalized Hermite polynomial of the log price.
+def hermite_moment(columns, x0, muw: float, sigmaw: float) -> float:
+    """Expected normalized Hermite polynomial of the log price at ``x0``
+    against the weight N(muw, sigmaw^2), read off the pure-y columns of
+    exp(tau G_n).
 
-    Reads the moment off ``exp_tau_g`` (the exponential of tau G_n on
-    the graded degree-n basis): the conditional moment of the polynomial
-    whose coordinate vector is :func:`hermite_vector`.  That polynomial
-    involves only the pure-y monomials, so ``exp_tau_g`` may also be the
-    list of the exponential's columns at y^0 .. y^n, each possibly cut
-    off below the rows of its own degree, where the column is zero (see
-    :func:`price_call`); both forms give the same float.
-
-    ``basis_scale`` = (log2 a, log2 b) says that ``exp_tau_g`` is taken on
-    the monomials of (a y, b v), that is D^-1 exp(tau G_n) D with
-    D = diag(a^i b^j) (see :func:`~blockexpm.generators.scaled_spec`).
-    The moment is then u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is
-    the Hermite polynomial of y / a, the one for N(a muw, (a sigmaw)^2).
-    So D^-1, whose a^-n overflows at high degree, is never formed.
+    ``columns[p]`` is the exponential's column at y^p, p = 0 .. n with
+    n = len(columns) - 1, down to the last row where it can be nonzero:
+    the Hermite polynomial involves only these monomials, so they are
+    all the read-off needs (see :func:`price_call`).  The result is
+    :func:`conditional_moment` of :func:`hermite_vector` on the whole
+    exponential, and rounds the same: the operand is the columns of the
+    nonzero coefficients, zero-padded to the full dimension, in the
+    Fortran order numpy gives that function's gather ``mat[:, nz]``.
     """
-    ea, eb = basis_scale
-    x0 = (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb))
-    muw, sigmaw = math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
-    if isinstance(exp_tau_g, list):
-        return _pure_y_moment(exp_tau_g, x0, hermite_y_coefficients(n, muw, sigmaw))
-    return conditional_moment(exp_tau_g, x0, hermite_vector(n, muw, sigmaw))
-
-
-def _pure_y_moment(columns, x0, coeffs: np.ndarray) -> float:
-    """:func:`conditional_moment` of the polynomial sum_p coeffs[p] y^p,
-    from ``columns[p]``, the exponential's column at y^p down to the last
-    row where it can be nonzero.
-
-    The operand is the one :func:`conditional_moment` forms: the columns
-    of the nonzero coefficients, zero-padded to the full dimension, in the
-    Fortran order numpy gives the gather ``mat[:, nz]``, so the product
-    rounds the same.
-    """
-    n = len(coeffs) - 1
-    if len(columns) != n + 1:
-        raise ValueError(f"need the {n + 1} columns y^0 .. y^{n}, got {len(columns)}")
+    n = len(columns) - 1
+    coeffs = hermite_y_coefficients(n, muw, sigmaw)
     nz = np.flatnonzero(coeffs)
     gathered = np.zeros((basis_size(2, n), nz.size), order="F")
     for k, p in enumerate(nz):
@@ -357,11 +340,16 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     The engine exponentiates B = D^-1 tau G_n D, tau times the generator
     of the model in the variables (a y, b v)
     (:func:`~blockexpm.generators.scaled_spec`) with a and b the powers of
-    two of :func:`rescaled_basis`, and each moment is read off exp(B) (see
-    :func:`hermite_moment`).  This is the balancing step of classical
-    expm codes (Ward 1977; Higham 2005) with one scale per variable: it
-    shrinks the off-diagonal blocks that dominate the 1-norm of tau G_n,
-    and so the scaling power, while the sequence stays nested.
+    two of :func:`rescaled_basis` and D = diag(a^i b^j).  This is the
+    balancing step of classical expm codes (Ward 1977; Higham 2005) with
+    one scale per variable: it shrinks the off-diagonal blocks that
+    dominate the 1-norm of tau G_n, and so the scaling power, while the
+    sequence stays nested.  The moment is
+    u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is the Hermite
+    polynomial of y / a, the one for N(a muw, (a sigmaw)^2), so each one
+    is read off exp(B) at that state and weight (see
+    :func:`hermite_moment`), and D^-1, whose a^-n overflows at high
+    degree, is never formed.
 
     Every exponential is computed at one scaling power, chosen before any
     matrix is formed (see :class:`PricingConfig`), so the engine extends
@@ -374,9 +362,13 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     columns at y^0 .. y^n, and column y^p of exp(B_n) is column y^p of
     exp(B_p) with zeros below it, since the engine never revises a block
     column once it is computed.  So each degree keeps the column at y^n
-    of its new block column, and l_n is read off the n + 1 kept columns.
+    of its new block column, its first, since y^n leads the degree-n
+    monomials, and l_n is read off the n + 1 kept columns.
     """
     basis = rescaled_basis(cfg.n_max)
+    ea, eb = basis
+    x0 = (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb))
+    muw, sigmaw = math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
     spec = scaled_spec(jacobi_spec(cfg.params), basis)
     if cfg.scaling is None:
         s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
@@ -394,10 +386,9 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     kept: list[np.ndarray] = []  # column y^p of exp(B_p), p = 0 .. n
     for (top, diag), report in runner:
         n = report.step
-        j = basis_index((n, 0)) - top.shape[0]
-        kept.append(np.concatenate([top[:, j], diag[:, j]]))
+        kept.append(np.concatenate([top[:, 0], diag[:, 0]]))
         tm = time.perf_counter()
-        l_n = hermite_moment(kept, cfg, n, basis)
+        l_n = hermite_moment(kept, x0, muw, sigmaw)
         tq = time.perf_counter()
         moment_seconds = tq - tm
         f_n = fourier_coefficient(

@@ -93,8 +93,9 @@ def test_parse_method():
     m = parse_method("fixed:6")
     assert (m.kind, m.s) == ("fixed", 6)
     assert parse_method("adaptive") == MethodSpec(name="adaptive", kind="adaptive")
-    for bad in ("fixed", "fixed:-1", "fixed:x", "adaptive:0", "adaptive:4.0", "naive:2", "turbo",
-                "adaptive:1:2"):
+    assert parse_method("fixed:1022").s == 1022
+    for bad in ("fixed", "fixed:-1", "fixed:1023", "fixed:x", "adaptive:0", "adaptive:4.0",
+                "naive:2", "turbo", "adaptive:1:2"):
         with pytest.raises(ValueError):
             parse_method(bad)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import blockexpm.cli as cli
 import blockexpm.incremental as incremental
 from blockexpm.bench import blas_threads
 from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
@@ -170,6 +171,32 @@ def test_incremental_stopped_run_keeps_its_report_rows(tmp_path, capsys):
     assert [(r["step"], r["dim"], r["s"]) for r in rows] == [("0", "2", "2")]
 
 
+def test_incremental_check_computes_each_reference_with_its_stage(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a run stopped by its norm check has computed one from-scratch
+    # reference per stage it emitted, none for the stages it never reached
+    rng = np.random.default_rng(5)
+    cols = make_columns(rng, (2, 2, 2, 2))
+    cols[2] = BlockColumn(cols[2].top, 30.0 * np.eye(2))  # past THETA_13 at s = 0
+    stream = tmp_path / "cols.txt"
+    write_column_stream(stream, cols)
+    dims = []
+
+    def counting(a, s=None):
+        dims.append(a.shape[0])
+        return expm_baseline(a, s)
+
+    monkeypatch.setattr(cli, "expm_baseline", counting)
+    emit = tmp_path / "out"
+    rc = main(["incremental", "--columns", str(stream), "--scaling", "fixed:0",
+               "--emit", str(emit), "--check"])
+    assert rc == 2
+    assert "fixed scaling power s = 0 is too small" in capsys.readouterr().err
+    rows = read_csv(emit / "steps.csv")
+    assert [int(r["dim"]) for r in rows] == dims == [2, 4]
+    assert all(float(r["rel_err_vs_baseline"]) <= 1e-12 for r in rows)
+
+
 def test_incremental_memory_guard(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(5)
     stream = tmp_path / "cols.txt"
@@ -293,6 +320,13 @@ def test_price_errors(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0] == "error: bad scaling 'adaptive', expected fixed:<s>"
+    # nor a scaling power above what any finite matrix needs
+    rc = main(["price", "--params", JACOBI_ARG, "--scaling", "fixed:1023", "--n-max", "2"]
+              + base)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == (
+        "error: scaling power 1023 is above 1022, the most any finite matrix needs")
     rc = main(["price", "--params", JACOBI_ARG, "--eps", "-1"] + base)
     assert rc == 2
     capsys.readouterr()

@@ -212,6 +212,21 @@ def test_non_integer_scaling_is_refused():
     assert IncrementalExpState(np.eye(2), np.int32(1)).s == 1
 
 
+def test_scaling_power_above_1022_is_refused_before_any_cache(monkeypatch):
+    def sized(*args):
+        raise AssertionError("the caches were sized")
+
+    cols = random_columns(np.random.default_rng(7), (2, 1), scale=0.5)
+    with monkeypatch.context() as m:
+        m.setattr(incremental, "_check_cache_bytes", sized)
+        with pytest.raises(ValueError, match="scaling power 1023 is above 1022"):
+            run_fixed(cols, s=1023)
+        with pytest.raises(ValueError, match="scaling power 1023 is above 1022"):
+            IncrementalExpState(np.eye(1), 1023)
+    assert IncrementalExpState(np.eye(1), 1022).s == 1022
+    assert next(run_fixed(cols, s=np.int64(1022)))[1].s == 1022
+
+
 def test_fixed_run_refuses_too_small_scaling_instead_of_a_wrong_result():
     # three blocks, dim 10, ||G||_1 = 106.6: at s = 0 the last stage is
     # off by a relative 1.0 against scipy, and the driver must not emit it
@@ -463,8 +478,12 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     assert state.partition.sizes == (3,)
     assert state.cache_bytes == held
     assert np.array_equal(state.exponential.data, before)
-    with pytest.raises(MemoryError):
+    # an s no finite matrix needs is refused as a value; the pre-check
+    # refuses an admissible s whose caches memory cannot hold
+    with pytest.raises(ValueError, match="above 1022"):
         IncrementalExpState(np.eye(2), s=10**6)
+    with pytest.raises(MemoryError):
+        IncrementalExpState(np.eye(200), s=1000)
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537632)
     state.step(cols[1])
     assert state.dim == 5

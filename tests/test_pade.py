@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_scaling_power_boundaries():
         scaling_power(np.inf)
     with pytest.raises(ValueError):
         scaling_power(1.0, theta=0.0)
+
+
+def test_scaling_power_above_the_largest_floats_is_refused():
+    # no finite matrix needs more than the largest float's s = 1022; a
+    # larger forced power is refused before any squaring
+    assert scaling_power(sys.float_info.max) == 1022
+    for s in (1023, np.int64(1023)):
+        with pytest.raises(ValueError, match=f"scaling power {s} is above 1022"):
+            expm_baseline(np.eye(2), s=s)
+    assert np.array_equal(expm_baseline(np.eye(2), s=1022), np.eye(2))
 
 
 def test_expm_baseline_against_taylor_oracle():

@@ -67,6 +67,20 @@ def lognormal_call(logstrike, muw, sigmaw):
     return math.exp(muw + sigmaw**2 / 2) * norm_cdf(d1) - math.exp(logstrike) * norm_cdf(d2)
 
 
+def scaled_read_off(cfg, basis=(0, 0)):
+    # the state and weight a moment is read at on the basis of monomials
+    # of (a y, b v), (log2 a, log2 b) = basis: (a y0, b v0), a muw, a sigmaw
+    ea, eb = basis
+    x0 = (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb))
+    return x0, math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
+
+
+def pure_y_columns(mat, n):
+    # the columns at y^0 .. y^n of a degree-n matrix, each cut below the
+    # rows of its own degree
+    return [mat[: basis_size(2, p), basis_index((p, 0))] for p in range(n + 1)]
+
+
 def normalized_hermite_e(x, n):
     # h_n(x) / sqrt(n!) from numpy's probabilists' Hermite series
     return np.polynomial.hermite_e.hermeval(x, [0.0] * n + [1.0]) / math.sqrt(math.factorial(n))
@@ -330,14 +344,14 @@ def test_conditional_moment_validation():
 
 
 def test_hermite_moment_degree_zero():
-    assert hermite_moment(np.eye(1), bench_config(), 0) == 1.0
+    assert hermite_moment([np.ones(1)], *scaled_read_off(bench_config())) == 1.0
 
 
 def test_hermite_moment_identity_exponential():
     # exp = I reduces the moment to evaluating the polynomial at the state
     cfg = bench_config(y0=0.3, muw=0.1, sigmaw=0.7)
     n = 9
-    got = hermite_moment(np.eye(basis_size(2, n)), cfg, n)
+    got = hermite_moment(pure_y_columns(np.eye(basis_size(2, n)), n), *scaled_read_off(cfg))
     expect = normalized_hermite_e(np.array([(0.3 - 0.1) / 0.7]), n)[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -347,6 +361,7 @@ def test_hermite_moment_matches_baseline():
     # from-scratch exponentials and against every moment of the default
     # price's ledger, which runs at one scaling power and never restarts
     cfg = bench_config()
+    x0, muw, sigmaw = scaled_read_off(cfg)
     spec = jacobi_spec(BENCH_PARAMS)
     ledger = price_call(bench_config(eps=0.0, n_max=40)).rows
     moments = {}
@@ -354,14 +369,14 @@ def test_hermite_moment_matches_baseline():
     for f, rep in run_adaptive(generator_block_columns(spec, max_degree=40, scale=cfg.tau)):
         n = rep.step
         restarts += rep.restart
-        l_inc = hermite_moment(f, cfg, n)
+        l_inc = hermite_moment(pure_y_columns(f.data, n), x0, muw, sigmaw)
         assert abs(l_inc - ledger[n].l_n) <= 1e-11 * abs(ledger[n].l_n), f"degree {n}"
         if n <= 10 or n % 5 == 0:
             moments[n] = l_inc
     assert n == 40 and restarts >= 1
     for n, l_inc in moments.items():
         g, _ = build_generator_matrix(spec, n)
-        l_base = hermite_moment(expm_baseline(cfg.tau * g), cfg, n)
+        l_base = conditional_moment(expm_baseline(cfg.tau * g), x0, hermite_vector(n, muw, sigmaw))
         tol = 1e-12 if n <= 10 else 1e-11
         assert abs(l_inc - l_base) <= tol * abs(l_base), f"degree {n}"
 
@@ -458,6 +473,14 @@ def test_pricing_config_validation():
             bench_config(scaling=scaling)
     assert bench_config(scaling=np.int64(7)).scaling == 7
     assert bench_config(scaling=7).scaling == 7
+    with pytest.raises(ValueError, match="scaling power 1023 is above 1022"):
+        bench_config(scaling=1023)
+    assert bench_config(scaling=1022).scaling == 1022
+    # so is a degree cap that is not an integer, before price_call reads it
+    for n_max in (2.5, 30.0, "30", None):
+        with pytest.raises(ValueError, match="^n_max must be a nonnegative integer"):
+            bench_config(n_max=n_max)
+    assert bench_config(n_max=np.int64(30)).n_max == 30
 
 
 def test_scaling_from_bound():
@@ -604,7 +627,8 @@ def test_price_at_too_small_a_scaling_raises_before_the_degree():
 
 def test_rescaled_read_off_matches_the_unscaled_one():
     # the moment read off exp(D^-1 tau G D) at (a y0, b v0) against the
-    # Hermite polynomial of y / a is the moment read off exp(tau G)
+    # Hermite polynomial of y / a is the moment read off exp(tau G): the
+    # read-off price_call makes
     cfg = bench_config(y0=0.1, v0=0.3, muw=0.05, sigmaw=0.4)
     scale = (-3, -2)
     spec = jacobi_spec(BENCH_PARAMS)
@@ -613,8 +637,10 @@ def test_rescaled_read_off_matches_the_unscaled_one():
         b = matrix_from_columns(
             generator_block_columns(scaled_spec(spec, scale), max_degree=n, scale=cfg.tau)
         ).data
-        want = hermite_moment(expm_baseline(g), cfg, n)
-        got = hermite_moment(expm_baseline(b), cfg, n, scale)
+        x0, muw, sigmaw = scaled_read_off(cfg)
+        want = conditional_moment(expm_baseline(g), x0, hermite_vector(n, muw, sigmaw))
+        x0, muw, sigmaw = scaled_read_off(cfg, scale)
+        got = conditional_moment(expm_baseline(b), x0, hermite_vector(n, muw, sigmaw))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), n
     # D^-1 h_n is exact: the coefficient of y^p is scaled by 2^(3p)
     h = hermite_vector(12, cfg.muw, cfg.sigmaw)
@@ -646,40 +672,52 @@ def test_tracer_targets_are_looked_up_at_call_time(monkeypatch):
     assert calls == {"generator_block_columns": 1, "hermite_moment": 4, "fourier_coefficient": 4}
 
 
-def _ledger_off_stages(cfg):
-    """price_call's series read through hermite_moment off whole run_fixed
-    stages, as the pricing path did before it kept only pure-y columns:
-    (n, l_n, f_n, term, partial_price) per degree, then the price, s,
-    terminal degree and basis."""
+def _ledgers_off_stages(cfgs):
+    """price_call's series for each of ``cfgs``, which differ only in
+    their state, read by conditional_moment off one pass of whole
+    run_fixed stages: per config the rows (n, l_n, f_n, term,
+    partial_price), then the price, s, terminal degree and basis."""
+    cfg = cfgs[0]
     basis = rescaled_basis(cfg.n_max)
     spec = scaled_spec(jacobi_spec(cfg.params), basis)
     s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
-    rows, price, prev_small = [], 0.0, False
+    series = {k: ([], 0.0, False) for k in range(len(cfgs))}  # rows, price, prev_small
+    done = {}
     for f, report in run_fixed(columns, s=s):
         n = report.step
-        l_n = hermite_moment(f, cfg, n, basis)
         f_n = fourier_coefficient(n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau)
-        price += l_n * f_n
-        rows.append((n, l_n, f_n, l_n * f_n, price))
-        small = cfg.eps > 0 and abs(l_n * f_n) <= cfg.eps * max(abs(price), 1e-300)
-        if small and (n == 0 or prev_small):
+        for k, (rows, price, prev_small) in list(series.items()):
+            x0, muw, sigmaw = scaled_read_off(cfgs[k], basis)
+            l_n = conditional_moment(f, x0, hermite_vector(n, muw, sigmaw))
+            price += l_n * f_n
+            rows.append((n, l_n, f_n, l_n * f_n, price))
+            small = cfg.eps > 0 and abs(l_n * f_n) <= cfg.eps * max(abs(price), 1e-300)
+            if small and (n == 0 or prev_small):
+                done[k] = (rows, price, s, n, basis)
+                del series[k]
+            else:
+                series[k] = (rows, price, small)
+        if not series:
             break
-        prev_small = small
-    return rows, price, s, n, basis
+    for k, (rows, price, _) in series.items():
+        done[k] = (rows, price, s, n, basis)
+    return [done[k] for k in range(len(cfgs))]
 
 
 @pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
 def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
     # the kept pure-y columns give every moment, term and partial sum bit
-    # for bit as the whole exponential does
-    cfg = bench_config(eps=eps, n_max=n_max)
-    res = price_call(cfg)
-    rows, price, s, terminal, basis = _ledger_off_stages(cfg)
-    assert [(r.n, r.l_n, r.f_n, r.term, r.partial_price) for r in res.rows] == rows
-    assert (res.price, res.scaling, res.terminal_degree, res.basis_scale) == (
-        price, s, terminal, basis)
-    assert terminal == (30 if eps == 0 else 60)
+    # for bit as the whole exponential does, and one engine pass serves
+    # any state: a second state's ledger is read off the same stages
+    cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
+    ledgers = _ledgers_off_stages(cfgs)
+    for cfg, (rows, price, s, terminal, basis) in zip(cfgs, ledgers):
+        res = price_call(cfg)
+        assert [(r.n, r.l_n, r.f_n, r.term, r.partial_price) for r in res.rows] == rows
+        assert (res.price, res.scaling, res.terminal_degree, res.basis_scale) == (
+            price, s, terminal, basis)
+    assert ledgers[0][3] == (30 if eps == 0 else 60)
 
 
 def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
@@ -706,14 +744,14 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
 
 def test_pure_y_columns_read_off_as_the_whole_exponential():
     # hermite_moment on the kept columns, each cut at its own degree's
-    # rows, equals its read-off of the whole matrix, also with zero Hermite
+    # rows, equals the read-off of the whole matrix, also with zero Hermite
     # coefficients (muw = 0 leaves every other one zero) and a shifted
-    # weight; a wrong column count is refused
+    # weight
     n = 12
     f = expm_baseline(0.25 * build_generator_matrix(jacobi_spec(BENCH_PARAMS), n)[0])
-    kept = [f[: basis_size(2, p), basis_index((p, 0))] for p in range(n + 1)]
+    kept = pure_y_columns(f, n)
     for cfg in (bench_config(), bench_config(muw=0.3, y0=0.1)):
         for basis in ((0, 0), (-3, -2)):
-            assert hermite_moment(kept, cfg, n, basis) == hermite_moment(f, cfg, n, basis)
-    with pytest.raises(ValueError, match="13 columns"):
-        hermite_moment(kept[:-1], bench_config(), n)
+            x0, muw, sigmaw = scaled_read_off(cfg, basis)
+            assert hermite_moment(kept, x0, muw, sigmaw) == conditional_moment(
+                f, x0, hermite_vector(n, muw, sigmaw))
