@@ -23,14 +23,17 @@ squares but the last -- is an append-only list of column chunks.  A chunk
 of block columns keeps only the rows down to its last column, so the zero
 lower block triangle is mostly not stored, and a step writes its new block
 column into the open chunk or into a new one: no chunk is copied or
-written once a later one opens.  The first step adopts its new diagonal
-blocks as the first chunks.  The current exponential, which no product
-reads, is instead the leading d x d block of one contiguous buffer with a
-few percent of spare capacity, reallocated when full, so an emitted stage
-is a read-only view of it that no later step writes.  Each step also hands
-back the new block column of the exponential; a reader that needs only
-some columns, as Hermite-series pricing does, keeps those and drives the
-engine without the buffer (see ``_drive``).
+written once a later one opens.  A wide block column opens a chunk of
+exactly its own width, and narrow ones are packed into shared chunks, so
+the chunks hold little beyond the block upper triangle.  The first step
+adopts its new diagonal blocks as the first chunks.  The current
+exponential, which no product reads, is instead the leading d x d block
+of one contiguous buffer with a few percent of spare capacity,
+reallocated when full, so an emitted stage is a read-only view of it that
+no later step writes.  Each step also hands back the new block column of
+the exponential; a reader that needs only some columns, as Hermite-series
+pricing does, keeps those and drives the engine without the buffer (see
+``_drive``).
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -58,12 +61,17 @@ from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
 from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
 
-# A new chunk has room for at least _CHUNK_MIN columns and for a
-# 1/_CHUNK_SHARE share of the dimension it starts at: wider chunks store
-# more of the zero lower triangle, narrower ones cost each product more
-# BLAS calls, and a cache of dimension d has O(log d) chunks.
-_CHUNK_MIN = 128
-_CHUNK_SHARE = 4
+# The width of a new chunk (see _ChunkedCache._opened_columns).  A block of
+# b >= 23 columns gets a chunk exactly its own width, so wide blocks leave
+# no idle capacity.  Narrow blocks are packed into chunks about
+# _CHUNK_WORK / b columns wide, so that each chunk's product with a block
+# column of width b still does about _CHUNK_WORK multiply-adds per row:
+# narrower chunks cost each product more BLAS calls, each with its fixed
+# overhead.  A chunk is at most _CHUNK_GROWTH times as wide as the
+# dimension it starts at, so a small cache stays small, and its chunks
+# grow geometrically to the packed width.
+_CHUNK_WORK = 512
+_CHUNK_GROWTH = 4
 
 # A full exponential buffer is reallocated to this multiple of the new
 # dimension, or to room for two more blocks of the size just added if that
@@ -128,8 +136,11 @@ class _ChunkedCache:
     chunk's start or, for the last chunk, ``dim``; it keeps only their rows
     [0, k1), in a zeroed array of starts[k] + cap rows and cap columns.  A
     block column goes into the last chunk while it fits; otherwise a new
-    chunk opens.  An empty cache adopts the first diagonal block as its
-    first chunk.  No chunk is written once a later one opens.
+    chunk opens: as wide as the block if that is 23 columns or more, else
+    about 512 / b columns wide for a block of size b, capped at 4 times
+    the dimension it starts at but never narrower than the block.  An
+    empty cache adopts the first diagonal block as its first chunk.  No
+    chunk is written once a later one opens.
     """
 
     def __init__(self):
@@ -145,7 +156,8 @@ class _ChunkedCache:
         return bool(self.chunks) and self.starts[-1] + self.chunks[-1].shape[1] >= self.dim + b
 
     def _opened_columns(self, b: int) -> int:
-        return max(b, _CHUNK_MIN, -(-self.dim // _CHUNK_SHARE))
+        """Columns of the chunk that a block column of size b opens."""
+        return max(b, min(-(-_CHUNK_WORK // b), _CHUNK_GROWTH * self.dim))
 
     def opened_bytes(self, b: int) -> int:
         """Bytes of the chunk that appending a block column of size b opens

@@ -327,6 +327,19 @@ def _chunked(a, sizes):
     return cache
 
 
+def _rule_starts(sizes):
+    """Chunk starts of a cache grown by blocks of ``sizes``: the first block
+    is adopted, and a block of b columns that does not fit opens a chunk
+    max(b, min(ceil(512 / b), 4 d)) wide at dimension d."""
+    starts, end, d = [0], sizes[0], sizes[0]
+    for b in sizes[1:]:
+        if d + b > end:
+            starts.append(d)
+            end = d + max(b, min(-(-512 // b), 4 * d))
+        d += b
+    return starts
+
+
 # The chunks are the column panels of the cache products.
 @pytest.mark.parametrize(
     "sizes, where",
@@ -346,16 +359,17 @@ def _chunked(a, sizes):
 def test_panel_product_matches_dense_product(sizes, where):
     rng = np.random.default_rng(151)
     if sizes is None:
-        # about 350 columns: the adopted first block and three opened chunks
+        # about 350 columns: the adopted first block and five opened chunks
         sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data
     d = a.shape[0]
     cache = _chunked(a, sizes)
     starts = cache.starts
-    # the first block is adopted whole; each opened chunk has at least 128
-    # columns
+    # the first block is adopted whole, and the chunks open where the rule
+    # says
     assert starts[0] == 0 and starts[1:2] in ([], [sizes[0]])
-    assert len(starts) == {(7,): 1, (3, 5, 2): 2}.get(sizes, 4)
+    assert starts == _rule_starts(sizes)
+    assert len(starts) == {(7,): 1, (3, 5, 2): 2}.get(sizes, 6)
     if where == "inside":
         # strictly inside the second chunk, or the only one
         k = min(1, len(starts) - 1)
@@ -375,10 +389,11 @@ def test_panel_product_skips_rows_known_zero():
     rng = np.random.default_rng(157)
     sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
-    # rows above r are zero right of c: r inside the second chunk, c inside
-    # the third
+    # rows above r are zero right of c: r inside the third chunk, c inside
+    # the fourth
     starts = _chunked(a, sizes).starts
-    c, r = starts[2] + 5, starts[1] + 5
+    r, c = (starts[2] + starts[3]) // 2, (starts[3] + starts[4]) // 2
+    assert starts[2] < r < starts[3] < c < starts[4]
     a[:r, c:] = 0.0
     cache = _chunked(a, sizes)
     x = rng.standard_normal((a.shape[0], 2))
@@ -391,7 +406,7 @@ def test_panel_product_skips_rows_known_zero():
 @pytest.mark.parametrize("where", ["inside", "boundary", "top"])
 def test_panel_product_reads_only_the_band(where):
     rng = np.random.default_rng(163)
-    # about 350 columns: the adopted first block and three opened chunks
+    # about 350 columns: the adopted first block and five opened chunks
     sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
     d, width = a.shape[0], 40
@@ -406,15 +421,18 @@ def test_panel_product_reads_only_the_band(where):
         lead = incremental._grow_lead(lead, a[:r0, r0:r1], a[r0:r1, r0:r1])
     assert lead.tolist() == np.maximum(np.arange(d) - width, 0).tolist() + [d]
     starts = cache.starts
-    assert len(starts) == 4
+    assert starts == _rule_starts(sizes) and len(starts) == 6
+    # c in, or at the edge of, the third chunk from the end: below the
+    # band's top, so that r > 0, with two chunks right of it
     if where == "inside":
-        c = (starts[2] + starts[3]) // 2
-        assert starts[2] < c < starts[3]
+        c = (starts[-3] + starts[-2]) // 2
+        assert starts[-3] < c < starts[-2]
     elif where == "boundary":
-        c = starts[2]
+        c = starts[-3]
     else:
         c = 0
     r = min(int(lead[c]), c)
+    assert (r > 0) == (c > 0)
     # the last chunk's window starts below r, so the windows trim
     assert lead[max(starts[-1], c)] > r
     x = rng.standard_normal((d, 3))
@@ -426,6 +444,35 @@ def test_panel_product_reads_only_the_band(where):
     got = cache.product(x, c, r, lead)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
+
+
+def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
+    # blocks of 2-4, as in the thin_blocks benchmark, are packed about
+    # 512 / b columns to a chunk, so each product makes few BLAS calls
+    sizes = tuple(int(b) for b in np.random.default_rng(7).integers(2, 5, 300))
+    cache = _chunked(np.zeros((sum(sizes),) * 2), sizes)
+    assert len(cache.chunks) <= 10
+    # a block of 23 columns or more opens a chunk of exactly its width, so
+    # no capacity is idle
+    sizes = tuple(int(b) for b in np.random.default_rng(11).integers(23, 62, 30))
+    cache = _chunked(np.zeros((sum(sizes),) * 2), sizes)
+    assert cache.starts == list(Partition(sizes).offsets[:-1])
+    assert [chunk.shape for chunk in cache.chunks] == [
+        (k0 + b, b) for k0, b in zip(cache.starts, sizes)]
+
+
+def test_pricing_caches_hold_little_beyond_the_block_triangle():
+    # price_adaptive's pass to degree 60 at s = 4: the s + 2 chunked caches
+    # store the block upper triangle of dimension 1891 with at most 10%
+    # idle capacity, and the zero-row profile
+    cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
+                                   max_degree=60, scale=0.25)
+    s = 4
+    *_, (_, report) = incremental._drive(cols, s, stages=False)
+    d = report.dim
+    assert d == 1891
+    triangle = 8 * d * (d + 1) // 2
+    assert report.cache_bytes <= 1.10 * (s + 2) * triangle + 8 * (d + 1)
 
 
 def test_zero_row_profile_of_generator():
@@ -466,13 +513,14 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     state = IncrementalExpState(cols[0].diag, s=2)
     before = state.exponential.data
     # The step holds the four adopted 3 x 3 chunks (288 bytes), four opened
-    # chunks of 131 x 128 doubles (536576), the new exponential buffer with
-    # room for two more blocks of 2, 9 x 9, beside the old 3 x 3 one
-    # (648 + 72) and a zero-row profile of 6 entries (48): 537632 bytes.
+    # chunks of 15 x 12 doubles (5760: a block of 2 at dimension 3 opens
+    # min(256, 4 * 3) columns), the new exponential buffer with room for two
+    # more blocks of 2, 9 x 9, beside the old 3 x 3 one (648 + 72) and a
+    # zero-row profile of 6 entries (48): 6816 bytes.
     held = 4 * 72 + 72 + 32
     assert state.cache_bytes == held
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537631)
-    with pytest.raises(MemoryError, match="dimension 5 .* 537632 bytes.*537631 bytes"):
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6815)
+    with pytest.raises(MemoryError, match="dimension 5 .* 6816 bytes.*6815 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
@@ -484,10 +532,12 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
         IncrementalExpState(np.eye(2), s=10**6)
     with pytest.raises(MemoryError):
         IncrementalExpState(np.eye(200), s=1000)
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 537632)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6816)
     state.step(cols[1])
     assert state.dim == 5
-    assert state.cache_bytes == 537632 - 72
+    assert state.cache_bytes == 6816 - 72
+    # a small state holds small caches
+    assert state.cache_bytes <= 8 * 1024
 
 
 def _held_bytes(obj) -> int:
@@ -632,7 +682,7 @@ def test_column_stream_assembles_the_stages_bit_for_bit():
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
     # the case of test_memory_guard_raises_and_leaves_state without the
     # exponential buffer: four adopted 3 x 3 chunks and a zero-row profile
-    # of 4 entries, then four opened 131 x 128 chunks and 6 entries
+    # of 4 entries, then four opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(cols[0].diag, s=2, _stages=False)
@@ -643,7 +693,7 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 4 * 72 + 4 * 131 * 128 * 8 + 48
+    need = 4 * 72 + 4 * 15 * 12 * 8 + 48
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"{need} bytes"):
         state.step(cols[1])
