@@ -62,8 +62,9 @@ class BlockColumn:
     """One new block column: the part above the diagonal and the new
     diagonal block.
 
-    ``top`` has shape (previous dimension, b) and ``diag`` shape (b, b).
-    Both are copied and frozen on construction.
+    ``top`` has shape (previous dimension, b) and ``diag`` shape (b, b),
+    with b >= 1 as in a :class:`Partition`.  Both are copied and frozen on
+    construction.
     """
 
     __slots__ = ("top", "diag")
@@ -71,8 +72,8 @@ class BlockColumn:
     def __init__(self, top, diag, check_finite: bool = True):
         top = as_matrix(top, check_finite=check_finite).copy()
         diag = as_matrix(diag, check_finite=check_finite).copy()
-        if diag.shape[0] != diag.shape[1]:
-            raise ValueError(f"diagonal block must be square, got {diag.shape}")
+        if diag.shape[0] != diag.shape[1] or diag.shape[0] == 0:
+            raise ValueError(f"diagonal block must be square and nonempty, got {diag.shape}")
         if top.shape[1] != diag.shape[0]:
             raise ValueError(
                 f"column width mismatch: top {top.shape}, diag {diag.shape}"

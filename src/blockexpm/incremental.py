@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
-from .dense import SingularMatrixError, as_matrix, lu_factor, lu_solve
+from .dense import SingularMatrixError, lu_factor, lu_solve
 from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
 
 # The width of a new chunk (see _ChunkedCache._opened_columns).  A block of
@@ -161,11 +161,10 @@ class _ChunkedCache:
 
     def opened_bytes(self, b: int) -> int:
         """Bytes of the chunk that appending a block column of size b opens
-        or adopts; 0 if the column fits the last chunk."""
+        or adopts (at dimension 0 the rule gives b columns, the adopted
+        diagonal block's); 0 if the column fits the last chunk."""
         if self._fits(b):
             return 0
-        if self.dim == 0:
-            return b * b * 8
         cap = self._opened_columns(b)
         return (self.dim + cap) * cap * 8
 
@@ -276,10 +275,11 @@ def _grow_lead(lead: np.ndarray, top: np.ndarray, diag: np.ndarray) -> np.ndarra
 class IncrementalExpState:
     """Cached scaling-and-squaring intermediates for one matrix sequence.
 
-    Construction is one :meth:`step` from an empty state, so the initial
-    matrix, a single partition block, gets the same pivot check as every
-    later block.  The state holds three caches, each block upper
-    triangular and grown by one block column per step:
+    A new state is empty, of dimension 0, and every block column enters
+    through :meth:`step`, the first included, so the first block gets the
+    same pivot and memory checks as every later one.  The state holds
+    three caches, each block upper triangular and grown by one block
+    column per step:
 
     * the scaled matrix 2^-s G;
     * Q^-1, the inverse of the Pade denominator q(2^-s G), which turns the
@@ -302,26 +302,16 @@ class IncrementalExpState:
     # The approximant every cache extends; tracing tools read its degree.
     pade = PADE_13
 
-    def __init__(self, g0, s: int, *, _stages: bool = True):
-        g0 = as_matrix(g0)
-        if g0.shape[0] != g0.shape[1] or g0.shape[0] == 0:
-            raise ValueError(f"initial matrix must be square and nonempty, got {g0.shape}")
+    def __init__(self, s: int, *, _stages: bool = True):
         self.s = as_scaling_power(s)
-        b = g0.shape[0]
-        # The first step checks this too; checking before the s chunk lists
-        # exist and BlockColumn copies g0 refuses a first block too large
-        # for memory at once.
-        _check_cache_bytes((self.s + 3 if _stages else self.s + 2) * b * b * 8, b, self.s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt = _ChunkedCache()
         self._qinv = _ChunkedCache()
         self._squares = [_ChunkedCache() for _ in range(self.s)]
-        # A state of _drive's column stream keeps no buffer, and holds each
-        # new block column of the exponential until the stream takes it.
+        # A state of _drive's column stream keeps no buffer: each new block
+        # column of the exponential leaves only as step's return.
         self._exp = np.empty((0, 0)) if _stages else None
-        self._column = None
-        self.step(BlockColumn(np.empty((0, b)), g0, check_finite=False))
 
     @property
     def dim(self) -> int:
@@ -376,6 +366,9 @@ class IncrementalExpState:
 
         Raises
         ------
+        ValueError
+            If the column's row count is not the current dimension: on an
+            empty state the first column has an empty top part.
         SingularMatrixError
             If the denominator polynomial of the new diagonal block is
             singular or numerically singular, which signals a norm far
@@ -418,8 +411,6 @@ class IncrementalExpState:
         z, dsq = new_square_cols[-1]
         if self._exp is not None:
             self._exp = _write_column(self._exp, d, z, dsq, capacity)
-        else:
-            self._column = z, dsq
         self.partition = self.partition.append(b)
         self.phase_seconds = {
             "power_seconds": t1 - t0,
@@ -550,7 +541,7 @@ def _drive(columns, fixed: int | None, stages: bool = True):
     norm = 0.0
     for n, col in enumerate(columns):
         col_norms = np.abs(col.top).sum(axis=0) + np.abs(col.diag).sum(axis=0)
-        norm = max(norm, float(col_norms.max()) if col_norms.size else 0.0)
+        norm = max(norm, float(col_norms.max()))
         need = scaling_power(norm)
         if fixed is not None and need > fixed:
             raise ValueError(
@@ -560,24 +551,26 @@ def _drive(columns, fixed: int | None, stages: bool = True):
             )
         restart = state is not None and need > state.s
         t0 = time.perf_counter()
-        if state is None:
-            if col.rows != 0:
-                raise ValueError(f"first block column must have no top part, got {col.rows} rows")
-            state = IncrementalExpState(col.diag, need if fixed is None else fixed,
-                                        _stages=stages)
-        elif restart:
+        step_col = col
+        if restart:
             g = extend_square(state.unscaled_matrix(), col.top, col.diag)
-            # Free the old caches before the merged pass builds its own.
+            # Free the old caches before the merged pass builds its own, and
+            # g once the column holds its copy.
             state = None
-            state = IncrementalExpState(g, need, _stages=stages)
-        else:
-            state.step(col)
+            step_col = BlockColumn(np.empty((0, g.shape[0])), g, check_finite=False)
+            del g
+        if state is None:
+            state = IncrementalExpState(need if fixed is None else fixed, _stages=stages)
+        stage = state.step(step_col)
         seconds = time.perf_counter() - t0
-        new_column, state._column = state._column, None
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
                             **state.phase_seconds)
-        yield (state.exponential if stages else new_column), report
+        if stages:
+            # Hold no copy of the new column beside the buffer while the
+            # stage is out.
+            stage = state.exponential
+        yield stage, report
 
 
 def run_fixed(columns, s: int):

@@ -49,6 +49,13 @@ _BASIS_SHIFT = 3
 _BASIS_RANGE = 300
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     """Coefficients in y of (1/sqrt(n!)) h_n((y - muw) / sigmaw).
 
@@ -56,10 +63,11 @@ def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     built with the normalized recurrence
     h~_{j+1}(x) = (x h~_j(x) - sqrt(j) h~_{j-1}(x)) / sqrt(j + 1), so no
     factorial is formed and they stay finite past degree 170.  Entry p of
-    the result multiplies y^p.
+    the result multiplies y^p.  ``muw`` and ``sigmaw`` must be finite.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_finite(muw=muw, sigmaw=sigmaw)
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
     # x = (y - muw) / sigmaw; multiply-by-x maps coefficient vectors via a
@@ -123,11 +131,13 @@ def fourier_coefficient(
     for n >= 1.  The weighted values h~_m(k) e^(sigmaw k) N(k) start from
     one exponential, so a strike far out of the money gives exact zeros.
 
-    Raises ``ValueError`` if the coefficient leaves the float range, as it
-    does for a wide weight: f_0 grows like e^(sigmaw^2 / 2).
+    Raises ``ValueError`` naming a float argument that is not finite, and
+    if the coefficient leaves the float range, as it does for a wide
+    weight: f_0 grows like e^(sigmaw^2 / 2).
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    _check_finite(logstrike=logstrike, muw=muw, sigmaw=sigmaw, r=r, tau=tau)
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
     try:
@@ -254,9 +264,8 @@ class PricingConfig:
     scaling: int | None = None
 
     def __post_init__(self):
-        for name in ("y0", "v0", "tau", "logstrike", "muw", "sigmaw", "eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(**{name: getattr(self, name) for name in
+                         ("y0", "v0", "tau", "logstrike", "muw", "sigmaw", "eps")})
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.sigmaw <= 0:

@@ -116,8 +116,8 @@ def test_emitted_exponentials_are_stable_snapshots():
 def test_unscaled_matrix_roundtrip_is_exact():
     rng = np.random.default_rng(113)
     cols = random_columns(rng, (3, 2, 2), scale=7.0)
-    state = IncrementalExpState(cols[0].diag, s=6)
-    for col in cols[1:]:
+    state = IncrementalExpState(6)
+    for col in cols:
         state.step(col)
     assert np.array_equal(state.unscaled_matrix(), matrix_from_columns(cols).data)
 
@@ -133,15 +133,16 @@ def test_singular_denominator_block_raises_and_leaves_state():
     assert lu_factor(sum(c * p for c, p in zip(beta, powers))).ill_conditioned
     # the first block is checked like every later one
     with pytest.raises(SingularMatrixError):
-        IncrementalExpState(diag, s=0)
+        IncrementalExpState(0).step(BlockColumn(np.zeros((0, 2)), diag))
     # the driver refuses the block before stepping it: its norm needs s = 2
     with pytest.raises(ValueError, match="fixed scaling power s = 0 is too small"):
         list(run_fixed([BlockColumn(np.zeros((0, 2)), diag)], s=0))
 
     rng = np.random.default_rng(149)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(cols[0].diag, s=0)
-    state.step(cols[1])
+    state = IncrementalExpState(0)
+    for col in cols:
+        state.step(col)
     before = state.exponential.data
     partition = state.partition
     with pytest.raises(SingularMatrixError):
@@ -205,11 +206,11 @@ def test_non_integer_scaling_is_refused():
         with pytest.raises(ValueError, match="nonnegative integer"):
             run_fixed(cols, s=s)
         with pytest.raises(ValueError, match="nonnegative integer"):
-            IncrementalExpState(np.eye(2), s)
+            IncrementalExpState(s)
     # Python and numpy integers stay accepted
     for s in (2, np.int64(2)):
         assert [report.s for _, report in run_fixed(cols, s=s)] == [2, 2]
-    assert IncrementalExpState(np.eye(2), np.int32(1)).s == 1
+    assert IncrementalExpState(np.int32(1)).s == 1
 
 
 def test_scaling_power_above_1022_is_refused_before_any_cache(monkeypatch):
@@ -222,8 +223,10 @@ def test_scaling_power_above_1022_is_refused_before_any_cache(monkeypatch):
         with pytest.raises(ValueError, match="scaling power 1023 is above 1022"):
             run_fixed(cols, s=1023)
         with pytest.raises(ValueError, match="scaling power 1023 is above 1022"):
-            IncrementalExpState(np.eye(1), 1023)
-    assert IncrementalExpState(np.eye(1), 1022).s == 1022
+            IncrementalExpState(1023)
+    state = IncrementalExpState(1022)
+    state.step(BlockColumn(np.zeros((0, 1)), np.eye(1)))
+    assert state.s == 1022
     assert next(run_fixed(cols, s=np.int64(1022)))[1].s == 1022
 
 
@@ -304,16 +307,60 @@ def test_adaptive_without_growth_never_restarts():
 
 def test_input_validation():
     rng = np.random.default_rng(139)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 rows, current dimension is 0"):
         # first column must not have a top part
         list(run_fixed([BlockColumn(np.ones((2, 1)), [[1.0]])], s=0))
     cols = random_columns(rng, (2,)) + [BlockColumn(np.ones((5, 1)), [[1.0]])]
     with pytest.raises(ValueError):
         list(run_fixed(cols, s=0))
+    # a first block must be square and nonempty, like every later one
+    for diag in (np.zeros((0, 0)), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            BlockColumn(np.zeros((0, diag.shape[1])), diag)
     with pytest.raises(ValueError):
-        IncrementalExpState(np.zeros((0, 0)), s=0)
-    with pytest.raises(ValueError):
-        IncrementalExpState(np.eye(2), s=-1)
+        IncrementalExpState(-1)
+
+
+def test_empty_diagonal_block_is_refused_as_a_value():
+    # a 0 x 0 diagonal block is no partition block: it is refused where the
+    # column is built, so a stream that yields one stops with ValueError,
+    # not an IndexError from inside a step, and the state stays as it was
+    def stream():
+        yield BlockColumn(np.zeros((0, 2)), np.eye(2))
+        yield BlockColumn(np.zeros((2, 0)), np.zeros((0, 0)))
+
+    for runner in (run_fixed(stream(), s=0), run_adaptive(stream())):
+        first, _ = next(runner)
+        assert first.dim == 2
+        with pytest.raises(ValueError, match="square and nonempty"):
+            next(runner)
+    state = IncrementalExpState(0)
+    state.step(BlockColumn(np.zeros((0, 2)), np.eye(2)))
+    before = state.exponential.data
+    with pytest.raises(ValueError, match="square and nonempty"):
+        state.step(BlockColumn(np.zeros((2, 0)), np.zeros((0, 0))))
+    assert state.dim == 2 and np.array_equal(state.exponential.data, before)
+
+
+def test_every_report_carries_its_own_column_block_size():
+    # a restart steps the whole merged matrix as one block, but its report
+    # gives the size of the column that triggered it, as every report does
+    rng = np.random.default_rng(197)
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 30)), scale=0.1)
+    for n in (12, 21):
+        cols[n] = BlockColumn(30.0 * cols[n].top, 30.0 * cols[n].diag)
+    want = [col.block_size for col in cols]
+    runs = {
+        "fixed": run_fixed(cols, s=12),
+        "adaptive": run_adaptive(cols),
+        "stream": incremental._drive(cols, None, stages=False),
+    }
+    for name, runner in runs.items():
+        reports = [report for _, report in runner]
+        assert [r.block_size for r in reports] == want, name
+        assert [r.dim for r in reports] == list(np.cumsum(want)), name
+        if name != "fixed":
+            assert [n for n, r in enumerate(reports) if r.restart] == [12, 21], name
 
 
 def _chunked(a, sizes):
@@ -477,8 +524,8 @@ def test_pricing_caches_hold_little_beyond_the_block_triangle():
 
 def test_zero_row_profile_of_generator():
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=9, scale=0.25))
-    state = IncrementalExpState(cols[0].diag, s=3)
-    for col in cols[1:]:
+    state = IncrementalExpState(3)
+    for col in cols:
         state.step(col)
     gt = state.unscaled_matrix()  # the zero pattern of the scaled cache
     d = gt.shape[0]
@@ -496,7 +543,8 @@ def test_exponential_buffer_is_reallocated_every_other_step_or_less():
     # at most every other step copies it
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
-    state = IncrementalExpState(next(cols).diag, s=3)
+    state = IncrementalExpState(3)
+    state.step(next(cols))
     buffers = [state._exp]
     for col in cols:
         state.step(col)
@@ -510,7 +558,8 @@ def test_exponential_buffer_is_reallocated_every_other_step_or_less():
 def test_memory_guard_raises_and_leaves_state(monkeypatch):
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(cols[0].diag, s=2)
+    state = IncrementalExpState(2)
+    state.step(cols[0])
     before = state.exponential.data
     # The step holds the four adopted 3 x 3 chunks (288 bytes), four opened
     # chunks of 15 x 12 doubles (5760: a block of 2 at dimension 3 opens
@@ -526,12 +575,15 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     assert state.partition.sizes == (3,)
     assert state.cache_bytes == held
     assert np.array_equal(state.exponential.data, before)
-    # an s no finite matrix needs is refused as a value; the pre-check
-    # refuses an admissible s whose caches memory cannot hold
+    # an s no finite matrix needs is refused as a value; the first step's
+    # guard refuses an admissible s whose caches memory cannot hold, and
+    # leaves the new state empty
     with pytest.raises(ValueError, match="above 1022"):
-        IncrementalExpState(np.eye(2), s=10**6)
-    with pytest.raises(MemoryError):
-        IncrementalExpState(np.eye(200), s=1000)
+        IncrementalExpState(10**6)
+    big = IncrementalExpState(1000)
+    with pytest.raises(MemoryError, match="dimension 200 at scaling power 1000"):
+        big.step(BlockColumn(np.zeros((0, 200)), np.eye(200)))
+    assert big.dim == 0 and big.cache_bytes == 8
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6816)
     state.step(cols[1])
     assert state.dim == 5
@@ -685,11 +737,12 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     # of 4 entries, then four opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(cols[0].diag, s=2, _stages=False)
-    staged = IncrementalExpState(cols[0].diag, s=2)
-    assert state._column[0].shape == (0, 3)
-    assert np.array_equal(state._column[1], staged.exponential.data)
-    state._column = None
+    state = IncrementalExpState(2, _stages=False)
+    staged = IncrementalExpState(2)
+    top, diag = state.step(cols[0])
+    staged.step(cols[0])
+    assert top.shape == (0, 3)
+    assert np.array_equal(diag, staged.exponential.data)
     assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
@@ -699,8 +752,6 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
         state.step(cols[1])
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need)
     top, diag = state.step(cols[1])
-    assert state._column[0] is top and state._column[1] is diag
-    state._column = None
     assert state.cache_bytes == _held_bytes(state) == need
     monkeypatch.undo()
     staged.step(cols[1])

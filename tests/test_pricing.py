@@ -255,6 +255,20 @@ def test_fourier_validation():
         fourier_coefficient(5, 0.1, 0.0, 37.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_payoff_and_hermite_inputs_are_named(bad):
+    # a non-finite input is refused by name, not read as NaN or zero
+    # coefficients, nor blamed on the weight as an overflow
+    for name in ("muw", "sigmaw"):
+        args = {"muw": 0.0, "sigmaw": 0.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            hermite_y_coefficients(3, **args)
+    for name in ("logstrike", "muw", "sigmaw", "r", "tau"):
+        args = {"logstrike": 0.0, "muw": 0.0, "sigmaw": 0.5, "r": 0.0, "tau": 0.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fourier_coefficient(3, **args)
+
+
 # -- conditional moments -----------------------------------------------------
 
 
@@ -738,7 +752,11 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     res = price_call(bench_config(eps=0.0, n_max=25))
     assert [r.cache_bytes for r in res.rows] == held
     assert len({id(state) for state in states}) == 1
-    assert states[0]._exp is None and states[0]._column is None
+    # no exponential buffer, and no array beside the caches: each new
+    # block column of the exponential leaves the state as step's return
+    assert states[0]._exp is None
+    assert [k for k, v in vars(states[0]).items() if isinstance(v, (np.ndarray, tuple))] == [
+        "_lead"]
     assert all(r.moment_seconds >= 0 for r in res.rows)
 
 

@@ -13,7 +13,8 @@ the products round to and moves both hashes, as it moves ``cache_bytes``.
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
 then every stage of ``run_adaptive`` on a 7-block sequence whose norms
 grow by 4 per column (six restarts): per stage the exponential's bytes,
-then repr((step, dim, s, restart, cache_bytes)) of its report.
+then repr((step, dim, block_size, s, restart, cache_bytes)) of its
+report.
 
 ``price`` hashes five ``price_call`` ledgers at the configuration of the
 price_adaptive benchmark workload: per row repr((n, l_n, f_n, term,
@@ -49,7 +50,8 @@ def _engine_hash() -> str:
                    run_adaptive(growing)):
         for f, rep in runner:
             h.update(f.data.tobytes())
-            h.update(repr((rep.step, rep.dim, rep.s, rep.restart, rep.cache_bytes)).encode())
+            h.update(repr((rep.step, rep.dim, rep.block_size, rep.s, rep.restart,
+                           rep.cache_bytes)).encode())
     return h.hexdigest()
 
 
