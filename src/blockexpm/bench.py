@@ -191,12 +191,20 @@ def parse_method(name: str) -> MethodSpec:
     raise ValueError(f"unrecognized method {name!r}")
 
 
-def _method_stage_results(matrix, method: MethodSpec, refs):
+def _method_stage_results(matrix, method: MethodSpec, check: bool):
     """Run one method once; per stage yield (dim, seconds, restart, rel_err).
 
-    ``refs`` is either None or a list of baseline exponentials to compare
-    against; comparisons happen outside the timed section.
+    With ``check`` each stage is compared against a from-scratch baseline
+    of its leading block, computed outside the timed section where the
+    stage is compared and dropped after, so one reference is held at a
+    time.
     """
+
+    def err(f, dim):
+        if not check:
+            return None
+        return _floored_err(f, expm_baseline(matrix.data[:dim, :dim].copy()))
+
     out = []
     if method.kind == "naive":
         off = matrix.partition.offsets
@@ -206,8 +214,7 @@ def _method_stage_results(matrix, method: MethodSpec, refs):
             t0 = time.perf_counter()
             f = expm_baseline(gl)
             seconds = time.perf_counter() - t0
-            err = _floored_err(f, refs[l]) if refs is not None else None
-            out.append((dl, seconds, False, err))
+            out.append((dl, seconds, False, err(f, dl)))
         return out
     columns = matrix.block_columns()
     if method.kind == "fixed":
@@ -215,8 +222,7 @@ def _method_stage_results(matrix, method: MethodSpec, refs):
     else:
         runner = run_adaptive(columns)
     for f, report in runner:
-        err = _floored_err(f.data, refs[report.step]) if refs is not None else None
-        out.append((report.dim, report.seconds, report.restart, err))
+        out.append((report.dim, report.seconds, report.restart, err(f.data, report.dim)))
     return out
 
 
@@ -240,8 +246,10 @@ def run_benchmark(
     methods : iterable of str or MethodSpec
         Method names as accepted by :func:`parse_method`.
     check : bool
-        Also compute each stage's relative Frobenius error against a
-        from-scratch baseline (computed once, outside timed sections).
+        Also compute each stage's relative Frobenius error, in the first
+        run of each method, against a from-scratch baseline computed
+        outside the timed sections.  Each reference is computed where its
+        stage is compared, once per method, so at most one is held.
     repeats : int
         Per-stage seconds are medians over this many full runs.
 
@@ -253,16 +261,9 @@ def run_benchmark(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     specs = [m if isinstance(m, MethodSpec) else parse_method(m) for m in methods]
-    refs = None
-    if check:
-        off = matrix.partition.offsets
-        refs = [
-            expm_baseline(matrix.data[: off[l + 1], : off[l + 1]].copy())
-            for l in range(matrix.nblocks)
-        ]
     records: list[BenchRecord] = []
     for spec in specs:
-        runs = [_method_stage_results(matrix, spec, refs if r == 0 else None)
+        runs = [_method_stage_results(matrix, spec, check and r == 0)
                 for r in range(repeats)]
         cum = 0.0
         for l in range(matrix.nblocks):

@@ -320,21 +320,28 @@ def norm_bound(spec: PolynomialOperatorSpec, n: int) -> float:
 
 
 # -- stochastic volatility models ------------------------------------------
+#
+# Heston is the Jacobi model's limit vmin -> 0, vmax -> inf (Ackerer,
+# Filipovic & Pulido, "The Jacobi stochastic volatility model", 2018): Q(v)
+# tends to v and the bound's alpha to sigma / 2.  Both models share one
+# validation, one spec builder taking Q and one closed-form norm bound.
 
 
-def _check_finite(params) -> None:
-    for f in fields(params):
-        if not math.isfinite(getattr(params, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {getattr(params, f.name)!r}")
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    """Jacobi stochastic volatility model parameters.
+class _VolatilityParams:
+    """Fields shared by the stochastic volatility models and their checks.
 
-    The variance process lives in [vmin, vmax]; kappa and theta are the
-    mean-reversion speed and level, sigma the vol-of-vol, r the interest
-    rate, rho the spot-vol correlation.
+    kappa and theta are the mean-reversion speed and level of the
+    variance, sigma the vol-of-vol, r the interest rate, rho the spot-vol
+    correlation.  The variance lives in the range [vmin, vmax] that each
+    model's ``_variance_range`` gives.
     """
 
     kappa: float
@@ -342,19 +349,17 @@ class JacobiParams:
     sigma: float
     r: float
     rho: float
-    vmin: float
-    vmax: float
 
     def __post_init__(self):
-        _check_finite(self)
-        if not 0 <= self.vmin < self.vmax:
-            raise ValueError(f"need 0 <= vmin < vmax, got [{self.vmin}, {self.vmax}]")
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        vmin, vmax = self._variance_range()
+        if not 0 <= vmin < vmax:
+            raise ValueError(f"need 0 <= vmin < vmax, got [{vmin}, {vmax}]")
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if not self.vmin <= self.theta <= self.vmax:
+        if not vmin <= self.theta <= vmax:
             raise ValueError(
-                f"theta must lie in [vmin, vmax] = [{self.vmin}, {self.vmax}], "
-                f"got {self.theta}"
+                f"theta must lie in [vmin, vmax] = [{vmin}, {vmax}], got {self.theta}"
             )
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
@@ -365,27 +370,23 @@ class JacobiParams:
 
 
 @dataclass(frozen=True)
-class HestonParams:
+class JacobiParams(_VolatilityParams):
+    """Jacobi stochastic volatility model parameters: the variance
+    process lives in [vmin, vmax]."""
+
+    vmin: float
+    vmax: float
+
+    def _variance_range(self) -> tuple[float, float]:
+        return self.vmin, self.vmax
+
+
+@dataclass(frozen=True)
+class HestonParams(_VolatilityParams):
     """Heston model parameters; the variance process lives on [0, inf)."""
 
-    kappa: float
-    theta: float
-    sigma: float
-    r: float
-    rho: float
-
-    def __post_init__(self):
-        _check_finite(self)
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.theta < 0:
-            raise ValueError(f"theta must be nonnegative, got {self.theta}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-        if not -1 <= self.rho <= 1:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+    def _variance_range(self) -> tuple[float, float]:
+        return 0.0, math.inf
 
 
 def _drift(r: float, kappa: float, theta: float) -> tuple[Polynomial, Polynomial]:
@@ -396,35 +397,49 @@ def _drift(r: float, kappa: float, theta: float) -> tuple[Polynomial, Polynomial
     return by, bv
 
 
+def _volatility_spec(p: _VolatilityParams, q: dict[MultiIndex, float]) -> PolynomialOperatorSpec:
+    """Generator of the model with squared diffusion
+    [[v, rho sigma Q(v)], [rho sigma Q(v), sigma^2 Q(v)]], where ``q``
+    holds the coefficients of Q."""
+    a11 = Polynomial(2, {(0, 1): 1.0})
+    a12 = Polynomial(2, {k: c * (p.rho * p.sigma) for k, c in q.items()})
+    a22 = Polynomial(2, {k: c * p.sigma**2 for k, c in q.items()})
+    return PolynomialOperatorSpec(
+        dim=2, a=((a11, a12), (a12, a22)), b=_drift(p.r, p.kappa, p.theta)
+    )
+
+
+def _jacobi_scale(p: JacobiParams) -> float:
+    """S = (sqrt(vmax) - sqrt(vmin))^2, the denominator of Jacobi's Q."""
+    return (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
+
+
 def jacobi_spec(params: JacobiParams) -> PolynomialOperatorSpec:
     """Generator of the Jacobi model as a polynomial operator.
 
     The squared diffusion uses Q(v) = (v - vmin)(vmax - v) / S with
     S = (sqrt(vmax) - sqrt(vmin))^2.
     """
-    p = params
-    s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
-    qv = {
+    p, s_den = params, _jacobi_scale(params)
+    return _volatility_spec(p, {
         (0, 2): -1.0 / s_den,
         (0, 1): (p.vmax + p.vmin) / s_den,
         (0, 0): -p.vmax * p.vmin / s_den,
-    }
-    a11 = Polynomial(2, {(0, 1): 1.0})
-    a12 = Polynomial(2, {k: c * (p.rho * p.sigma) for k, c in qv.items()})
-    a22 = Polynomial(2, {k: c * p.sigma**2 for k, c in qv.items()})
-    return PolynomialOperatorSpec(
-        dim=2, a=((a11, a12), (a12, a22)), b=_drift(p.r, p.kappa, p.theta)
-    )
+    })
 
 
 def heston_spec(params: HestonParams) -> PolynomialOperatorSpec:
-    """Generator of the Heston model as a polynomial operator."""
-    p = params
-    a11 = Polynomial(2, {(0, 1): 1.0})
-    a12 = Polynomial(2, {(0, 1): p.rho * p.sigma})
-    a22 = Polynomial(2, {(0, 1): p.sigma**2})
-    return PolynomialOperatorSpec(
-        dim=2, a=((a11, a12), (a12, a22)), b=_drift(p.r, p.kappa, p.theta)
+    """Generator of the Heston model as a polynomial operator: Q(v) = v."""
+    return _volatility_spec(params, {(0, 1): 1.0})
+
+
+def _volatility_norm_bound(p: _VolatilityParams, alpha: float, n: int) -> float:
+    """The closed-form bound n (r + kappa + kappa theta - sigma alpha)
+    + n^2 / 2 (1 + |rho| alpha + 2 sigma alpha) on the 1-norm of the
+    degree-n generator matrix, where alpha is sigma / 2 times the sum of
+    the absolute coefficients of Q."""
+    return n * (p.r + p.kappa + p.kappa * p.theta - p.sigma * alpha) + 0.5 * n**2 * (
+        1 + abs(p.rho) * alpha + 2 * p.sigma * alpha
     )
 
 
@@ -437,16 +452,11 @@ def jacobi_norm_bound(params: JacobiParams, n: int) -> float:
     criterion 9's parameters).
     """
     p = params
-    s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
-    alpha = p.sigma * (1 + p.vmin * p.vmax + p.vmax + p.vmin) / (2 * s_den)
-    return n * (p.r + p.kappa + p.kappa * p.theta - p.sigma * alpha) + 0.5 * n**2 * (
-        1 + abs(p.rho) * alpha + 2 * p.sigma * alpha
-    )
+    alpha = p.sigma * (1 + p.vmin * p.vmax + p.vmax + p.vmin) / (2 * _jacobi_scale(p))
+    return _volatility_norm_bound(p, alpha, n)
 
 
 def heston_norm_bound(params: HestonParams, n: int) -> float:
-    """Upper bound on the 1-norm of the degree-n Heston generator matrix."""
-    p = params
-    return n * (p.r + p.kappa + p.kappa * p.theta - p.sigma**2 / 2) + 0.5 * n**2 * (
-        1 + abs(p.rho) * p.sigma / 2 + p.sigma**2
-    )
+    """Upper bound on the 1-norm of the degree-n Heston generator matrix:
+    the Jacobi bound's limit, alpha = sigma / 2."""
+    return _volatility_norm_bound(params, params.sigma / 2, n)

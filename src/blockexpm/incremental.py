@@ -185,35 +185,29 @@ class _ChunkedCache:
             chunk[d:e, d - k0 : e - k0] = diag
         self.dim = e
 
-    def product(self, x: np.ndarray, c: int = 0, r: int = 0,
+    def product(self, x: np.ndarray, c: int = 0,
                 lead: np.ndarray | None = None) -> np.ndarray:
         """``a @ x`` for the cache a, reading no stored zero below the chunks.
 
         The rows of ``x`` above ``c`` are zero, so only the chunks right of
-        c contribute, and the caller knows that the rows of the product
-        above ``r`` are zero.  The last chunk writes the product and each
-        earlier one adds to its leading rows.
+        c contribute.  The last chunk writes the product and each earlier
+        one adds to its leading rows.
 
         ``lead``, the zero-row profile of a (see :func:`_grow_lead`),
         windows each chunk further: the columns [j0, k1) that a chunk
         contributes are zero above row lead[j0], so it reads only the rows
-        from max(r, lead[j0]), and the last chunk writes zeros above its
-        window.  The profile never decreases, so when the last chunk's
-        window starts at r every chunk's does, and the profile is not read
-        again.
+        from lead[j0], and the last chunk writes zeros above its window.
         """
         d = self.dim
         if c >= d:
             return np.zeros((d, x.shape[1]))
-        if lead is not None and lead[max(self.starts[-1], c)] <= r:
-            lead = None
         out = np.empty((d, x.shape[1]))
         k1 = d
         for k0, chunk in zip(reversed(self.starts), reversed(self.chunks)):
             if k1 <= c:
                 break
             j0 = max(k0, c)
-            i0 = r if lead is None else max(r, int(lead[j0]))
+            i0 = 0 if lead is None else int(lead[j0])
             part = chunk[i0:k1, j0 - k0 : k1 - k0]
             if k1 == d:
                 out[:i0] = 0.0
@@ -437,13 +431,13 @@ class IncrementalExpState:
         the baseline sums its powers in.
 
         If the rows of X_{l-1} above c are zero, so are those of X_l above
-        r = min(lead[c], c), and the product reads only Gprev[r:, c:];
-        within that window each column chunk of Gprev starts at the
-        profile's row for its first column read, so a banded Gprev costs
-        only its band.  The term g D^(l-1) is formed only on the rows from
-        g's first nonzero row, and both sums are accumulated only on the
-        rows from r.  The last such row bound is returned with the
-        columns: the rows of both top parts above it are zero.
+        r = min(lead[c], c): the product reads each column chunk of Gprev
+        right of c only from the profile's row for its first column read,
+        at or below row r, so a banded Gprev costs only its band.  The
+        term g D^(l-1) is formed only on the rows from g's first nonzero
+        row, and both sums are accumulated only on the rows from r.  The
+        last such row bound is returned with the columns: the rows of both
+        top parts above it are zero.
         """
         m = self.pade.degree
         alpha, beta = self.pade.alpha, self.pade.beta
@@ -463,10 +457,9 @@ class IncrementalExpState:
         p_diag = alpha[0] * eye + alpha[1] * d_prev
         q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
-            r = min(int(self._lead[c]), c)
-            x = self._gt.product(x, c, r, self._lead)
+            x = self._gt.product(x, c, self._lead)
             x[g0:] += gt_col[g0:] @ d_prev
-            c = r
+            c = min(int(self._lead[c]), c)
             d_prev = d_prev @ dt
             p_top[c:] += alpha[l] * x[c:]
             q_top[c:] += beta[l] * x[c:]

@@ -113,18 +113,31 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
     a : array_like
         Square matrix with finite entries.
     s : int, optional
-        Force this scaling power instead of selecting one from the norm
-        and THETA_13.
+        Force this scaling power, at least the one selected from the norm
+        and THETA_13, instead of selecting it.
 
     Returns
     -------
     numpy.ndarray
         Approximation of exp(a).
+
+    Raises
+    ------
+    ValueError
+        For an s below the one the norm needs, where the approximant loses
+        accuracy, naming both.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expm needs a square matrix, got {a.shape}")
-    s = scaling_power(one_norm(a)) if s is None else as_scaling_power(s)
+    norm = one_norm(a)
+    need = scaling_power(norm)
+    s = need if s is None else as_scaling_power(s)
+    if s < need:
+        raise ValueError(
+            f"the 1-norm {norm!r} is above THETA_13 * 2^{s} = {THETA_13 * 2.0**s!r}:"
+            f" scaling power s = {s} is too small, the matrix needs s >= {need}"
+        )
     scaled = a * 2.0 ** (-s)
     alpha, beta = PADE_13.alpha, PADE_13.beta
     power = np.eye(a.shape[0])

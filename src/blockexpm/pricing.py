@@ -27,6 +27,7 @@ import numpy as np
 from .blocks import BlockTriangularMatrix
 from .generators import (
     JacobiParams,
+    _check_finite,
     basis_index,
     basis_size,
     basis_values,
@@ -47,13 +48,6 @@ _PRICE_FLOOR = 1e-300
 # and a^n_max >= 2^-_BASIS_RANGE, far above the subnormal range (2^-1022).
 _BASIS_SHIFT = 3
 _BASIS_RANGE = 300
-
-
-def _check_finite(**values: float) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:

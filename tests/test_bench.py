@@ -1,8 +1,10 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
 
+from blockexpm import bench
 from blockexpm.bench import (
     BenchRecord,
     MethodSpec,
@@ -120,6 +122,28 @@ def test_run_benchmark_checked():
     assert all(r.rel_err == EPS for r in by_method["naive"])
     # only the adaptive method may ever restart
     assert not any(r.restart for r in by_method["naive"] + by_method["fixed:6"])
+
+
+def test_run_benchmark_check_holds_one_reference_at_a_time(monkeypatch):
+    # each stage's reference is computed where the stage is compared and
+    # dropped after it, so no earlier reference is alive when the next one
+    # is computed: the check holds one, not one per stage
+    m = generate_instance(tiny_spec())
+    made, live_at_call = [], []
+    baseline = bench.expm_baseline
+
+    def tracked(a, s=None):
+        live_at_call.append(sum(ref() is not None for ref in made))
+        f = baseline(a, s)
+        made.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(bench, "expm_baseline", tracked)
+    records = run_benchmark(m, ["fixed:6", "adaptive"], check=True, repeats=2)
+    # one reference per method and stage, in the first run only
+    assert len(made) == 2 * m.nblocks
+    assert live_at_call == [0] * len(made)
+    assert all(EPS <= r.rel_err <= 1e-10 for r in records)
 
 
 def test_run_benchmark_unchecked_and_errors():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -438,6 +439,72 @@ def test_heston_params_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 HestonParams(**dict(good, **{name: value}))
+
+
+def test_heston_params_keep_five_fields_on_a_fixed_variance_range():
+    # Heston is the Jacobi model's vmin -> 0, vmax -> inf limit: its
+    # variance range [0, inf) is fixed, not a field, and theta is checked
+    # against it by the same validation as Jacobi's
+    assert [f.name for f in dataclasses.fields(HestonParams)] == [
+        "kappa", "theta", "sigma", "r", "rho"]
+    assert [f.name for f in dataclasses.fields(JacobiParams)] == [
+        "kappa", "theta", "sigma", "r", "rho", "vmin", "vmax"]
+    p = HestonParams(kappa=0.5, theta=0.0, sigma=0.15, r=0.0, rho=-0.5)
+    assert p == HestonParams(0.5, 0.0, 0.15, 0.0, -0.5)
+    # a Jacobi-only reader fails loudly on Heston parameters
+    assert not hasattr(p, "vmin")
+    with pytest.raises(ValueError, match=r"theta must lie in \[vmin, vmax\] = \[0.0, inf\]"):
+        HestonParams(kappa=0.5, theta=-0.1, sigma=0.15, r=0.0, rho=-0.5)
+    with pytest.raises(TypeError):
+        HestonParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.0)
+
+
+def _written_out_spec(p, qv):
+    """The model's operator with its coefficients written out: drift
+    (r - v/2, kappa (theta - v)) and squared diffusion
+    [[v, rho sigma Q], [rho sigma Q, sigma^2 Q]] for Q given by ``qv``."""
+    a11 = Polynomial(2, {(0, 1): 1.0})
+    a12 = Polynomial(2, {k: c * (p.rho * p.sigma) for k, c in qv.items()})
+    a22 = Polynomial(2, {k: c * p.sigma**2 for k, c in qv.items()})
+    by = Polynomial(2, {(0, 0): p.r, (0, 1): -0.5})
+    bv = Polynomial(2, {(0, 0): p.kappa * p.theta, (0, 1): -p.kappa})
+    return PolynomialOperatorSpec(dim=2, a=((a11, a12), (a12, a22)), b=(by, bv))
+
+
+def test_model_specs_equal_their_written_out_coefficients():
+    rng = np.random.default_rng(2717)
+    for _ in range(200):
+        p = random_jacobi(rng)
+        s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
+        qv = {
+            (0, 2): -1.0 / s_den,
+            (0, 1): (p.vmax + p.vmin) / s_den,
+            (0, 0): -p.vmax * p.vmin / s_den,
+        }
+        assert jacobi_spec(p) == _written_out_spec(p, qv)
+        h = random_heston(rng)
+        assert heston_spec(h) == _written_out_spec(h, {(0, 1): 1.0})
+
+
+def test_closed_form_bounds_match_their_written_out_formulas():
+    # the Jacobi bound is bit for bit the written-out formula; the Heston
+    # bound is its alpha = sigma / 2 limit, which forms sigma^2 as
+    # sigma * sigma where the formula below calls pow: over 100,000
+    # (draw, degree) pairs that moved 26 bounds, 4 of them by 2 ulps
+    rng = np.random.default_rng(2716)
+    for _ in range(500):
+        p = random_jacobi(rng)
+        s_den = (math.sqrt(p.vmax) - math.sqrt(p.vmin)) ** 2
+        alpha = p.sigma * (1 + p.vmin * p.vmax + p.vmax + p.vmin) / (2 * s_den)
+        h = random_heston(rng)
+        for n in (0, 1, 2, 7, 30, 100):
+            assert jacobi_norm_bound(p, n) == n * (
+                p.r + p.kappa + p.kappa * p.theta - p.sigma * alpha
+            ) + 0.5 * n**2 * (1 + abs(p.rho) * alpha + 2 * p.sigma * alpha)
+            want = n * (h.r + h.kappa + h.kappa * h.theta - h.sigma**2 / 2) + 0.5 * n**2 * (
+                1 + abs(h.rho) * h.sigma / 2 + h.sigma**2
+            )
+            assert abs(heston_norm_bound(h, n) - want) <= 2 * math.ulp(want)
 
 
 def test_norm_bound_pinned_value():

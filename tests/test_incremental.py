@@ -432,6 +432,15 @@ def test_panel_product_matches_dense_product(sizes, where):
     assert rel_error_fro(cache.product(x, c), a @ x) <= 1e-14
 
 
+def _profile(a, sizes):
+    """The zero-row profile of a, grown block column by block column."""
+    off = Partition(sizes).offsets
+    lead = np.zeros(1, dtype=np.intp)
+    for r0, r1 in zip(off, off[1:]):
+        lead = incremental._grow_lead(lead, a[:r0, r0:r1], a[r0:r1, r0:r1])
+    return lead
+
+
 def test_panel_product_skips_rows_known_zero():
     rng = np.random.default_rng(157)
     sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
@@ -443,9 +452,11 @@ def test_panel_product_skips_rows_known_zero():
     assert starts[2] < r < starts[3] < c < starts[4]
     a[:r, c:] = 0.0
     cache = _chunked(a, sizes)
+    lead = _profile(a, sizes)
+    assert lead[c] >= r
     x = rng.standard_normal((a.shape[0], 2))
     x[:c] = 0.0
-    got = cache.product(x, c, r)
+    got = cache.product(x, c, lead)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
 
@@ -462,10 +473,7 @@ def test_panel_product_reads_only_the_band(where):
     rows, cols = np.indices(a.shape)
     a[rows < cols - width] = 0.0
     cache = _chunked(a, sizes)
-    off = Partition(sizes).offsets
-    lead = np.zeros(1, dtype=np.intp)
-    for r0, r1 in zip(off, off[1:]):
-        lead = incremental._grow_lead(lead, a[:r0, r0:r1], a[r0:r1, r0:r1])
+    lead = _profile(a, sizes)
     assert lead.tolist() == np.maximum(np.arange(d) - width, 0).tolist() + [d]
     starts = cache.starts
     assert starts == _rule_starts(sizes) and len(starts) == 6
@@ -488,7 +496,7 @@ def test_panel_product_reads_only_the_band(where):
     # that an output row nothing writes shows
     junk = np.full((d, 3), np.nan)
     del junk
-    got = cache.product(x, c, r, lead)
+    got = cache.product(x, c, lead)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
 

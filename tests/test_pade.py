@@ -150,3 +150,15 @@ def test_expm_baseline_diagonal_scaled_input():
     assert scaling_power(one_norm(a)) == 4
     # diagonal input: exponential is exp of the diagonal
     assert np.allclose(np.diag(expm_baseline(a)), np.exp([40.0, 80.0]), rtol=1e-13)
+
+
+def test_expm_baseline_refuses_a_scaling_power_below_the_norm():
+    # at s = 0 or 2 the approximant is evaluated far outside its accurate
+    # range: both would return a matrix with relative error 1.0
+    a = np.diag([1.0, 2.0]) * 40.0
+    for s in (0, 2, 3, np.int64(3)):
+        with pytest.raises(ValueError, match=f"scaling power s = {s} is too small, "
+                                             "the matrix needs s >= 4"):
+            expm_baseline(a, s=s)
+    assert rel_error_fro(expm_baseline(a, s=4), scipy.linalg.expm(a)) <= 1e-13
+    assert np.array_equal(expm_baseline(a, s=4), expm_baseline(a))
