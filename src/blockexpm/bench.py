@@ -194,16 +194,19 @@ def parse_method(name: str) -> MethodSpec:
 def _method_stage_results(matrix, method: MethodSpec, check: bool):
     """Run one method once; per stage yield (dim, seconds, restart, rel_err).
 
-    With ``check`` each stage is compared against a from-scratch baseline
-    of its leading block, computed outside the timed section where the
-    stage is compared and dropped after, so one reference is held at a
-    time.
+    With ``check`` each stage is compared against a from-scratch
+    exponential of its leading block, computed outside the timed section
+    where the stage is compared and dropped after, so one reference is
+    held at a time.  The engine's stages are compared against
+    :func:`expm_baseline`, and the naive method, which is that baseline,
+    against ``scipy.linalg.expm``.
     """
+    reference = scipy.linalg.expm if method.kind == "naive" else expm_baseline
 
     def err(f, dim):
         if not check:
             return None
-        return _floored_err(f, expm_baseline(matrix.data[:dim, :dim].copy()))
+        return _floored_err(f, reference(matrix.data[:dim, :dim].copy()))
 
     out = []
     if method.kind == "naive":
@@ -247,9 +250,11 @@ def run_benchmark(
         Method names as accepted by :func:`parse_method`.
     check : bool
         Also compute each stage's relative Frobenius error, in the first
-        run of each method, against a from-scratch baseline computed
-        outside the timed sections.  Each reference is computed where its
-        stage is compared, once per method, so at most one is held.
+        run of each method, against a from-scratch exponential computed
+        outside the timed sections: ``expm_baseline`` for the engine, and
+        ``scipy.linalg.expm`` for the naive method, which is that
+        baseline.  Each reference is computed where its stage is compared,
+        once per method, so at most one is held.
     repeats : int
         Per-stage seconds are medians over this many full runs.
 

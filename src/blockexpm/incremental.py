@@ -26,7 +26,10 @@ column into the open chunk or into a new one: no chunk is copied or
 written once a later one opens.  A wide block column opens a chunk of
 exactly its own width, and narrow ones are packed into shared chunks, so
 the chunks hold little beyond the block upper triangle.  The first step
-adopts its new diagonal blocks as the first chunks.  The current
+adopts its new diagonal blocks as the first chunks.  A product with a new
+block column makes one GEMM per chunk: the last chunk writes the product,
+and BLAS accumulates each earlier chunk's share in place in the output,
+with no temporary and no separate add.  The current
 exponential, which no product reads, is instead the leading d x d block
 of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
@@ -56,6 +59,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, lu_factor, lu_solve
@@ -140,7 +144,9 @@ class _ChunkedCache:
     about 512 / b columns wide for a block of size b, capped at 4 times
     the dimension it starts at but never narrower than the block.  An
     empty cache adopts the first diagonal block as its first chunk.  No
-    chunk is written once a later one opens.
+    chunk is written once a later one opens.  Every chunk is C-ordered, so
+    that :meth:`product` hands BLAS its transpose as a Fortran operand
+    to read in place.
     """
 
     def __init__(self):
@@ -174,7 +180,8 @@ class _ChunkedCache:
         e = d + diag.shape[0]
         if d == 0:
             self.starts.append(0)
-            self.chunks.append(diag)
+            # BLAS reads a chunk in place only if it is C-ordered.
+            self.chunks.append(np.ascontiguousarray(diag))
         else:
             if not self._fits(diag.shape[0]):
                 cap = self._opened_columns(diag.shape[0])
@@ -190,8 +197,16 @@ class _ChunkedCache:
         """``a @ x`` for the cache a, reading no stored zero below the chunks.
 
         The rows of ``x`` above ``c`` are zero, so only the chunks right of
-        c contribute.  The last chunk writes the product and each earlier
-        one adds to its leading rows.
+        c contribute.  The last chunk writes the product, and BLAS adds
+        each earlier one's straight into its leading rows, with no
+        temporary: ``dgemm`` forms C <- A B + C on the transposes, which
+        for C-ordered arrays are the Fortran operands it reads in place.
+        So every operand it gets is contiguous: ``x`` is made so once, and
+        an earlier chunk passes all its stored columns, each with its row
+        of ``x``.  Those left of c meet zero rows of ``x``, and the spare
+        columns of a chunk that closed before filling up are stored zeros:
+        the rows of ``x`` they meet, which the next chunk's first block
+        column reads, add exactly nothing while they are finite.
 
         ``lead``, the zero-row profile of a (see :func:`_grow_lead`),
         windows each chunk further: the columns [j0, k1) that a chunk
@@ -201,6 +216,7 @@ class _ChunkedCache:
         d = self.dim
         if c >= d:
             return np.zeros((d, x.shape[1]))
+        x = np.ascontiguousarray(x)
         out = np.empty((d, x.shape[1]))
         k1 = d
         for k0, chunk in zip(reversed(self.starts), reversed(self.chunks)):
@@ -208,12 +224,12 @@ class _ChunkedCache:
                 break
             j0 = max(k0, c)
             i0 = 0 if lead is None else int(lead[j0])
-            part = chunk[i0:k1, j0 - k0 : k1 - k0]
             if k1 == d:
                 out[:i0] = 0.0
-                np.matmul(part, x[j0:k1], out=out[i0:k1])
+                np.matmul(chunk[i0:k1, j0 - k0 : k1 - k0], x[j0:k1], out=out[i0:k1])
             else:
-                out[i0:k1] += part @ x[j0:k1]
+                xs = x[k0 : k0 + chunk.shape[1]]
+                dgemm(1.0, xs.T, chunk[i0:k1].T, beta=1.0, c=out[i0:k1].T, overwrite_c=True)
             k1 = k0
         return out
 
@@ -494,7 +510,10 @@ class IncrementalExpState:
         rhs[c:, :b] = p_top[c:] - q_top[c:] @ f_diag
         rhs[c:, b:] = q_top[c:]
         prod = self._qinv.product(rhs, c)
-        f_col = prod[:, :b]
+        # A contiguous copy: the squaring's products read f_col in place
+        # only if it is, as prod's column slice is not, and prod is then
+        # freed before the squaring.
+        f_col = np.ascontiguousarray(prod[:, :b])
         qinv_top = -(prod[:, b:] @ qinv_diag)
         return f_col, f_diag, qinv_top, qinv_diag
 

@@ -118,8 +118,9 @@ def test_run_benchmark_checked():
             # error floor is machine epsilon by contract
             assert r.rel_err >= EPS
             assert r.rel_err <= 1e-10
-    # the naive method is its own reference, so it sits exactly on the floor
-    assert all(r.rel_err == EPS for r in by_method["naive"])
+    # the naive method is checked against scipy's expm, not against itself,
+    # and meets the bound the engine's methods meet
+    assert all(EPS <= r.rel_err <= 1e-10 for r in by_method["naive"])
     # only the adaptive method may ever restart
     assert not any(r.restart for r in by_method["naive"] + by_method["fixed:6"])
 

@@ -501,6 +501,86 @@ def test_panel_product_reads_only_the_band(where):
     assert not got[:r].any()
 
 
+# Every chunk but the last adds its share straight into the product in BLAS,
+# at the chunk's full stored width.
+@pytest.mark.parametrize("layout", ["spare", "inside", "lead", "strided"])
+def test_chunk_products_accumulate_in_place(layout):
+    rng = np.random.default_rng(191)
+    # about 450 columns of blocks of 2-4, packed into shared chunks
+    sizes = tuple(int(b) for b in rng.integers(2, 5, 150))
+    a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
+    d, width = a.shape[0], 60
+    if layout == "lead":
+        # a band: column j is zero above row j - width
+        rows, cols = np.indices(a.shape)
+        a[rows < cols - width] = 0.0
+    cache = _chunked(a, sizes)
+    ends = cache.starts[1:]
+    # closed chunks with spare columns, whose stored zeros meet the rows of
+    # x that the next chunk reads
+    spare = [k for k, (k0, k1) in enumerate(zip(cache.starts, ends))
+             if cache.chunks[k].shape[1] > k1 - k0]
+    assert len(spare) >= 2
+    c, lead = 0, None
+    x = rng.standard_normal((d, 3))
+    if layout == "inside":
+        # c strictly inside a closed chunk with spare columns
+        k = spare[-1]
+        c = (cache.starts[k] + ends[k]) // 2
+        assert cache.starts[k] < c < ends[k]
+        x[:c] = 0.0
+    elif layout == "lead":
+        lead = _profile(a, sizes)
+        # the windows of closed chunks start below row 0
+        assert lead[cache.starts[-2]] > 0
+    elif layout == "strided":
+        x = rng.standard_normal((d, 6))[:, ::2]
+        assert not x.flags.c_contiguous
+    assert rel_error_fro(cache.product(x, c, lead), cache.dense() @ x) <= 1e-14
+
+
+def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
+    # f2py silently copies any dgemm operand that is not Fortran-contiguous,
+    # on every call: each must be the transpose of a C-ordered array, and
+    # the output must be written in place
+    phase = [None]
+    for name in ("_extend_pq", "_solve_rational_column", "_squaring_column"):
+        def in_phase(self, *args, _name=name, _method=getattr(IncrementalExpState, name)):
+            phase[0] = _name
+            return _method(self, *args)
+        monkeypatch.setattr(IncrementalExpState, name, in_phase)
+    calls = []
+    dgemm = incremental.dgemm
+
+    def checked(alpha, a, b, *, beta, c, overwrite_c):
+        for operand in (a, b, c):
+            assert operand.dtype == np.float64 and operand.flags.f_contiguous
+        out = dgemm(alpha, a, b, beta=beta, c=c, overwrite_c=overwrite_c)
+        assert out.shape == c.shape and np.shares_memory(out, c)
+        calls.append(phase[0])
+        return out
+
+    monkeypatch.setattr(incremental, "dgemm", checked)
+    rng = np.random.default_rng(193)
+    # packed chunks with spare columns, and one restart
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 5, 120)), scale=0.02)
+    cols[60] = BlockColumn(100.0 * cols[60].top, 100.0 * cols[60].diag)
+    assert sum(r.restart for _, r in run_adaptive(cols)) == 1
+    # wide blocks with zero-row windows, in the column stream
+    for _ in incremental._drive(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
+                                                         scale=0.25), 5, stages=False):
+        pass
+    assert set(calls) == {"_extend_pq", "_solve_rational_column", "_squaring_column"}
+    # a strided x is made contiguous before it reaches BLAS
+    sizes = (3, 5, 2, 4, 6)
+    a = matrix_from_columns(random_columns(rng, sizes)).data
+    cache = _chunked(a, sizes)
+    x = rng.standard_normal((a.shape[0], 4))[:, ::2]
+    n = len(calls)
+    assert rel_error_fro(cache.product(x), a @ x) <= 1e-14
+    assert len(calls) > n
+
+
 def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
     # blocks of 2-4, as in the thin_blocks benchmark, are packed about
     # 512 / b columns to a chunk, so each product makes few BLAS calls

@@ -5,9 +5,11 @@
 CHECKOUT is a source tree of this repository (default: the one holding
 this script); its ``src`` is imported.  Two equal lines from two trees
 mean that both compute the same floats, bit for bit, on this machine and
-BLAS thread count.  The engine's column chunks set how each cache product
-is split into panels, so a change to the chunk rule changes which bits
-the products round to and moves both hashes, as it moves ``cache_bytes``.
+BLAS thread count.  Two things decide which bits each cache product
+rounds to: the engine's chunk rule, which splits it into panels (and also
+sets ``cache_bytes``), and how BLAS accumulates each panel into the
+product, here in place with beta = 1, each earlier panel at its chunk's
+full stored width.  A change to either can move both hashes.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
