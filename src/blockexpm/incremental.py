@@ -34,9 +34,12 @@ exponential, which no product reads, is instead the leading d x d block
 of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
 no later step writes.  Each step also hands back the new block column of
-the exponential; a reader that needs only some columns, as Hermite-series
-pricing does, keeps those and drives the engine without the buffer (see
-``_drive``).
+the exponential.  A reader that needs only some of its columns, as
+Hermite-series pricing does, drives the engine without the buffer and
+names the columns it keeps (see ``_drive``): squares 0 .. s - 1 are
+still formed in full, since the next step's products read them, but
+square s, which nothing reads, is formed only on the kept columns.  The
+stage path forms every column as before.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -99,9 +102,11 @@ class StepReport:
 
     The last four fields split the stage's one :meth:`IncrementalExpState.step`
     into its phases: the power recurrence, the rational solve, the squaring
-    and the growth of the caches.  A restart or first stage is one step from
-    an empty state, so they time that step; ``seconds`` of a restart also
-    covers merging the matrix.
+    and the growth of the caches.  ``squaring_seconds`` covers squares 1 ..
+    s; in the column stream square s is formed only on the kept columns,
+    except at a first or restart stage.  A restart or first stage is one
+    step from an empty state, so they time that step; ``seconds`` of a
+    restart also covers merging the matrix.
     """
 
     step: int
@@ -300,9 +305,11 @@ class IncrementalExpState:
     The scaled matrix, Q^-1 and squares 0 .. s - 1 are read by the next
     step's products and are stored as column chunks
     (:class:`_ChunkedCache`); square s is only emitted, and is the leading
-    ``dim`` x ``dim`` block of one buffer with spare capacity, except in a
-    state of ``_drive``'s column stream (``_stages=False``), which keeps no
-    square s and only hands back its new block columns.  The state
+    ``dim`` x ``dim`` block of one buffer with spare capacity.  A state of
+    ``_drive``'s column stream is given a selection ``_keep`` that indexes
+    the columns of each new block column: it keeps no square s, forms the
+    new block column of square s only on those columns, and hands them
+    back.  ``_keep=None``, the default, is a stage state.  The state
     also keeps the zero-row profile of the scaled matrix (see
     :func:`_grow_lead`), which windows the power recurrence, and in
     ``phase_seconds`` the seconds of each phase of the last step, keyed
@@ -312,16 +319,18 @@ class IncrementalExpState:
     # The approximant every cache extends; tracing tools read its degree.
     pade = PADE_13
 
-    def __init__(self, s: int, *, _stages: bool = True):
+    def __init__(self, s: int, *, _keep=None):
         self.s = as_scaling_power(s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt = _ChunkedCache()
         self._qinv = _ChunkedCache()
         self._squares = [_ChunkedCache() for _ in range(self.s)]
-        # A state of _drive's column stream keeps no buffer: each new block
-        # column of the exponential leaves only as step's return.
-        self._exp = np.empty((0, 0)) if _stages else None
+        # A state of _drive's column stream keeps no buffer: the kept
+        # columns of each new block column of the exponential leave only
+        # as step's return.
+        self._keep = _keep
+        self._exp = np.empty((0, 0)) if _keep is None else None
 
     @property
     def dim(self) -> int:
@@ -372,7 +381,9 @@ class IncrementalExpState:
 
         Returns the new block column [top; diag] of exp(G) as the pair
         (top, diag); the whole new exponential is available as
-        :attr:`exponential` afterwards.
+        :attr:`exponential` afterwards.  A state of the column stream
+        returns only the columns ``_keep`` of the new block column, and
+        forms only those of square s.
 
         Raises
         ------
@@ -409,16 +420,15 @@ class IncrementalExpState:
             p_top, p_diag, q_top, q_diag, c
         )
         t2 = time.perf_counter()
-        new_square_cols = self._squaring_column(f_col, f_diag)
+        square_cols, (z, dsq) = self._squaring_column(f_col, f_diag)
         t3 = time.perf_counter()
 
         # Every phase has succeeded; only now are the caches grown.
         self._lead = _grow_lead(self._lead, gt_col, dt)
         self._gt.append(gt_col, dt)
         self._qinv.append(qinv_top, qinv_diag)
-        for cache, (z, dsq) in zip(self._squares, new_square_cols):
-            cache.append(z, dsq)
-        z, dsq = new_square_cols[-1]
+        for cache, (top, diag) in zip(self._squares, square_cols):
+            cache.append(top, diag)
         if self._exp is not None:
             self._exp = _write_column(self._exp, d, z, dsq, capacity)
         self.partition = self.partition.append(b)
@@ -518,7 +528,8 @@ class IncrementalExpState:
         return f_col, f_diag, qinv_top, qinv_diag
 
     def _squaring_column(self, f_col, f_diag):
-        """New block column of every cached repeated square.
+        """New block columns of the cached squares 0 .. s - 1, as a list,
+        and of square s, the exponential.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
         off-diagonal column follows
@@ -526,28 +537,40 @@ class IncrementalExpState:
             Z_l = Fprev^(2^(l-1)) Z_{l-1} + Z_{l-1} D^(2^(l-1)),
 
         where Fprev powers come from the cache before extension and D
-        powers are squared locally along the way.
+        powers are squared locally along the way.  Column j of level l
+        reads only column j of Z_{l-1} and of D^(2^(l-1)) on the right, so
+        a state of the column stream forms level s, which no cache keeps,
+        only on its kept columns.
         """
+        keep = slice(None) if self._keep is None else self._keep
         z, dsq = f_col, f_diag
-        cols = [(z, dsq)]
-        for l in range(1, self.s + 1):
-            z = self._squares[l - 1].product(z) + z @ dsq
-            dsq = dsq @ dsq
+        cols = []
+        for l in range(self.s):
             cols.append((z, dsq))
-        return cols
+            j = keep if l == self.s - 1 else slice(None)
+            z = self._squares[l].product(z[:, j]) + z @ dsq[:, j]
+            dsq = dsq @ dsq[:, j]
+        if self.s == 0:
+            z, dsq = z[:, keep], dsq[:, keep]
+        return cols, (z, dsq)
 
 
-def _drive(columns, fixed: int | None, stages: bool = True):
+def _drive(columns, fixed: int | None, keep=None):
     """The one loop of both drivers and of Hermite-series pricing: a fixed
     scaling power, or None for adaptive scaling.  The running 1-norm is
     the largest absolute column sum so far, exact for block upper
     triangular G.
 
-    With ``stages`` it yields each stage as
-    :attr:`IncrementalExpState.exponential`.  Without, its states keep no
-    exponential buffer, and it yields in place of each stage the pair
-    (top, diag) of the stage's new block column of exp(G); at a first or
-    restart stage that column is the whole matrix, with an empty top.
+    With ``keep=None`` it yields each stage as
+    :attr:`IncrementalExpState.exponential`.  Otherwise ``keep`` is a
+    numpy index of the columns of each block column of ``columns`` (a
+    slice or a list of positions), its states keep no exponential buffer,
+    and it yields in place of each stage the pair (top, diag) of the
+    kept columns of the triggering column's block column of exp(G): d x k
+    and b x k for k kept columns of a block of size b at dimension d.
+    Square s is formed only on those columns, except at a first or
+    restart stage: there the whole matrix is one block column, formed in
+    full as on the stage path, and its columns d + keep are yielded.
     """
     state = None
     norm = 0.0
@@ -571,14 +594,25 @@ def _drive(columns, fixed: int | None, stages: bool = True):
             state = None
             step_col = BlockColumn(np.empty((0, g.shape[0])), g, check_finite=False)
             del g
-        if state is None:
-            state = IncrementalExpState(need if fixed is None else fixed, _stages=stages)
+        fresh = state is None
+        if fresh:
+            # A stream's fresh state steps the whole matrix as one block
+            # column, whose kept columns are not the selection's: it forms
+            # that column in full, and the selection applies from its next
+            # step on.
+            state = IncrementalExpState(need if fixed is None else fixed,
+                                        _keep=None if keep is None else slice(None))
         stage = state.step(step_col)
+        if keep is not None and fresh:
+            d = state.dim - col.block_size
+            kept = stage[1][:, d:][:, keep]
+            stage = kept[:d], kept[d:]
+            state._keep = keep
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
                             **state.phase_seconds)
-        if stages:
+        if keep is None:
             # Hold no copy of the new column beside the buffer while the
             # stage is out.
             stage = state.exponential

@@ -366,7 +366,11 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     exp(B_p) with zeros below it, since the engine never revises a block
     column once it is computed.  So each degree keeps the column at y^n
     of its new block column, its first, since y^n leads the degree-n
-    monomials, and l_n is read off the n + 1 kept columns.
+    monomials, and l_n is read off the n + 1 kept columns.  The engine
+    forms the last square of each degree only on that column, which BLAS
+    rounds differently from the same column of a wide product, so a
+    moment equals the read-off of the whole exponential to rounding, not
+    bit for bit.
     """
     basis = rescaled_basis(cfg.n_max)
     ea, eb = basis
@@ -378,7 +382,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     else:
         s = as_scaling_power(cfg.scaling)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
-    runner = _drive(columns, s, stages=False)
+    runner = _drive(columns, s, keep=[0])
 
     t0 = time.perf_counter()
     price = 0.0
@@ -389,7 +393,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     kept: list[np.ndarray] = []  # column y^p of exp(B_p), p = 0 .. n
     for (top, diag), report in runner:
         n = report.step
-        kept.append(np.concatenate([top[:, 0], diag[:, 0]]))
+        kept.append(np.concatenate([top, diag]).ravel())
         tm = time.perf_counter()
         l_n = hermite_moment(kept, x0, muw, sigmaw)
         tq = time.perf_counter()

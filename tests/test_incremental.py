@@ -353,7 +353,7 @@ def test_every_report_carries_its_own_column_block_size():
     runs = {
         "fixed": run_fixed(cols, s=12),
         "adaptive": run_adaptive(cols),
-        "stream": incremental._drive(cols, None, stages=False),
+        "stream": incremental._drive(cols, None, keep=[0]),
     }
     for name, runner in runs.items():
         reports = [report for _, report in runner]
@@ -568,7 +568,7 @@ def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
     assert sum(r.restart for _, r in run_adaptive(cols)) == 1
     # wide blocks with zero-row windows, in the column stream
     for _ in incremental._drive(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
-                                                         scale=0.25), 5, stages=False):
+                                                         scale=0.25), 5, keep=[0]):
         pass
     assert set(calls) == {"_extend_pq", "_solve_rational_column", "_squaring_column"}
     # a strided x is made contiguous before it reaches BLAS
@@ -603,7 +603,7 @@ def test_pricing_caches_hold_little_beyond_the_block_triangle():
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
     s = 4
-    *_, (_, report) = incremental._drive(cols, s, stages=False)
+    *_, (_, report) = incremental._drive(cols, s, keep=[0])
     d = report.dim
     assert d == 1891
     triangle = 8 * d * (d + 1) // 2
@@ -792,31 +792,138 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
     assert [r.cache_bytes for r in reports] == walked
 
 
-def test_column_stream_assembles_the_stages_bit_for_bit():
-    # the stream of new exponential block columns that pricing reads comes
-    # from the stage path's arithmetic: laid side by side, the columns are
-    # every stage bit for bit, at fixed scaling and across a restart, where
-    # the new column is the whole merged matrix
+def _restarting_columns():
+    """40 random blocks of 1-5 whose column 25 makes run_adaptive restart;
+    it restarts at 22 and 25."""
     rng = np.random.default_rng(191)
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 40)), scale=0.1)
     cols[25] = BlockColumn(40.0 * cols[25].top, 40.0 * cols[25].diag)
+    return cols
+
+
+# A narrowed product rounds differently from the same columns of a wide
+# one: BLAS takes other kernels at small widths.  Over the cases below, a
+# kept column deviated from the full-width one by at most 0.996 ulp of the
+# column's largest entry (1 BLAS thread, OpenBLAS); four times that bounds
+# it here.
+_NARROW_TOL = 4 * np.finfo(float).eps
+
+
+def _assert_close_columns(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= _NARROW_TOL * np.abs(want).max()
+
+
+def test_column_stream_assembles_the_stages_bit_for_bit():
+    # the stream of new exponential block columns that pricing reads comes
+    # from the stage path's arithmetic: with every column kept, each stage's
+    # new block column is the stage's, bit for bit, at fixed scaling and
+    # across a restart, where it is taken from the merged pass
+    cols = _restarting_columns()
     restarts = []
     for fixed, stages in ((6, run_fixed(cols, s=6)), (None, run_adaptive(cols))):
-        streamed = incremental._drive(cols, fixed, stages=False)
-        full = np.zeros((sum(c.block_size for c in cols),) * 2)
+        streamed = incremental._drive(cols, fixed, keep=slice(None))
         for (f, report), ((top, diag), col_report) in zip(stages, streamed, strict=True):
             d, e = report.dim - col_report.block_size, report.dim
-            if col_report.restart:
-                assert top.shape == (0, e)
-                full[:e, :e] = diag
-            else:
-                full[:d, d:e] = top
-                full[d:e, d:e] = diag
-            assert np.array_equal(full[:e, :e], f.data)
+            assert top.shape == (d, e - d) and diag.shape == (e - d, e - d)
+            assert np.array_equal(top, f.data[:d, d:e])
+            assert np.array_equal(diag, f.data[d:e, d:e])
             assert (col_report.step, col_report.dim, col_report.s, col_report.restart) == (
                 report.step, report.dim, report.s, report.restart)
             restarts.append(report.restart)
     assert any(restarts)
+
+
+def test_narrow_column_stream_keeps_its_columns_across_restarts():
+    # an adaptive stream that keeps some columns of each block column
+    # yields the triggering column's own ones, also at a restart, where the
+    # merged pass is formed in full and the kept columns are d + keep: they
+    # are the stage's bit for bit there and at the first stage, and agree
+    # with it to the narrowing's rounding at every other stage
+    cols = _restarting_columns()
+    for keep in ([0], [-1], slice(0, 2)):
+        restarts = []
+        streamed = incremental._drive(cols, None, keep=keep)
+        for (f, report), ((top, diag), col_report) in zip(run_adaptive(cols), streamed,
+                                                          strict=True):
+            d, e = report.dim - report.block_size, report.dim
+            want = f.data[:e, d:e][:, keep]
+            assert top.shape == (d, want.shape[1]) and diag.shape == (e - d, want.shape[1])
+            if report.restart or report.step == 0:
+                assert np.array_equal(np.vstack([top, diag]), want)
+            else:
+                _assert_close_columns(np.vstack([top, diag]), want)
+            assert col_report.restart == report.restart
+            restarts.append(report.restart)
+        assert sum(restarts) == 2
+
+
+@pytest.mark.parametrize("case", ["jacobi", "random"])
+def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatch, case):
+    # a stream that keeps one column forms squares 0 .. s - 1 in full, as
+    # the caches hold them, and square s only on the kept column: its
+    # reports are those of the full-width stream, and its column agrees
+    # with that stream's first column to the narrowing's rounding
+    if case == "jacobi":
+        s = 5
+        def columns():
+            return generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25)
+    else:
+        s = 6
+        rng = np.random.default_rng(199)
+        cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 30, 40)), scale=0.05)
+        def columns():
+            return cols
+    full = list(incremental._drive(columns(), s, keep=slice(None)))
+
+    squarings = []  # per step: the block size and, per product, [width, dgemm widths]
+    calls = None
+    squaring = IncrementalExpState._squaring_column
+    product = incremental._ChunkedCache.product
+    dgemm = incremental.dgemm
+
+    def recorded_squaring(self, f_col, f_diag):
+        nonlocal calls
+        calls = []
+        try:
+            return squaring(self, f_col, f_diag)
+        finally:
+            squarings.append((f_diag.shape[0], calls))
+            calls = None
+
+    def recorded_product(self, x, *args):
+        if calls is not None:
+            calls.append([x.shape[1]])
+        return product(self, x, *args)
+
+    def recorded_dgemm(alpha, a, b, **kwargs):
+        if calls is not None:
+            calls[-1].append(a.shape[0])  # a is the transpose of x's rows
+        return dgemm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(IncrementalExpState, "_squaring_column", recorded_squaring)
+    monkeypatch.setattr(incremental._ChunkedCache, "product", recorded_product)
+    monkeypatch.setattr(incremental, "dgemm", recorded_dgemm)
+    narrow = list(incremental._drive(columns(), s, keep=[0]))
+    monkeypatch.undo()
+
+    assert len(narrow) == len(full)
+    for ((top, diag), report), ((ftop, fdiag), freport) in zip(narrow, full):
+        assert [(r.step, r.dim, r.block_size, r.s, r.restart, r.cache_bytes)
+                for r in (report, freport)] == [
+            (freport.step, freport.dim, freport.block_size, freport.s, freport.restart,
+             freport.cache_bytes)] * 2
+        _assert_close_columns(np.vstack([top, diag]), np.vstack([ftop, fdiag])[:, :1])
+    # the first step forms its whole column; every later one forms square s
+    # on one column, down to each chunk's BLAS call
+    b0, first = squarings[0]
+    assert [call[0] for call in first] == [b0] * s
+    for b, step_calls in squarings[1:]:
+        widths = [call[0] for call in step_calls]
+        assert widths == [b] * (s - 1) + [1]
+        assert all(w == b for call in step_calls[:-1] for w in call[1:])
+        assert all(w == 1 for w in step_calls[-1][1:])
+    assert any(len(step_calls[-1]) > 1 for _, step_calls in squarings[1:])
 
 
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
@@ -825,7 +932,7 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     # of 4 entries, then four opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(2, _stages=False)
+    state = IncrementalExpState(2, _keep=slice(None))
     staged = IncrementalExpState(2)
     top, diag = state.step(cols[0])
     staged.step(cols[0])

@@ -719,18 +719,32 @@ def _ledgers_off_stages(cfgs):
     return [done[k] for k in range(len(cfgs))]
 
 
+# price_call forms the last square only on the kept column, which BLAS
+# rounds differently from the same column of the stages' wide product.
+# Over the cases below a moment deviated from the stages' by at most
+# 3.6e-15 = 16 eps times the series' largest |l_m|, and a term or partial
+# sum by less (1 BLAS thread, OpenBLAS); four times that bounds all three.
+_LEDGER_TOL = 64 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
 def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
-    # the kept pure-y columns give every moment, term and partial sum bit
-    # for bit as the whole exponential does, and one engine pass serves
-    # any state: a second state's ledger is read off the same stages
+    # the kept pure-y columns give every moment, term and partial sum as
+    # the whole exponential does, to the rounding of the narrowed last
+    # square, and one engine pass serves any state: a second state's
+    # ledger is read off the same stages
     cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
     ledgers = _ledgers_off_stages(cfgs)
     for cfg, (rows, price, s, terminal, basis) in zip(cfgs, ledgers):
         res = price_call(cfg)
-        assert [(r.n, r.l_n, r.f_n, r.term, r.partial_price) for r in res.rows] == rows
-        assert (res.price, res.scaling, res.terminal_degree, res.basis_scale) == (
-            price, s, terminal, basis)
+        assert [(r.n, r.f_n) for r in res.rows] == [(n, f_n) for n, _, f_n, _, _ in rows]
+        tol = _LEDGER_TOL * max(abs(l_n) for _, l_n, _, _, _ in rows)
+        for r, (_, l_n, _, term, partial) in zip(res.rows, rows):
+            assert abs(r.l_n - l_n) <= tol
+            assert abs(r.term - term) <= tol
+            assert abs(r.partial_price - partial) <= tol
+        assert abs(res.price - price) <= tol
+        assert (res.scaling, res.terminal_degree, res.basis_scale) == (s, terminal, basis)
     assert ledgers[0][3] == (30 if eps == 0 else 60)
 
 

@@ -5,11 +5,14 @@
 CHECKOUT is a source tree of this repository (default: the one holding
 this script); its ``src`` is imported.  Two equal lines from two trees
 mean that both compute the same floats, bit for bit, on this machine and
-BLAS thread count.  Two things decide which bits each cache product
+BLAS thread count.  Three things decide which bits each cache product
 rounds to: the engine's chunk rule, which splits it into panels (and also
-sets ``cache_bytes``), and how BLAS accumulates each panel into the
-product, here in place with beta = 1, each earlier panel at its chunk's
-full stored width.  A change to either can move both hashes.
+sets ``cache_bytes``), how BLAS accumulates each panel into the product,
+here in place with beta = 1, each earlier panel at its chunk's full
+stored width, and the product's width: BLAS rounds a one-column product
+differently from the same column of a wide one, and ``price_call``'s
+stream forms each last square on one kept column.  A change to any of
+them can move both hashes.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
