@@ -22,15 +22,21 @@ from .dense import as_matrix, format_matrix, parse_matrix
 
 @dataclass(frozen=True)
 class Partition:
-    """Sizes of the contiguous diagonal blocks; all sizes are >= 1."""
+    """Sizes of the contiguous diagonal blocks; all sizes are >= 1.
+
+    A size is a Python or numpy integer, so a float such as 2.5 is refused
+    instead of truncated.
+    """
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(b) for b in self.sizes)
-        if any(b < 1 for b in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        sizes = []
+        for b in self.sizes:
+            if not isinstance(b, (int, np.integer)) or b < 1:
+                raise ValueError(f"block sizes must be positive integers, got {b!r}")
+            sizes.append(int(b))
+        object.__setattr__(self, "sizes", tuple(sizes))
 
     @property
     def nblocks(self) -> int:
@@ -55,7 +61,7 @@ class Partition:
         return off[l], off[l + 1]
 
     def append(self, b: int) -> "Partition":
-        return Partition(self.sizes + (int(b),))
+        return Partition(self.sizes + (b,))
 
 
 class BlockColumn:

@@ -35,11 +35,12 @@ of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
 no later step writes.  Each step also hands back the new block column of
 the exponential.  A reader that needs only some of its columns, as
-Hermite-series pricing does, drives the engine without the buffer and
-names the columns it keeps (see ``_drive``): squares 0 .. s - 1 are
-still formed in full, since the next step's products read them, but
-square s, which nothing reads, is formed only on the kept columns.  The
-stage path forms every column as before.
+Hermite-series pricing does, drives the engine at a fixed scaling power
+without the buffer and names the columns it keeps (see ``_drive``):
+squares 0 .. s - 1 are still formed in full, since the next step's
+products read them, but square s, which nothing reads, is formed only on
+the kept columns, at every step from the first.  The stage path forms
+every column as before.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -103,10 +104,9 @@ class StepReport:
     The last four fields split the stage's one :meth:`IncrementalExpState.step`
     into its phases: the power recurrence, the rational solve, the squaring
     and the growth of the caches.  ``squaring_seconds`` covers squares 1 ..
-    s; in the column stream square s is formed only on the kept columns,
-    except at a first or restart stage.  A restart or first stage is one
-    step from an empty state, so they time that step; ``seconds`` of a
-    restart also covers merging the matrix.
+    s; in the column stream square s is formed only on the kept columns.
+    A restart or first stage is one step from an empty state, so they time
+    that step; ``seconds`` of a restart also covers merging the matrix.
     """
 
     step: int
@@ -306,14 +306,14 @@ class IncrementalExpState:
     step's products and are stored as column chunks
     (:class:`_ChunkedCache`); square s is only emitted, and is the leading
     ``dim`` x ``dim`` block of one buffer with spare capacity.  A state of
-    ``_drive``'s column stream is given a selection ``_keep`` that indexes
-    the columns of each new block column: it keeps no square s, forms the
-    new block column of square s only on those columns, and hands them
-    back.  ``_keep=None``, the default, is a stage state.  The state
-    also keeps the zero-row profile of the scaled matrix (see
-    :func:`_grow_lead`), which windows the power recurrence, and in
-    ``phase_seconds`` the seconds of each phase of the last step, keyed
-    by the matching :class:`StepReport` fields.
+    ``_drive``'s column stream is built with a selection ``_keep`` that
+    indexes the columns of each new block column, the first included: it
+    keeps no square s, forms the new block column of square s only on
+    those columns, and hands them back.  ``_keep=None``, the default, is a
+    stage state.  The state also keeps the zero-row profile of the scaled
+    matrix (see :func:`_grow_lead`), which windows the power recurrence,
+    and in ``phase_seconds`` the seconds of each phase of the last step,
+    keyed by the matching :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -564,14 +564,16 @@ def _drive(columns, fixed: int | None, keep=None):
     With ``keep=None`` it yields each stage as
     :attr:`IncrementalExpState.exponential`.  Otherwise ``keep`` is a
     numpy index of the columns of each block column of ``columns`` (a
-    slice or a list of positions), its states keep no exponential buffer,
+    slice or a list of positions), its state keeps no exponential buffer,
     and it yields in place of each stage the pair (top, diag) of the
-    kept columns of the triggering column's block column of exp(G): d x k
-    and b x k for k kept columns of a block of size b at dimension d.
-    Square s is formed only on those columns, except at a first or
-    restart stage: there the whole matrix is one block column, formed in
-    full as on the stage path, and its columns d + keep are yielded.
+    kept columns of the column's block column of exp(G): d x k and b x k
+    for k kept columns of a block of size b at dimension d.  Square s is
+    formed only on those columns.  Such a column stream runs at a fixed
+    scaling power only, so it never restarts: ValueError at the first
+    ``next`` if ``keep`` is given with ``fixed=None``.
     """
+    if keep is not None and fixed is None:
+        raise ValueError("a column stream runs at a fixed scaling power")
     state = None
     norm = 0.0
     for n, col in enumerate(columns):
@@ -594,20 +596,9 @@ def _drive(columns, fixed: int | None, keep=None):
             state = None
             step_col = BlockColumn(np.empty((0, g.shape[0])), g, check_finite=False)
             del g
-        fresh = state is None
-        if fresh:
-            # A stream's fresh state steps the whole matrix as one block
-            # column, whose kept columns are not the selection's: it forms
-            # that column in full, and the selection applies from its next
-            # step on.
-            state = IncrementalExpState(need if fixed is None else fixed,
-                                        _keep=None if keep is None else slice(None))
+        if state is None:
+            state = IncrementalExpState(need if fixed is None else fixed, _keep=keep)
         stage = state.step(step_col)
-        if keep is not None and fresh:
-            d = state.dim - col.block_size
-            kept = stage[1][:, d:][:, keep]
-            stage = kept[:d], kept[d:]
-            state._keep = keep
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
@@ -628,7 +619,10 @@ def run_fixed(columns, s: int):
         The first column must have an empty top part; each later column's
         row count must match the accumulated dimension.
     s : int
-        Scaling power used for every stage.
+        Scaling power used for every stage.  An s above the one the norm
+        needs is accepted but costs accuracy, as in
+        :func:`~blockexpm.pade.expm_baseline`: the error about doubles
+        with each extra power.
 
     Yields
     ------

@@ -114,7 +114,13 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
         Square matrix with finite entries.
     s : int, optional
         Force this scaling power, at least the one selected from the norm
-        and THETA_13, instead of selecting it.
+        and THETA_13, instead of selecting it.  A larger s than the norm
+        needs is accepted but costs accuracy: each extra power is one more
+        rounded squaring, and the error about doubles with each.  For
+        ``np.triu(np.random.default_rng(0).standard_normal((12, 12)))``,
+        which needs s = 1, the relative error against
+        ``scipy.linalg.expm`` is 3.0e-15 at s = 3, 4.1e-14 at 9, 3.3e-13
+        at 12, 1.2e-10 at 20, 9.4e-5 at 40 and 0.58 at 60.
 
     Returns
     -------

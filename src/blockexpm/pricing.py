@@ -240,7 +240,10 @@ class PricingConfig:
     :func:`rescaled_basis` (see :func:`price_call`): None takes it from
     that generator's norm bound at ``n_max``
     (:func:`~blockexpm.generators.norm_bound`), which covers every degree
-    the series can reach, or a nonnegative integer fixes it.  ``eps`` is
+    the series can reach, or a nonnegative integer fixes it.  A fixed
+    power above the need is accepted but costs accuracy: the error of each
+    exponential about doubles with each extra power (see
+    :func:`~blockexpm.pade.expm_baseline`).  ``eps`` is
     the relative truncation tolerance of the Hermite series; eps = 0
     disables the test and runs to ``n_max``.  Every float input must be
     finite.

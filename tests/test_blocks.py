@@ -36,6 +36,20 @@ def test_partition_basics():
         p.index_range(3)
 
 
+def test_partition_refuses_non_integer_sizes():
+    # a fractional size is refused, not truncated, as a scaling power is;
+    # numpy integers are accepted and stored as Python ints
+    p = Partition((np.int64(2), np.int32(1), 3))
+    assert p.sizes == (2, 1, 3) and all(type(b) is int for b in p.sizes)
+    for sizes in ((2.5, 1), (2, 1.0), (2, "1"), (2, np.float64(1.9))):
+        with pytest.raises(ValueError, match="block sizes must be positive integers, got"):
+            Partition(sizes)
+    with pytest.raises(ValueError, match=r"got 2\.5"):
+        p.append(2.5)
+    with pytest.raises(ValueError, match=r"got 1\.9"):
+        BlockTriangularMatrix(np.triu(np.ones((3, 3))), (1.9, 1.9, 1))
+
+
 def test_block_column_shapes_and_immutability():
     col = BlockColumn(np.ones((3, 2)), np.eye(2))
     assert col.rows == 3
