@@ -51,6 +51,7 @@ from .generators import (
     jacobi_spec,
     norm_bound,
     scaled_spec,
+    shifted_norm_bound,
 )
 from .incremental import IncrementalExpState, StepReport, run_adaptive, run_fixed
 from .pade import (

@@ -152,6 +152,7 @@ def _cmd_price(args) -> int:
     print(
         f"price {result.price:.12g} at degree {result.terminal_degree} "
         f"({status}, s = {result.scaling}, log2 basis scale {result.basis_scale}, "
+        f"shift {result.shift:.6g}, "
         f"{result.seconds:.3f}s, ledger: {args.ledger})"
     )
     return 0

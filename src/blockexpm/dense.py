@@ -200,10 +200,10 @@ def write_partition(path, sizes) -> None:
         fh.write(" ".join(str(int(b)) for b in sizes) + "\n")
 
 
-def read_partition(path) -> tuple[int, ...]:
+def read_partition(path) -> "Partition":
+    """The :class:`~blockexpm.blocks.Partition` of a file of block sizes;
+    ``ValueError`` from it names a size that is not a positive integer."""
+    from .blocks import Partition  # blocks imports this module
+
     with open(path) as fh:
-        parts = fh.read().split()
-    sizes = tuple(int(p) for p in parts)
-    if any(b < 1 for b in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
-    return sizes
+        return Partition(tuple(int(p) for p in fh.read().split()))

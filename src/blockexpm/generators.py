@@ -13,7 +13,9 @@ structure the incremental exponential engine consumes.
 
 Polynomials are immutable coefficient maps without arithmetic: the operator
 sends x^k to the exponent shifts x^(k - e_i) b_i and x^(k - e_i - e_j) a_ij,
-and is applied by that derivative stencil.
+and is applied by that derivative stencil.  The matrix is assembled from
+the same stencil written as arrays over each degree's monomials, whose
+target rows come from the closed-form graded index.
 
 Basis order: monomials are grouped by total degree, ascending; within one
 degree the exponent tuples are in descending lexicographic order.  For two
@@ -21,7 +23,9 @@ variables (y, v) this reads 1, y, v, y^2, yv, v^2, ...
 
 Model builders for the Jacobi and Heston stochastic volatility models are
 included, with closed-form and stencil bounds (:func:`norm_bound`) on the
-1-norm of generator matrices, which let callers pick a scaling power a priori.
+1-norm of generator matrices, and the stencil's shifted bound
+(:func:`shifted_norm_bound`) on the 1-norm of G - mu I, which let callers
+pick a scaling power a priori.
 """
 
 from __future__ import annotations
@@ -107,11 +111,6 @@ def degree_monomials(d: int, j: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _degree_positions(d: int, j: int) -> dict[MultiIndex, int]:
-    return {k: i for i, k in enumerate(degree_monomials(d, j))}
-
-
 def basis_size(d: int, n: int) -> int:
     """Dimension of the space of d-variate polynomials of degree <= n."""
     if n < 0:
@@ -121,9 +120,33 @@ def basis_size(d: int, n: int) -> int:
 
 def basis_index(k: MultiIndex) -> int:
     """Position of a monomial in the graded basis of its own dimension."""
-    d = len(k)
-    j = sum(k)
-    return basis_size(d, j - 1) + _degree_positions(d, j)[tuple(k)]
+    return int(_graded_index(np.array(k, dtype=np.intp)))
+
+
+def _comb(n: np.ndarray, r: int) -> np.ndarray:
+    """Binomial coefficients C(n, r) of a nonnegative integer array."""
+    out = np.ones_like(n)
+    for t in range(r):
+        out = out * (n - t) // (t + 1)
+    return out
+
+
+def _graded_index(exps: np.ndarray) -> np.ndarray:
+    """Positions in the graded basis of the exponent tuples in the last
+    axis of ``exps``, in closed form.
+
+    A monomial x^k of total degree j follows the C(j - 1 + d, d)
+    monomials of lower degree.  Among those of degree j, descending lex
+    order puts before it, for each variable i < d - 1, the ones that
+    agree with k before i and exceed it at i: C(t + d - i - 2, d - i - 1)
+    of them, with t the sum of k's exponents after i.
+    """
+    d = exps.shape[-1]
+    tails = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]  # sums of k_i .. k_(d-1)
+    index = _comb(tails[..., 0] - 1 + d, d)
+    for i in range(d - 1):
+        index += _comb(tails[..., i + 1] + d - i - 2, d - i - 1)
+    return index
 
 
 @lru_cache(maxsize=None)
@@ -227,6 +250,41 @@ def apply_generator(spec: PolynomialOperatorSpec, f: Polynomial) -> Polynomial:
     return Polynomial(spec.dim, out)
 
 
+@lru_cache(maxsize=None)
+def _target_rows(d: int, j: int, shift: MultiIndex) -> np.ndarray:
+    """Graded-basis rows of x^(k + shift) for the degree-j monomials k, in
+    basis order; an entry is meaningless where k + shift has a negative
+    exponent."""
+    rows = _graded_index(_degree_exponents(d, j) + np.array(shift, dtype=np.intp))
+    rows.setflags(write=False)
+    return rows
+
+
+def _degree_stencil(spec: PolynomialOperatorSpec, j: int):
+    """:func:`_stencil` of every degree-j monomial at once, as arrays.
+
+    Returns one pair (shift, coefficients) per stencil term, in
+    :func:`_stencil`'s order (i, drift before diffusion, j).  The term
+    sends x^k to x^(k + shift) with coefficient ``coefficients[local]``,
+    for the monomial k at position ``local`` of the degree; that
+    coefficient is zero where the term does not apply (k_i = 0 or
+    (k - e_i)_j = 0).  Each coefficient is formed with :func:`_stencil`'s
+    operations, so it has the same bits.
+    """
+    d = spec.dim
+    exps = _degree_exponents(d, j)
+    terms = []
+    for i in range(d):
+        ki = exps[:, i].astype(np.float64)
+        for kb, cb in spec.b[i].terms.items():
+            terms.append((_lowered(kb, i), cb * ki))
+        for jj in range(d):
+            kij = (exps[:, i] * (exps[:, jj] - int(i == jj))).astype(np.float64)
+            for ka, ca in spec.a[i][jj].terms.items():
+                terms.append((_lowered(_lowered(ka, i), jj), ca * kij * 0.5))
+    return terms
+
+
 def build_generator_matrix(
     spec: PolynomialOperatorSpec, n: int
 ) -> tuple[np.ndarray, Partition]:
@@ -243,26 +301,32 @@ def build_generator_matrix(
 
 
 def generator_block_columns(
-    spec: PolynomialOperatorSpec, max_degree: int | None = None, scale: float = 1.0
+    spec: PolynomialOperatorSpec,
+    max_degree: int | None = None,
+    scale: float = 1.0,
+    shift: float = 0.0,
 ):
     """Yield the generator matrix one degree block at a time.
 
     Block column j covers the monomials of total degree j; entries are
-    multiplied by ``scale`` (e.g. a time horizon).  With ``max_degree``
-    None the stream is unbounded.  For the matrix on a rescaled basis,
-    pass the operator of :func:`scaled_spec`.
+    multiplied by ``scale`` (e.g. a time horizon), and ``shift`` is then
+    subtracted from the diagonal, so the blocks are those of
+    scale * G - shift * I.  With ``max_degree`` None the stream is
+    unbounded.  For the matrix on a rescaled basis, pass the operator of
+    :func:`scaled_spec`.
     """
     d = spec.dim
     j = 0
     while max_degree is None or j <= max_degree:
-        monos = degree_monomials(d, j)
-        b = len(monos)
+        b = len(degree_monomials(d, j))
         prev = basis_size(d, j - 1)
         col = np.zeros((prev + b, b))
-        for local, k in enumerate(monos):
-            for m, c in _stencil(spec, k, 1.0):
-                col[basis_index(m), local] += c
+        # term by term, so each entry sums its contributions in stencil order
+        for target, coef in _degree_stencil(spec, j):
+            local = np.flatnonzero(coef)
+            col[_target_rows(d, j, target)[local], local] += coef[local]
         col *= scale
+        col[prev + np.arange(b), np.arange(b)] -= shift
         yield BlockColumn(col[:prev], col[prev:], check_finite=False)
         j += 1
 
@@ -314,9 +378,35 @@ def norm_bound(spec: PolynomialOperatorSpec, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    return float(
-        max(sum(abs(c) for _, c in _stencil(spec, k, 1.0)) for k in degree_monomials(spec.dim, n))
-    )
+    return float(np.max(sum(np.abs(coef) for _, coef in _degree_stencil(spec, n))))
+
+
+def shifted_norm_bound(spec: PolynomialOperatorSpec, n: int) -> tuple[float, float]:
+    """The shift mu and the radius min over mu of max over degrees j <= n
+    of the 1-norm of G_j - mu I, for the operator's matrices G_j.
+
+    A monomial's column of G_n has the diagonal entry d_k and off-diagonal
+    entries whose absolute values sum to o_k, so
+    ||G_n - mu I||_1 = max_k |d_k - mu| + o_k.  This is smallest, at
+    (max(d + o) - min(d - o)) / 2, for mu = (max(d + o) + min(d - o)) / 2:
+    Ward's (1977) shift of the spectrum's centre to zero, from the exact
+    entries.  Each degree's columns are read off the stencil without being
+    assembled.  Returns (mu, radius).
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    hi, lo = -math.inf, math.inf
+    for j in range(n + 1):
+        # terms with the same shift hit the same row: their coefficients
+        # sum in stencil order, as in the block column
+        entries: dict[MultiIndex, np.ndarray] = {}
+        for target, coef in _degree_stencil(spec, j):
+            entries[target] = entries[target] + coef if target in entries else coef
+        diag = entries.pop((0,) * spec.dim, 0.0)
+        off = sum(np.abs(coef) for coef in entries.values())
+        hi = max(hi, float(np.max(diag + off)))
+        lo = min(lo, float(np.min(diag - off)))
+    return (hi + lo) / 2, (hi - lo) / 2
 
 
 # -- stochastic volatility models ------------------------------------------

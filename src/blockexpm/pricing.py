@@ -34,8 +34,8 @@ from .generators import (
     generator_block_columns,
     jacobi_norm_bound,
     jacobi_spec,
-    norm_bound,
     scaled_spec,
+    shifted_norm_bound,
 )
 from .incremental import _drive
 from .pade import as_scaling_power, scaling_power
@@ -45,9 +45,14 @@ from .pade import as_scaling_power, scaling_power
 _PRICE_FLOOR = 1e-300
 
 # Limits of the pricing basis (see rescaled_basis): a >= 2^-_BASIS_SHIFT,
-# and a^n_max >= 2^-_BASIS_RANGE, far above the subnormal range (2^-1022).
-_BASIS_SHIFT = 3
-_BASIS_RANGE = 300
+# and 2^-_BASIS_RANGE <= a^n_max, so the factor a^n_max stays far above the
+# subnormal range (2^-1022) and a^-n far below the overflow threshold.
+_BASIS_SHIFT = 4
+_BASIS_RANGE = 600
+
+# Largest |mu| of the shifted stream (see price_call): its columns are
+# e^-mu times the exponential's, at most 2^256 times larger or smaller.
+_SHIFT_LIMIT = 256 * math.log(2)
 
 
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
@@ -218,9 +223,9 @@ class PriceLedgerRow:
 @dataclass(frozen=True)
 class PriceResult:
     """The price, where the series stopped, its ledger, the scaling power
-    every exponential of the series was computed at, and the exponents
-    (log2 a, log2 b) of the basis they were computed on (see
-    :func:`price_call`)."""
+    every exponential of the series was computed at, the exponents
+    (log2 a, log2 b) of the basis they were computed on, and the shift mu
+    subtracted from their diagonals (see :func:`price_call`)."""
 
     price: float
     terminal_degree: int
@@ -229,6 +234,7 @@ class PriceResult:
     seconds: float
     scaling: int
     basis_scale: tuple[int, int]
+    shift: float
 
 
 @dataclass(frozen=True)
@@ -237,10 +243,11 @@ class PricingConfig:
 
     ``scaling`` is the scaling power of every exponential in the series,
     each one of the generator on the rescaled basis of
-    :func:`rescaled_basis` (see :func:`price_call`): None takes it from
-    that generator's norm bound at ``n_max``
-    (:func:`~blockexpm.generators.norm_bound`), which covers every degree
-    the series can reach, or a nonnegative integer fixes it.  A fixed
+    :func:`rescaled_basis`, shifted by mu (see :func:`price_call`): None
+    takes it from that generator's shifted norm bound at ``n_max``
+    (:func:`~blockexpm.generators.shifted_norm_bound`), which covers every
+    degree the series can reach, or a nonnegative integer fixes it.  The
+    shift is taken either way; there is no unshifted path.  A fixed
     power above the need is accepted but costs accuracy: the error of each
     exponential about doubles with each extra power (see
     :func:`~blockexpm.pade.expm_baseline`).  ``eps`` is
@@ -285,8 +292,9 @@ def scaling_from_bound(params: JacobiParams, tau: float, n: int) -> int:
 
     This is the s of the unscaled generator, the one acceptance criteria
     7 and 9 use: 7 at degree 60 and 9 at degree 100.  It is not the s
-    :func:`price_call` runs at, which is taken on the rescaled basis
-    (4 at the default n_max = 100, see :class:`PricingConfig`).
+    :func:`price_call` runs at, which is taken from the shifted bound on
+    the rescaled basis (3 at the default n_max = 100, see
+    :class:`PricingConfig`).
     """
     return scaling_power(tau * jacobi_norm_bound(params, n))
 
@@ -295,14 +303,19 @@ def rescaled_basis(n_max: int) -> tuple[int, int]:
     """Exponents (log2 a, log2 b) of the basis of monomials of (a y, b v)
     that a series to degree ``n_max`` is priced on.
 
-    a is the smallest power of two with a >= 2^-3 and a^n_max >= 2^-300,
-    and b = 2a capped at 1.  With a <= b <= 1 every entry of the rescaled
-    matrices is its unscaled value times a factor in [a^n_max, 1], so no
-    entry grows and the factor alone takes none near the subnormal range.
-    Past n_max = 300 the rule backs off to a = b = 1, the unscaled basis.
+    a is the smallest power of two with a >= 2^-4 and a^n_max >= 2^-600,
+    and b = 4a capped at 1: (-4, -2) up to n_max = 150, (-3, -1) to 200,
+    (-2, 0) to 300, (-1, 0) to 600 and the unscaled basis (0, 0) past
+    it.  The rule is bounded at both ends of the float range.  With
+    a <= b <= 1 every entry of the rescaled matrices is its unscaled value times a factor in
+    [a^n_max, 1], and 2^-600 keeps that factor far above the subnormal
+    range (2^-1022).  The read-off's Hermite coefficients of y / a grow
+    like (a sigmaw)^-n; a^-n <= 2^600 leaves them 2^424 of headroom for
+    sigmaw^-n / sqrt(n!), and :func:`hermite_moment` refuses coefficients
+    that overflow all the same.
     """
     e = min(_BASIS_SHIFT, _BASIS_RANGE // max(n_max, 1))
-    return -e, min(0, 1 - e)
+    return -e, min(0, 2 - e)
 
 
 def hermite_moment(columns, x0, muw: float, sigmaw: float) -> float:
@@ -313,14 +326,19 @@ def hermite_moment(columns, x0, muw: float, sigmaw: float) -> float:
     ``columns[p]`` is the exponential's column at y^p, p = 0 .. n with
     n = len(columns) - 1, down to the last row where it can be nonzero:
     the Hermite polynomial involves only these monomials, so they are
-    all the read-off needs (see :func:`price_call`).  The result is
+    all the read-off needs (see :func:`price_call`).  Raises
+    ``ValueError`` if the Hermite coefficients overflow.  The result is
     :func:`conditional_moment` of :func:`hermite_vector` on the whole
     exponential, and rounds the same: the operand is the columns of the
     nonzero coefficients, zero-padded to the full dimension, in the
     Fortran order numpy gives that function's gather ``mat[:, nz]``.
     """
     n = len(columns) - 1
-    coeffs = hermite_y_coefficients(n, muw, sigmaw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = hermite_y_coefficients(n, muw, sigmaw)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"the degree-{n} Hermite coefficients overflow the float range for "
+                         f"the weight N(muw = {muw!r}, sigmaw = {sigmaw!r}^2)")
     nz = np.flatnonzero(coeffs)
     gathered = np.zeros((basis_size(2, n), nz.size), order="F")
     for k, p in enumerate(nz):
@@ -357,6 +375,23 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     :func:`hermite_moment`), and D^-1, whose a^-n overflows at high
     degree, is never formed.
 
+    The engine runs on B - mu I, the other half of Ward's preprocessing:
+    exp(B) = e^mu exp(B - mu I), and for one mu the shifted sequence is
+    still nested.  mu is the centre of the real interval that the
+    Gershgorin column discs of tau G on the rescaled basis span up to
+    n_max, which :func:`~blockexpm.generators.shifted_norm_bound` reads
+    off the exact entries, so
+    ||B_n - mu I||_1 is at most the bound's radius at every degree, and
+    s comes from that radius.  On the default inputs the diagonal of
+    tau G_100 runs from 0 down to -46.9, and on the basis (2^-4, 2^-2)
+    the shift cuts the bound from 55.7 to 39.1: s = 3 against 4
+    unshifted.  G sends 1 to 0, so the exponential's first entry is
+    e^-mu, and each l_n is divided by the stream's own value of it, which
+    keeps l_0 = 1 exactly.  The stream's columns are e^-mu times
+    exp(B)'s, so |mu| is clipped at 256 ln 2 to keep them far inside the
+    float range, and the radius grows by what the clip moves mu.
+    :attr:`PriceResult.shift` records mu.
+
     Every exponential is computed at one scaling power, chosen before any
     matrix is formed (see :class:`PricingConfig`), so the engine extends
     its caches by one block column per degree and never restarts.  A
@@ -380,11 +415,16 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     x0 = (math.ldexp(cfg.y0, ea), math.ldexp(cfg.v0, eb))
     muw, sigmaw = math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
     spec = scaled_spec(jacobi_spec(cfg.params), basis)
+    mu, radius = (cfg.tau * x for x in shifted_norm_bound(spec, cfg.n_max))
+    # keep e^-mu in the float range; the radius grows by what the clip
+    # moves mu
+    clipped = min(max(mu, -_SHIFT_LIMIT), _SHIFT_LIMIT)
+    mu, radius = clipped, radius + abs(mu - clipped)
     if cfg.scaling is None:
-        s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
+        s = scaling_power(radius)
     else:
         s = as_scaling_power(cfg.scaling)
-    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
+    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau, shift=mu)
     runner = _drive(columns, s, keep=[0])
 
     t0 = time.perf_counter()
@@ -393,12 +433,13 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     converged = False
     terminal = 0
     prev_small = False
-    kept: list[np.ndarray] = []  # column y^p of exp(B_p), p = 0 .. n
+    kept: list[np.ndarray] = []  # column y^p of exp(B_p - mu I), p = 0 .. n
     for (top, diag), report in runner:
         n = report.step
         kept.append(np.concatenate([top, diag]).ravel())
         tm = time.perf_counter()
-        l_n = hermite_moment(kept, x0, muw, sigmaw)
+        # exp(B) e_0 = e_0, so kept[0] is the stream's own e^-mu
+        l_n = hermite_moment(kept, x0, muw, sigmaw) / float(kept[0][0])
         tq = time.perf_counter()
         moment_seconds = tq - tm
         f_n = fourier_coefficient(
@@ -438,4 +479,5 @@ def price_call(cfg: PricingConfig) -> PriceResult:
         seconds=time.perf_counter() - t0,
         scaling=s,
         basis_scale=basis,
+        shift=mu,
     )

@@ -7,7 +7,7 @@ import pytest
 import blockexpm.cli as cli
 import blockexpm.incremental as incremental
 from blockexpm.bench import blas_threads
-from blockexpm.blocks import BlockColumn, matrix_from_columns, write_column_stream
+from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns, write_column_stream
 from blockexpm.cli import main
 from blockexpm.dense import one_norm, read_matrix, read_partition, rel_error_fro, write_matrix
 from blockexpm.generators import JacobiParams, build_generator_matrix, jacobi_spec
@@ -221,7 +221,7 @@ def test_generator_jacobi(tmp_path, capsys):
     params = JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
     g, partition = build_generator_matrix(jacobi_spec(params), 2)
     assert np.array_equal(read_matrix(out), g)
-    assert read_partition(part) == partition.sizes == (1, 2, 3)
+    assert read_partition(part) == partition == Partition((1, 2, 3))
 
 
 def test_generator_heston(tmp_path):
@@ -287,17 +287,17 @@ def test_price_run(tmp_path, capsys):
         assert float(r["moment_seconds"]) >= 0 and spent <= float(r["cum_seconds"])
     printed = float(out.split()[1])
     assert printed == pytest.approx(res.price, rel=1e-9)
-    # s comes from the rescaled Jacobi norm bound at the default --n-max of
-    # 100, on the basis of monomials of (y / 8, v / 4)
-    assert res.scaling == 4 and res.basis_scale == (-3, -2)
-    assert "s = 4, log2 basis scale (-3, -2)," in out
-    # past n_max = 300 the basis backs off to the unscaled one, and the
+    # s comes from the shifted Jacobi norm bound at the default --n-max of
+    # 100, on the basis of monomials of (y / 16, v / 4)
+    assert res.scaling == 3 and res.basis_scale == (-4, -2)
+    assert f"s = 3, log2 basis scale (-4, -2), shift {res.shift:.6g}," in out
+    # past n_max = 600 the basis backs off to the unscaled one, and the
     # summary line says so; the series still stops near degree 20
     rc = main(
         ["price", "--params", JACOBI_ARG,
          "--y0", "0", "--v0", "0.04", "--tau", "0.25",
          "--logstrike", str(math.log(1.1)), "--muw", "0", "--sigmaw", "0.5",
-         "--eps", "0.05", "--n-max", "400", "--ledger", str(ledger)]
+         "--eps", "0.05", "--n-max", "601", "--ledger", str(ledger)]
     )
     assert rc == 0
     assert ", log2 basis scale (0, 0)," in capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blockexpm.blocks import Partition
 from blockexpm.dense import (
     ILL_CONDITION_RTOL,
     SingularMatrixError,
@@ -143,7 +144,7 @@ def test_parse_matrix_errors():
 def test_partition_file_roundtrip(tmp_path):
     p = tmp_path / "part.txt"
     write_partition(p, [3, 1, 4])
-    assert read_partition(p) == (3, 1, 4)
+    assert read_partition(p) == Partition((3, 1, 4))
     p.write_text("2 0 1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block sizes must be positive integers, got 0"):
         read_partition(p)

@@ -26,6 +26,7 @@ from blockexpm.generators import (
     norm_bound,
     scaled_spec,
 )
+from blockexpm.generators import _stencil
 
 BENCH_JACOBI = JacobiParams(
     kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0
@@ -357,6 +358,49 @@ def test_block_columns_are_the_images_of_the_monomials():
                 for m, c in apply_generator(spec, Polynomial.monomial(k)).terms.items():
                     want[basis_index(m), local] = c * 0.3
             assert np.array_equal(col.stacked(), want), j
+
+
+def _walked_block_columns(spec, max_degree, scale):
+    # the per-monomial assembly the array stencil replaced: each degree-j
+    # monomial's stencil walked term by term, each target found by
+    # basis_index, each entry summed in stencil order
+    for j in range(max_degree + 1):
+        monos = degree_monomials(spec.dim, j)
+        col = np.zeros((basis_size(spec.dim, j), len(monos)))
+        for local, k in enumerate(monos):
+            for m, c in _stencil(spec, k, 1.0):
+                col[basis_index(m), local] += c
+        col *= scale
+        yield col
+
+
+def test_block_columns_equal_the_stencil_walk_bit_for_bit():
+    # the array stencil sums every entry's contributions in the walk's
+    # order, so the columns keep their bits, on random Jacobi and Heston
+    # operators, unscaled and rescaled, to degree 40
+    rng = np.random.default_rng(4040)
+    for _ in range(2):
+        for spec in (jacobi_spec(random_jacobi(rng)), heston_spec(random_heston(rng))):
+            for basis in ((0, 0), (-4, -2)):
+                scaled = scaled_spec(spec, basis)
+                got = generator_block_columns(scaled, max_degree=40, scale=0.37)
+                for j, (col, want) in enumerate(
+                    zip(got, _walked_block_columns(scaled, 40, 0.37), strict=True)
+                ):
+                    assert np.array_equal(col.stacked(), want), (basis, j)
+
+
+def test_block_columns_shift_the_diagonal_only():
+    # shift subtracts from each diagonal entry of scale * G and touches no
+    # other entry; shift 0 keeps every bit
+    spec = jacobi_spec(BENCH_JACOBI)
+    plain = list(generator_block_columns(spec, max_degree=8, scale=0.25))
+    zero = generator_block_columns(spec, max_degree=8, scale=0.25, shift=0.0)
+    shifted = generator_block_columns(spec, max_degree=8, scale=0.25, shift=-1.5)
+    for col, col0, col_s in zip(plain, zero, shifted, strict=True):
+        assert np.array_equal(col0.stacked(), col.stacked())
+        assert np.array_equal(col_s.top, col.top)
+        assert np.array_equal(col_s.diag, col.diag + 1.5 * np.eye(col.block_size))
 
 
 def test_block_columns_on_a_rescaled_basis_are_exact():

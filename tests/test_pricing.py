@@ -22,6 +22,7 @@ from blockexpm.generators import (
     jacobi_spec,
     norm_bound,
     scaled_spec,
+    shifted_norm_bound,
 )
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
 from blockexpm.pade import expm_baseline, scaling_power
@@ -395,6 +396,14 @@ def test_hermite_moment_matches_baseline():
         assert abs(l_inc - l_base) <= tol * abs(l_base), f"degree {n}"
 
 
+def test_hermite_moment_refuses_overflowing_coefficients():
+    # h_200 of y / 0.001 has coefficients near 1000^200 / sqrt(200!): past
+    # the float range, so the read-off raises instead of returning nan
+    columns = [np.zeros(basis_size(2, p)) for p in range(201)]
+    with pytest.raises(ValueError, match="degree-200 Hermite coefficients overflow"):
+        hermite_moment(columns, (0.0, 0.04), 0.0, 1e-3)
+
+
 def test_hermite_moments_match_a_sparse_expm_action():
     # independent of the engine: by nesting, w = exp(tau G_40^T) e_40(x0)
     # gives l_n = w[:d_n] . h_n for every n <= 40, and scipy's
@@ -541,20 +550,28 @@ def _random_heston_params(rng):
     )
 
 
+def _shifted_bound(params, tau, n_max, basis=None):
+    # the shift mu and radius of tau G on the pricing basis of n_max
+    spec = scaled_spec(jacobi_spec(params), rescaled_basis(n_max) if basis is None else basis)
+    mu, radius = shifted_norm_bound(spec, n_max)
+    return tau * mu, tau * radius
+
+
 def _rescaled_bound_scaling(params, tau, n_max):
-    spec = scaled_spec(jacobi_spec(params), rescaled_basis(n_max))
-    return scaling_power(tau * norm_bound(spec, n_max))
+    return scaling_power(_shifted_bound(params, tau, n_max)[1])
 
 
 def test_default_price_runs_at_the_bound_scaling():
-    # scaling=None is the rescaled bound's power at n_max, with no restart:
+    # scaling=None is the shifted bound's power at n_max, with no restart:
     # every ledger row and the price are bit-identical to an explicit run
-    # at it
+    # at it, which takes the same shift
     res = price_call(bench_config(eps=0.05))
-    assert res.scaling == _rescaled_bound_scaling(BENCH_PARAMS, 0.25, 100) == 4
+    assert res.scaling == _rescaled_bound_scaling(BENCH_PARAMS, 0.25, 100) == 3
+    assert res.shift == _shifted_bound(BENCH_PARAMS, 0.25, 100)[0]
     fixed = price_call(bench_config(eps=0.05, scaling=res.scaling))
     assert fixed.scaling == res.scaling
     assert fixed.basis_scale == res.basis_scale == rescaled_basis(100)
+    assert fixed.shift == res.shift
     assert [row.l_n for row in res.rows] == [row.l_n for row in fixed.rows]
     assert res.price == fixed.price
     assert price_call(bench_config(eps=0.05, n_max=30)).scaling == _rescaled_bound_scaling(
@@ -563,20 +580,24 @@ def test_default_price_runs_at_the_bound_scaling():
 
 
 def test_default_scaling_on_the_rescaled_basis():
-    # the default n_max of 100 prices on the monomials of (y / 8, v / 4),
-    # where the bound needs s = 4 against the unscaled bound's 9; degree 60
-    # needs 3 there
-    assert rescaled_basis(100) == (-3, -2)
-    assert _rescaled_bound_scaling(BENCH_PARAMS, 0.25, 100) == 4
+    # the default n_max of 100 prices on the monomials of (y / 16, v / 4),
+    # where the shifted bound needs s = 3 against the unscaled bound's 9;
+    # the basis and the shift each need the other: unshifted, that basis
+    # needs 4, and shifted, the old basis of (y / 8, v / 4) needs 4 too
+    assert rescaled_basis(100) == (-4, -2)
+    mu, radius = _shifted_bound(BENCH_PARAMS, 0.25, 100)
+    assert scaling_power(radius) == 3
+    assert mu == pytest.approx(-16.62, abs=0.01) and radius == pytest.approx(39.08, abs=0.01)
     assert scaling_from_bound(BENCH_PARAMS, 0.25, 100) == 9
-    bench = scaled_spec(jacobi_spec(BENCH_PARAMS), (-3, -2))
-    assert scaling_power(0.25 * norm_bound(bench, 60)) == 3
+    bench = scaled_spec(jacobi_spec(BENCH_PARAMS), (-4, -2))
+    assert scaling_power(0.25 * norm_bound(bench, 100)) == 4
+    assert scaling_power(_shifted_bound(BENCH_PARAMS, 0.25, 100, (-3, -2))[1]) == 4
 
 
-def _rescaled_norms(spec, tau, max_degree):
-    # exact 1-norms of tau G_n for n = 0..max_degree; the
+def _rescaled_norms(spec, tau, max_degree, shift=0.0):
+    # exact 1-norms of tau G_n - shift I for n = 0..max_degree; the
     # degree-max_degree matrix nests every smaller one
-    cols = generator_block_columns(spec, max_degree=max_degree, scale=tau)
+    cols = generator_block_columns(spec, max_degree=max_degree, scale=tau, shift=shift)
     b = matrix_from_columns(cols).data
     return [one_norm(b[: basis_size(2, n), : basis_size(2, n)]) for n in range(max_degree + 1)]
 
@@ -605,38 +626,82 @@ def test_rescaled_norm_bound_dominates():
         )
 
 
+def test_shifted_norm_bound_dominates():
+    # as test_rescaled_norm_bound_dominates does for norm_bound: 10 random
+    # Jacobi and 10 Heston draws on four bases, where (mu, radius) at degree
+    # n bounds ||tau G_j - mu I||_1 for every j <= n; the bound reads the
+    # columns' exact entries, so at degree n it is the norm, and no other
+    # shift does better
+    rng = np.random.default_rng(2606)
+    for _ in range(10):
+        for spec in (jacobi_spec(_random_jacobi_params(rng)),
+                     heston_spec(_random_heston_params(rng))):
+            tau = rng.uniform(0.05, 2.0)
+            for scale in ((0, 0), (-1, 0), (-4, -2), (-5, -3)):
+                scaled = scaled_spec(spec, scale)
+                for n in (0, 7, 24):
+                    mu, radius = (tau * x for x in shifted_norm_bound(scaled, n))
+                    norms = _rescaled_norms(scaled, tau, n, shift=mu)
+                    assert max(norms) <= radius * (1 + 1e-14), (spec, scale, n)
+                    assert max(norms) == pytest.approx(radius, rel=1e-13), (spec, scale, n)
+                    for other in (mu - 0.5, mu + 0.5):
+                        assert _rescaled_norms(scaled, tau, n, shift=other)[n] >= norms[n]
+    with pytest.raises(ValueError):
+        shifted_norm_bound(jacobi_spec(BENCH_PARAMS), -1)
+
+
 def test_rescaled_basis_rule():
-    # a = 2^ea is the smallest power of two >= 2^-3 with a^n_max >= 2^-300,
-    # and b = 2a capped at 1
+    # a = 2^ea is the smallest power of two >= 2^-4 with a^n_max >= 2^-600,
+    # and b = 4a capped at 1
     for n_max in range(0, 1001):
         ea, eb = rescaled_basis(n_max)
-        assert -3 <= ea <= 0 and n_max * ea >= -300, n_max
-        assert ea == -3 or n_max * (ea - 1) < -300, n_max
-        assert eb == min(0, ea + 1), n_max
-    assert rescaled_basis(400) == (0, 0)
+        assert -4 <= ea <= 0 and n_max * ea >= -600, n_max
+        assert ea == -4 or n_max * (ea - 1) < -600, n_max
+        assert eb == min(0, ea + 2), n_max
+    assert rescaled_basis(100) == rescaled_basis(150) == (-4, -2)
+    assert rescaled_basis(400) == (-1, 0)
+    assert rescaled_basis(601) == (0, 0)
 
 
 def test_price_at_a_generous_n_max_backs_off_the_basis():
-    # n_max = 400 is past the rule's range: the basis is the unscaled one
-    # there, and the price matches n_max = 30's at the same terminal degree
-    wide = price_call(bench_config(eps=0.05, n_max=400))
-    narrow = price_call(bench_config(eps=0.05, n_max=30))
-    ea, _ = wide.basis_scale
-    assert 400 * ea >= -300
-    assert narrow.basis_scale == (-3, -2)
-    assert wide.terminal_degree == narrow.terminal_degree
-    assert abs(wide.price - narrow.price) <= 1e-12 * abs(narrow.price)
+    # n_max = 400 backs off to the monomials of (y / 2, v) at s = 10: the
+    # series still stops at degree 60, at the default n_max's price
+    wide = price_call(bench_config(n_max=400))
+    narrow = price_call(bench_config())
+    assert wide.basis_scale == (-1, 0) and narrow.basis_scale == (-4, -2)
+    assert (wide.scaling, narrow.scaling) == (10, 3)
+    assert wide.terminal_degree == narrow.terminal_degree == 60
+    assert abs(wide.price - narrow.price) <= 1e-10
 
 
 def test_price_at_too_small_a_scaling_raises_before_the_degree():
-    # the driver's norm check guards the rescaled generator: at s = 2 the
-    # series stops with one error at the first degree whose rescaled norm
-    # passes THETA_13 * 4, before that degree is exponentiated
+    # the driver's norm check guards the shifted, rescaled generator: at
+    # s = 1 the series stops with one error at the first degree whose
+    # shifted norm passes THETA_13 * 2, before that degree is exponentiated
+    mu, radius = _shifted_bound(BENCH_PARAMS, 0.25, 60)
+    assert scaling_power(radius) == 2
     spec = scaled_spec(jacobi_spec(BENCH_PARAMS), rescaled_basis(60))
-    norms = _rescaled_norms(spec, 0.25, 60)
-    first = next(n for n, norm in enumerate(norms) if scaling_power(norm) > 2)
-    with pytest.raises(ValueError, match=f"block column {first} .* s = 2 is too small"):
-        price_call(bench_config(eps=0.0, n_max=60, scaling=2))
+    norms = _rescaled_norms(spec, 0.25, 60, shift=mu)
+    first = next(n for n, norm in enumerate(norms) if scaling_power(norm) > 1)
+    with pytest.raises(ValueError, match=f"block column {first} .* s = 1 is too small"):
+        price_call(bench_config(eps=0.0, n_max=60, scaling=1))
+
+
+def test_price_clips_a_shift_far_outside_the_float_range():
+    # a long horizon centres the spectrum of tau G_40 near -700: the shifted
+    # stream's columns, e^-mu times the exponential's, would overflow, so mu
+    # is clipped to -256 ln 2 and the bound grows by what the clip moved
+    cfg = bench_config(eps=0.0, n_max=40, tau=20.0)
+    mu, radius = _shifted_bound(BENCH_PARAMS, 20.0, 40)
+    assert mu < -pricing._SHIFT_LIMIT
+    res = price_call(cfg)
+    assert res.shift == -pricing._SHIFT_LIMIT
+    assert res.scaling == scaling_power(radius + res.shift - mu)
+    g, _ = build_generator_matrix(jacobi_spec(BENCH_PARAMS), 40)
+    w = expm_multiply(csr_matrix(cfg.tau * g.T), basis_values(2, 40, (cfg.y0, cfg.v0)))
+    for n, row in enumerate(res.rows):
+        terms = w[: basis_size(2, n)] * hermite_vector(n, cfg.muw, cfg.sigmaw)
+        assert abs(row.l_n - terms.sum()) <= 1e-12 * np.abs(terms).sum(), f"degree {n}"
 
 
 def test_rescaled_read_off_matches_the_unscaled_one():
@@ -689,13 +754,15 @@ def test_tracer_targets_are_looked_up_at_call_time(monkeypatch):
 def _ledgers_off_stages(cfgs):
     """price_call's series for each of ``cfgs``, which differ only in
     their state, read by conditional_moment off one pass of whole
-    run_fixed stages: per config the rows (n, l_n, f_n, term,
-    partial_price), then the price, s, terminal degree and basis."""
+    run_fixed stages of the shifted generator, each moment divided by the
+    stage's e^-mu: per config the rows (n, l_n, f_n, term,
+    partial_price), then the price, s, terminal degree, basis and shift."""
     cfg = cfgs[0]
     basis = rescaled_basis(cfg.n_max)
     spec = scaled_spec(jacobi_spec(cfg.params), basis)
-    s = scaling_power(cfg.tau * norm_bound(spec, cfg.n_max))
-    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau)
+    mu, radius = _shifted_bound(cfg.params, cfg.tau, cfg.n_max)
+    s = scaling_power(radius)
+    columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau, shift=mu)
     series = {k: ([], 0.0, False) for k in range(len(cfgs))}  # rows, price, prev_small
     done = {}
     for f, report in run_fixed(columns, s=s):
@@ -703,27 +770,28 @@ def _ledgers_off_stages(cfgs):
         f_n = fourier_coefficient(n, cfg.logstrike, cfg.muw, cfg.sigmaw, cfg.params.r, cfg.tau)
         for k, (rows, price, prev_small) in list(series.items()):
             x0, muw, sigmaw = scaled_read_off(cfgs[k], basis)
-            l_n = conditional_moment(f, x0, hermite_vector(n, muw, sigmaw))
+            l_n = conditional_moment(f, x0, hermite_vector(n, muw, sigmaw)) / f.data[0, 0]
             price += l_n * f_n
             rows.append((n, l_n, f_n, l_n * f_n, price))
             small = cfg.eps > 0 and abs(l_n * f_n) <= cfg.eps * max(abs(price), 1e-300)
             if small and (n == 0 or prev_small):
-                done[k] = (rows, price, s, n, basis)
+                done[k] = (rows, price, s, n, basis, mu)
                 del series[k]
             else:
                 series[k] = (rows, price, small)
         if not series:
             break
     for k, (rows, price, _) in series.items():
-        done[k] = (rows, price, s, n, basis)
+        done[k] = (rows, price, s, n, basis, mu)
     return [done[k] for k in range(len(cfgs))]
 
 
 # price_call forms the last square only on the kept column, which BLAS
 # rounds differently from the same column of the stages' wide product.
 # Over the cases below a moment deviated from the stages' by at most
-# 3.6e-15 = 16 eps times the series' largest |l_m|, and a term or partial
-# sum by less (1 BLAS thread, OpenBLAS); four times that bounds all three.
+# 3.6e-15 = 16 eps times the series' largest |l_m| on the unshifted
+# stream, and 1.6 eps on the shifted one, a term or partial sum by less
+# (1 and 2 BLAS threads, OpenBLAS); four times 16 eps bounds all three.
 _LEDGER_TOL = 64 * np.finfo(float).eps
 
 
@@ -735,7 +803,7 @@ def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
     # ledger is read off the same stages
     cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
     ledgers = _ledgers_off_stages(cfgs)
-    for cfg, (rows, price, s, terminal, basis) in zip(cfgs, ledgers):
+    for cfg, (rows, price, s, terminal, basis, mu) in zip(cfgs, ledgers):
         res = price_call(cfg)
         assert [(r.n, r.f_n) for r in res.rows] == [(n, f_n) for n, _, f_n, _, _ in rows]
         tol = _LEDGER_TOL * max(abs(l_n) for _, l_n, _, _, _ in rows)
@@ -744,7 +812,8 @@ def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
             assert abs(r.term - term) <= tol
             assert abs(r.partial_price - partial) <= tol
         assert abs(res.price - price) <= tol
-        assert (res.scaling, res.terminal_degree, res.basis_scale) == (s, terminal, basis)
+        assert (res.scaling, res.terminal_degree, res.basis_scale, res.shift) == (
+            s, terminal, basis, mu)
     assert ledgers[0][3] == (30 if eps == 0 else 60)
 
 

@@ -24,7 +24,7 @@ report.
 ``price`` hashes five ``price_call`` ledgers at the configuration of the
 price_adaptive benchmark workload: per row repr((n, l_n, f_n, term,
 partial_price)), then repr((price, scaling, terminal_degree,
-basis_scale)) of the result.
+basis_scale, shift)) of the result.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ def _price_hash() -> str:
         res = price_call(PricingConfig(**{**inputs, **run}))
         for r in res.rows:
             h.update(repr((r.n, r.l_n, r.f_n, r.term, r.partial_price)).encode())
-        h.update(repr((res.price, res.scaling, res.terminal_degree, res.basis_scale)).encode())
+        h.update(repr((res.price, res.scaling, res.terminal_degree, res.basis_scale,
+                       res.shift)).encode())
     return h.hexdigest()
 
 
