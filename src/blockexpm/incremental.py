@@ -3,24 +3,27 @@
 Given a sequence of matrices G_0, G_1, ... where each G_n extends G_{n-1}
 by one block column (and a new diagonal block), computing exp(G_n) from
 scratch costs O(d_n^3) per step.  The engine here caches the intermediate
-quantities of the Pade scaling-and-squaring pass -- the scaled matrix, the
-inverse of the denominator polynomial, and every repeated square of the
-rational approximant -- and extends all of them by one block column per
-step.  The per-step cost drops to O(d^2 b) for a new block of size b, and
-counts only the blocks that can be nonzero: every cache is block upper
-triangular, so each product with a new block column skips the zero lower
-block triangle (down to the edges of the column chunks below).  The power
-recurrence also skips, column chunk by column chunk, the leading rows that
-the scaled matrix's zero-row profile keeps exactly zero, so a banded scaled
-matrix, such as a polynomial generator, costs only its band.
+quantities of the Pade scaling-and-squaring pass -- the scaled matrix and
+every repeated square of the rational approximant -- and extends all of
+them by one block column per step.  The rational solve needs no cache of
+its own: the approximant commutes with its denominator, so its new block
+column follows from the cached approximant, square 0, and the LU factors
+of the denominator's new diagonal block.  The per-step cost drops to
+O(d^2 b) for a new block of size b, and counts only the blocks that can be
+nonzero: every cache is block upper triangular, so each product with a
+new block column skips the zero lower block triangle (down to the edges of
+the column chunks below).  The power recurrence also skips, column chunk
+by column chunk, the leading rows that the scaled matrix's zero-row
+profile keeps exactly zero, so a banded scaled matrix, such as a
+polynomial generator, costs only its band.
 Only new block columns are ever computed, so earlier stages survive bit
 for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
-Every cache that a product reads -- the scaled matrix, Q^-1 and all
-squares but the last -- is an append-only list of column chunks.  A chunk
-of block columns keeps only the rows down to its last column, so the zero
+Every cache that a product reads -- the scaled matrix and squares 0 ..
+max(s, 1) - 1 -- is an append-only list of column chunks.  A chunk of
+block columns keeps only the rows down to its last column, so the zero
 lower block triangle is mostly not stored, and a step writes its new block
 column into the open chunk or into a new one: no chunk is copied or
 written once a later one opens.  A wide block column opens a chunk of
@@ -38,9 +41,9 @@ the exponential.  A reader that needs only some of its columns, as
 Hermite-series pricing does, drives the engine at a fixed scaling power
 without the buffer and names the columns it keeps (see ``_drive``):
 squares 0 .. s - 1 are still formed in full, since the next step's
-products read them, but square s, which nothing reads, is formed only on
-the kept columns, at every step from the first.  The stage path forms
-every column as before.
+products read them, but square s, which nothing reads for s >= 1, is
+formed only on the kept columns, at every step from the first.  The stage
+path forms every column as before.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -293,27 +296,27 @@ class IncrementalExpState:
     A new state is empty, of dimension 0, and every block column enters
     through :meth:`step`, the first included, so the first block gets the
     same pivot and memory checks as every later one.  The state holds
-    three caches, each block upper triangular and grown by one block
+    two kinds of cache, each block upper triangular and grown by one block
     column per step:
 
     * the scaled matrix 2^-s G;
-    * Q^-1, the inverse of the Pade denominator q(2^-s G), which turns the
-      rational solve of each step into one matrix product;
     * the squares r(2^-s G)^(2^l) for l = 0 .. s; square s is the current
-      exponential.
+      exponential, and square 0, the approximant F itself, also gives the
+      rational solve of the next step (see :meth:`_solve_rational_column`).
 
-    The scaled matrix, Q^-1 and squares 0 .. s - 1 are read by the next
+    The scaled matrix and squares 0 .. max(s, 1) - 1 are read by the next
     step's products and are stored as column chunks
-    (:class:`_ChunkedCache`); square s is only emitted, and is the leading
-    ``dim`` x ``dim`` block of one buffer with spare capacity.  A state of
-    ``_drive``'s column stream is built with a selection ``_keep`` that
-    indexes the columns of each new block column, the first included: it
-    keeps no square s, forms the new block column of square s only on
-    those columns, and hands them back.  ``_keep=None``, the default, is a
-    stage state.  The state also keeps the zero-row profile of the scaled
-    matrix (see :func:`_grow_lead`), which windows the power recurrence,
-    and in ``phase_seconds`` the seconds of each phase of the last step,
-    keyed by the matching :class:`StepReport` fields.
+    (:class:`_ChunkedCache`), so at s = 0 square 0 is kept there as well;
+    square s is emitted as the leading ``dim`` x ``dim`` block of one
+    buffer with spare capacity.  A state of ``_drive``'s column stream is
+    built with a selection ``_keep`` that indexes the columns of each new
+    block column, the first included: it keeps no buffer, forms the new
+    block column of square s >= 1 only on those columns, and hands them
+    back.  ``_keep=None``, the default, is a stage state.  The state also
+    keeps the zero-row profile of the scaled matrix (see
+    :func:`_grow_lead`), which windows the power recurrence, and in
+    ``phase_seconds`` the seconds of each phase of the last step, keyed by
+    the matching :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -324,8 +327,7 @@ class IncrementalExpState:
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt = _ChunkedCache()
-        self._qinv = _ChunkedCache()
-        self._squares = [_ChunkedCache() for _ in range(self.s)]
+        self._squares = [_ChunkedCache() for _ in range(max(self.s, 1))]
         # A state of _drive's column stream keeps no buffer: the kept
         # columns of each new block column of the exponential leave only
         # as step's return.
@@ -341,7 +343,7 @@ class IncrementalExpState:
         """Bytes of every array the state holds: the chunks, the
         exponential buffer with its spare capacity, if the state keeps
         one, and the zero-row profile."""
-        chunks = self._gt.nbytes + self._qinv.nbytes + sum(sq.nbytes for sq in self._squares)
+        chunks = self._gt.nbytes + sum(sq.nbytes for sq in self._squares)
         exp = 0 if self._exp is None else self._exp.nbytes
         return chunks + exp + self._lead.nbytes
 
@@ -405,9 +407,9 @@ class IncrementalExpState:
             )
         d, b = self.dim, col.block_size
         # What the step leaves held, plus the old exponential buffer while
-        # a full one is reallocated: the s + 2 chunked caches open their
-        # chunks together, and the zero-row profile grows by b entries.
-        need = self.cache_bytes + 8 * b + (self.s + 2) * self._gt.opened_bytes(b)
+        # a full one is reallocated: the chunked caches open their chunks
+        # together, and the zero-row profile grows by b entries.
+        need = self.cache_bytes + 8 * b + (len(self._squares) + 1) * self._gt.opened_bytes(b)
         if self._exp is not None:
             capacity = self._capacity(d + b, b)
             if capacity > self._exp.shape[0]:
@@ -416,9 +418,7 @@ class IncrementalExpState:
         t0 = time.perf_counter()
         p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col)
         t1 = time.perf_counter()
-        f_col, f_diag, qinv_top, qinv_diag = self._solve_rational_column(
-            p_top, p_diag, q_top, q_diag, c
-        )
+        f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
         square_cols, (z, dsq) = self._squaring_column(f_col, f_diag)
         t3 = time.perf_counter()
@@ -426,7 +426,6 @@ class IncrementalExpState:
         # Every phase has succeeded; only now are the caches grown.
         self._lead = _grow_lead(self._lead, gt_col, dt)
         self._gt.append(gt_col, dt)
-        self._qinv.append(qinv_top, qinv_diag)
         for cache, (top, diag) in zip(self._squares, square_cols):
             cache.append(top, diag)
         if self._exp is not None:
@@ -494,16 +493,19 @@ class IncrementalExpState:
         return p_top, p_diag, q_top, q_diag, gt_col, dt, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
-        """Last block columns of F = Q^-1 P and of Q^-1 for the extended
-        polynomials.
+        """Last block column of F = Q^-1 P for the extended polynomials.
 
-        With Q = [[Qprev, q_top], [0, Q_nn]] the new block column of the
-        inverse is [-Qprev^-1 q_top Q_nn^-1; Q_nn^-1], and that of F is
-        [Qprev^-1 (p_top - q_top F_nn); F_nn] with F_nn = Q_nn^-1 P_nn.
-        F_nn and Q_nn^-1 come from the LU factors of the new diagonal
-        block; both top parts come from one product of the cached
-        Qprev^-1 with [p_top - q_top F_nn | q_top], whose rows above c
-        are zero and are not formed.
+        F and Q are rational functions of the same matrix, so they commute,
+        and F Q = P.  With Q = [[Qprev, q_top], [0, Q_nn]] and F = [[Fprev,
+        f_top], [0, F_nn]] the last block column of F Q = P reads
+        Fprev q_top + f_top Q_nn = p_top, so
+
+            F_nn = Q_nn^-1 P_nn,   f_top = (p_top - Fprev q_top) Q_nn^-1.
+
+        Fprev is square 0, which the state caches, and the rows of q_top
+        above c are zero, so the one product reads only its chunks right
+        of c.  Both divisions reuse the LU factors of the new diagonal
+        block, the right one through a transposed solve.
         """
         lu_nn = lu_factor(q_diag)
         if lu_nn.ill_conditioned:
@@ -513,23 +515,17 @@ class IncrementalExpState:
                 "the matrix norm is outside the Pade regime for this scaling",
                 pivot=lu_nn.smallest_pivot,
             )
-        b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
-        qinv_diag = lu_solve(lu_nn, np.eye(b))
-        rhs = np.zeros((q_top.shape[0], 2 * b))
-        rhs[c:, :b] = p_top[c:] - q_top[c:] @ f_diag
-        rhs[c:, b:] = q_top[c:]
-        prod = self._qinv.product(rhs, c)
-        # A contiguous copy: the squaring's products read f_col in place
-        # only if it is, as prod's column slice is not, and prod is then
-        # freed before the squaring.
-        f_col = np.ascontiguousarray(prod[:, :b])
-        qinv_top = -(prod[:, b:] @ qinv_diag)
-        return f_col, f_diag, qinv_top, qinv_diag
+        rhs = self._squares[0].product(q_top, c)
+        np.subtract(p_top, rhs, out=rhs)
+        # The solve returns a Fortran array, so f_col is C-ordered, as the
+        # squaring's products need to read it in place.
+        f_col = lu_solve(lu_nn, rhs.T, trans=1).T
+        return f_col, f_diag
 
     def _squaring_column(self, f_col, f_diag):
-        """New block columns of the cached squares 0 .. s - 1, as a list,
-        and of square s, the exponential.
+        """New block columns of the cached squares 0 .. max(s, 1) - 1, as a
+        list, and of square s, the exponential.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
         off-diagonal column follows
@@ -539,8 +535,9 @@ class IncrementalExpState:
         where Fprev powers come from the cache before extension and D
         powers are squared locally along the way.  Column j of level l
         reads only column j of Z_{l-1} and of D^(2^(l-1)) on the right, so
-        a state of the column stream forms level s, which no cache keeps,
-        only on its kept columns.
+        a state of the column stream forms level s >= 1, which no cache
+        keeps, only on its kept columns.  At s = 0 the level is square 0,
+        which its cache keeps in full for the rational solve.
         """
         keep = slice(None) if self._keep is None else self._keep
         z, dsq = f_col, f_diag
@@ -551,6 +548,7 @@ class IncrementalExpState:
             z = self._squares[l].product(z[:, j]) + z @ dsq[:, j]
             dsq = dsq @ dsq[:, j]
         if self.s == 0:
+            cols.append((z, dsq))
             z, dsq = z[:, keep], dsq[:, keep]
         return cols, (z, dsq)
 

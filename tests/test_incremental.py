@@ -58,6 +58,80 @@ def test_first_stage_is_bitwise_baseline():
     assert np.array_equal(f0.data, expm_baseline(cols[0].diag, s=5))
 
 
+def test_rational_solve_reads_square_0_and_keeps_no_inverse(monkeypatch):
+    # F commutes with Q, so each new top block satisfies
+    # Fprev q_top + f_top Q_nn = p_top; checked against dense products to
+    # 3 gamma_n of the same sums of absolute values, for the product with
+    # square 0, the transposed LU solve and the check's own products
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1, 9.4:
+    # Q_nn is close to a multiple of I in the Pade regime, so its LU has
+    # no growth to speak of)
+    rng = np.random.default_rng(211)
+    sizes = tuple(int(b) for b in rng.integers(1, 12, 40))
+    cols = random_columns(rng, sizes, scale=0.05)
+    u = np.finfo(float).eps / 2
+    solve = IncrementalExpState._solve_rational_column
+    product = incremental._ChunkedCache.product
+    calls = None  # the products of the running solve: (cache, width)
+    solves = []
+
+    def recorded_solve(self, *args):
+        nonlocal calls
+        calls = []
+        out = solve(self, *args)
+        solves.append((calls, args, out))
+        calls = None
+        return out
+
+    def recorded_product(self, x, *args):
+        if calls is not None:
+            calls.append((self, x.shape[1]))
+        return product(self, x, *args)
+
+    monkeypatch.setattr(IncrementalExpState, "_solve_rational_column", recorded_solve)
+    monkeypatch.setattr(incremental._ChunkedCache, "product", recorded_product)
+    for s in (0, 3):
+        state = IncrementalExpState(s)
+        for col in cols:
+            square0 = state._squares[0]
+            f_prev = square0.dense()
+            state.step(col)
+            products, (p, _, q, qnn, _), (f, _) = solves[-1]
+            # one product per step, with square 0, b columns wide
+            assert products == [(square0, col.block_size)]
+            residual = np.abs(f_prev @ q + f @ qnn - p)
+            n = state.dim
+            scale = np.abs(f_prev) @ np.abs(q) + np.abs(f) @ np.abs(qnn) + np.abs(p)
+            assert np.all(residual <= 3 * n * u / (1 - n * u) * scale)
+        # the chunked caches are the scaled matrix and max(s, 1) squares:
+        # no factor or inverse of Q
+        chunked = [v for v in vars(state).values() if isinstance(v, incremental._ChunkedCache)]
+        assert chunked == [state._gt]
+        assert len(state._squares) == max(s, 1)
+        assert state.cache_bytes == _held_bytes(state)
+
+
+def test_scaling_power_0_stages_match_the_baseline():
+    # at s = 0 square 0 is the exponential, and the state caches it in
+    # chunks as well, for the rational solve: the first stage is the
+    # baseline's bit for bit, later ones agree within criterion 2's
+    # tolerance, and a stream that keeps the first column of each block
+    # column reads the stage path's columns
+    rng = np.random.default_rng(223)
+    cols = random_columns(rng, (4, 3, 5, 1, 2, 6, 3), scale=0.1)
+    g = matrix_from_columns(cols)
+    assert scaling_power(one_norm(g.data)) == 0
+    stages = list(run_fixed(cols, s=0))
+    assert np.array_equal(stages[0][0].data, expm_baseline(cols[0].diag, s=0))
+    for n, (f, report) in enumerate(stages):
+        assert report.s == 0
+        assert rel_error_fro(f.data, expm_baseline(g.leading(n).data, s=0)) <= 1e-12
+    streamed = incremental._drive(cols, 0, keep=[0])
+    for (f, report), ((top, diag), _) in zip(stages, streamed, strict=True):
+        d = report.dim - report.block_size
+        assert np.array_equal(np.vstack([top, diag]), f.data[: report.dim, d : d + 1])
+
+
 def _random_sequence():
     return random_columns(np.random.default_rng(103), (3, 2, 4, 1, 3))
 
@@ -597,9 +671,10 @@ def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
 
 
 def test_pricing_caches_hold_little_beyond_the_block_triangle():
-    # price_adaptive's pass to degree 60 at s = 4: the s + 2 chunked caches
-    # store the block upper triangle of dimension 1891 with at most 10%
-    # idle capacity, and the zero-row profile
+    # price_adaptive's pass to degree 60 at s = 4: the s + 1 chunked caches
+    # (the scaled matrix and squares 0 .. s - 1) store the block upper
+    # triangle of dimension 1891 with at most 10% idle capacity, and the
+    # zero-row profile
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
     s = 4
@@ -607,7 +682,7 @@ def test_pricing_caches_hold_little_beyond_the_block_triangle():
     d = report.dim
     assert d == 1891
     triangle = 8 * d * (d + 1) // 2
-    assert report.cache_bytes <= 1.10 * (s + 2) * triangle + 8 * (d + 1)
+    assert report.cache_bytes <= 1.10 * (s + 1) * triangle + 8 * (d + 1)
 
 
 def test_zero_row_profile_of_generator():
@@ -649,15 +724,16 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     state = IncrementalExpState(2)
     state.step(cols[0])
     before = state.exponential.data
-    # The step holds the four adopted 3 x 3 chunks (288 bytes), four opened
-    # chunks of 15 x 12 doubles (5760: a block of 2 at dimension 3 opens
-    # min(256, 4 * 3) columns), the new exponential buffer with room for two
-    # more blocks of 2, 9 x 9, beside the old 3 x 3 one (648 + 72) and a
-    # zero-row profile of 6 entries (48): 6816 bytes.
-    held = 4 * 72 + 72 + 32
+    # At s = 2 the chunked caches are the scaled matrix and squares 0 and 1.
+    # The step holds their three adopted 3 x 3 chunks (216 bytes), three
+    # opened chunks of 15 x 12 doubles (4320: a block of 2 at dimension 3
+    # opens min(256, 4 * 3) columns), the new exponential buffer with room
+    # for two more blocks of 2, 9 x 9, beside the old 3 x 3 one (648 + 72)
+    # and a zero-row profile of 6 entries (48): 5304 bytes.
+    held = 3 * 72 + 72 + 32
     assert state.cache_bytes == held
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6815)
-    with pytest.raises(MemoryError, match="dimension 5 .* 6816 bytes.*6815 bytes"):
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 5303)
+    with pytest.raises(MemoryError, match="dimension 5 .* 5304 bytes.*5303 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
@@ -672,10 +748,10 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     with pytest.raises(MemoryError, match="dimension 200 at scaling power 1000"):
         big.step(BlockColumn(np.zeros((0, 200)), np.eye(200)))
     assert big.dim == 0 and big.cache_bytes == 8
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6816)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 5304)
     state.step(cols[1])
     assert state.dim == 5
-    assert state.cache_bytes == 6816 - 72
+    assert state.cache_bytes == 5304 - 72
     # a small state holds small caches
     assert state.cache_bytes <= 8 * 1024
 
@@ -700,7 +776,7 @@ def _stored_below_diagonal(state):
     past the dimension, where only zeros belong."""
     d = state.dim
     ends = np.repeat(state.partition.offsets[1:], state.partition.sizes)
-    caches = [state._gt, state._qinv, *state._squares]
+    caches = [state._gt, *state._squares]
     out = []
     for cache in caches:
         for k0, chunk in zip(cache.starts, cache.chunks):
@@ -729,7 +805,7 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
     def checked_step(state, col):
         first = state.dim == 0
         step(state, col)
-        caches = [state._gt, state._qinv, *state._squares]
+        caches = [state._gt, *state._squares]
         d = state.dim
         if first:
             # a first step, at construction or a restart, adopts its
@@ -762,10 +838,11 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
     restarts = [n for n, (_, r) in enumerate(held) if r.restart]
     assert restarts == [100]
     assert adopted == [sizes[0], held[100][0].dim]
-    # every cache closed at least two chunks in each pass: the adopted
-    # first block and an opened one
+    # every cache, the scaled matrix and squares 0 .. max(s, 1) - 1, closed
+    # at least two chunks in each pass: the adopted first block and an
+    # opened one
     for closed, (_, report) in zip(passes, (held[0], held[-1]), strict=True):
-        assert len(closed) >= 2 * (report.s + 2)
+        assert len(closed) >= 2 * (1 + max(report.s, 1))
     fresh = [f.data.copy() for f, _ in run_adaptive(cols)]
     prev = None
     for (f, report), want in zip(held, fresh, strict=True):
@@ -924,8 +1001,8 @@ def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatc
 
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
     # the case of test_memory_guard_raises_and_leaves_state without the
-    # exponential buffer: four adopted 3 x 3 chunks and a zero-row profile
-    # of 4 entries, then four opened 15 x 12 chunks and 6 entries
+    # exponential buffer: three adopted 3 x 3 chunks and a zero-row profile
+    # of 4 entries, then three opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(2, _keep=slice(None))
@@ -934,10 +1011,10 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     staged.step(cols[0])
     assert top.shape == (0, 3)
     assert np.array_equal(diag, staged.exponential.data)
-    assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
+    assert state.cache_bytes == _held_bytes(state) == 3 * 72 + 32
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 4 * 72 + 4 * 15 * 12 * 8 + 48
+    need = 3 * 72 + 3 * 15 * 12 * 8 + 48
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"{need} bytes"):
         state.step(cols[1])

@@ -826,7 +826,7 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
 
     def recording_step(state, col):
         out = step(state, col)
-        caches = [state._gt, state._qinv, *state._squares]
+        caches = [state._gt, *state._squares]
         held.append(sum(c.nbytes for c in caches) + state._lead.nbytes)
         states.append(state)
         return out
