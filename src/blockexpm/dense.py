@@ -136,18 +136,13 @@ def lu_factor(a: np.ndarray) -> LuFactors:
     )
 
 
-def lu_solve(factors: LuFactors, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve a x = b using precomputed factors; b may have many columns.
-
-    ``trans=1`` solves a^T x = b with the same factors instead, so that
-    ``lu_solve(f, c.T, trans=1).T`` is the right division c a^-1.
-    """
+def lu_solve(factors: LuFactors, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b using precomputed factors; b may have many columns."""
     if b.ndim not in (1, 2) or b.shape[0] != factors.dim:
         raise ValueError(
             f"lu_solve shape mismatch: factors dim {factors.dim}, rhs {b.shape}"
         )
-    return scipy.linalg.lu_solve((factors.lu, factors.ipiv), b, trans=trans,
-                                 check_finite=False)
+    return scipy.linalg.lu_solve((factors.lu, factors.ipiv), b, check_finite=False)
 
 
 # ---------------------------------------------------------------------------

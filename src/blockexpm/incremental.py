@@ -264,12 +264,8 @@ def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
         return diag
     e = d + diag.shape[0]
     if buf.shape[0] < e:
-        # Zero only what the copy leaves unset: clearing the whole buffer
-        # first, as np.zeros may, writes most of it twice.
-        grown = np.empty((capacity, capacity))
+        grown = np.zeros((capacity, capacity))
         grown[:d, :d] = buf[:d, :d]
-        grown[:d, d:] = 0.0
-        grown[d:] = 0.0
         buf = grown
     buf[:d, d:e] = top
     buf[d:e, d:e] = diag
@@ -416,7 +412,7 @@ class IncrementalExpState:
                 need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
         t0 = time.perf_counter()
-        p_top, p_diag, q_top, q_diag, gt_col, dt, c = self._extend_pq(col)
+        p_top, p_diag, q_top, q_diag, gt_col, dt, lead, c = self._extend_pq(col)
         t1 = time.perf_counter()
         f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
@@ -424,7 +420,7 @@ class IncrementalExpState:
         t3 = time.perf_counter()
 
         # Every phase has succeeded; only now are the caches grown.
-        self._lead = _grow_lead(self._lead, gt_col, dt)
+        self._lead = lead
         self._gt.append(gt_col, dt)
         for cache, (top, diag) in zip(self._squares, square_cols):
             cache.append(top, diag)
@@ -462,7 +458,9 @@ class IncrementalExpState:
         term g D^(l-1) is formed only on the rows from g's first nonzero
         row, and both sums are accumulated only on the rows from r.  The
         last such row bound is returned with the columns: the rows of both
-        top parts above it are zero.
+        top parts above it are zero.  The zero-row profile grown with the
+        new column, whose entry at d bounds g's first nonzero row, is
+        returned as well, for :meth:`step` to commit with the caches.
         """
         m = self.pade.degree
         alpha, beta = self.pade.alpha, self.pade.beta
@@ -471,8 +469,8 @@ class IncrementalExpState:
         dt = col.diag * scale
 
         d = self.dim
-        nonzero_rows = np.flatnonzero(gt_col.any(axis=1))
-        c = g0 = int(nonzero_rows[0]) if nonzero_rows.size else d
+        lead = _grow_lead(self._lead, gt_col, dt)
+        c = g0 = min(int(lead[d]), d)
         eye = np.eye(dt.shape[0])
         # D^(l-1) at the top of iteration l; D^1 is I @ D, as in the baseline
         d_prev = eye @ dt
@@ -490,7 +488,7 @@ class IncrementalExpState:
             q_top[c:] += beta[l] * x[c:]
             p_diag += alpha[l] * d_prev
             q_diag += beta[l] * d_prev
-        return p_top, p_diag, q_top, q_diag, gt_col, dt, c
+        return p_top, p_diag, q_top, q_diag, gt_col, dt, lead, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
         """Last block column of F = Q^-1 P for the extended polynomials.
@@ -505,7 +503,8 @@ class IncrementalExpState:
         Fprev is square 0, which the state caches, and the rows of q_top
         above c are zero, so the one product reads only its chunks right
         of c.  Both divisions reuse the LU factors of the new diagonal
-        block, the right one through a transposed solve.
+        block: the left one solves with them, and the right one multiplies
+        by the b x b inverse Q_nn^-1 that they give, a local of the step.
         """
         lu_nn = lu_factor(q_diag)
         if lu_nn.ill_conditioned:
@@ -518,9 +517,7 @@ class IncrementalExpState:
         f_diag = lu_solve(lu_nn, p_diag)
         rhs = self._squares[0].product(q_top, c)
         np.subtract(p_top, rhs, out=rhs)
-        # The solve returns a Fortran array, so f_col is C-ordered, as the
-        # squaring's products need to read it in place.
-        f_col = lu_solve(lu_nn, rhs.T, trans=1).T
+        f_col = rhs @ lu_solve(lu_nn, np.eye(q_diag.shape[0]))
         return f_col, f_diag
 
     def _squaring_column(self, f_col, f_diag):

@@ -336,6 +336,13 @@ def test_price_errors(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: payoff coefficient f_0 overflows")
+    # a diverging series is one error, not a meaningless price
+    rc = main(["price", "--params", JACOBI_ARG.replace("kappa=0.5", "kappa=1").replace(
+        "sigma=0.15", "sigma=0.5")] + base + ["--tau", "2", "--n-max", "20"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: the Hermite series for the weight N(0, 0.5^2) diverges")
     # a non-finite input is refused by name, not priced to nan
     rc = main(["price", "--params", JACOBI_ARG] + base + ["--y0", "nan"])
     assert rc == 2

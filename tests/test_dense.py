@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from blockexpm.blocks import Partition
 from blockexpm.dense import (
@@ -91,20 +90,6 @@ def test_lu_solve_matches_numpy():
         b = rng.standard_normal((d, int(rng.integers(1, 4))))
         x = lu_solve(lu_factor(a), b)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
-
-
-def test_transposed_lu_solve_matches_scipy():
-    # trans=1 solves with the transpose from the same factors, so that
-    # lu_solve(f, c.T, trans=1).T is the right division c a^-1
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        d = int(rng.integers(1, 10))
-        a = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
-        b = rng.standard_normal((d, int(rng.integers(1, 4))))
-        x = lu_solve(lu_factor(a), b, trans=1)
-        assert np.allclose(x, scipy.linalg.solve(a.T, b), rtol=1e-10, atol=1e-12)
-    c = rng.standard_normal((5, d))
-    assert np.allclose(lu_solve(lu_factor(a), c.T, trans=1).T @ a, c, rtol=1e-10, atol=1e-12)
 
 
 def test_lu_factor_singular_raises():

@@ -62,7 +62,8 @@ def test_rational_solve_reads_square_0_and_keeps_no_inverse(monkeypatch):
     # F commutes with Q, so each new top block satisfies
     # Fprev q_top + f_top Q_nn = p_top; checked against dense products to
     # 3 gamma_n of the same sums of absolute values, for the product with
-    # square 0, the transposed LU solve and the check's own products
+    # square 0, the b x b solve for Q_nn^-1 and its product, and the
+    # check's own products
     # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1, 9.4:
     # Q_nn is close to a multiple of I in the Pade regime, so its LU has
     # no growth to speak of)
@@ -139,6 +140,30 @@ def _random_sequence():
 def _jacobi_sequence():
     # banded: the new column of each degree is zero above degree n - 2
     return list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
+
+
+@pytest.mark.parametrize("make_columns", [_random_sequence, _jacobi_sequence],
+                         ids=["random", "jacobi"])
+@pytest.mark.parametrize("s", [0, 3])
+def test_each_step_makes_two_b_wide_lu_solves(monkeypatch, make_columns, s):
+    # the left division F_nn = Q_nn^-1 P_nn and the b x b inverse of Q_nn
+    # for the right one: two solves per step, the first included, each
+    # with b right-hand sides, and no factor or inverse kept after it
+    solve = incremental.lu_solve
+    shapes = []
+
+    def recorded_solve(factors, rhs):
+        shapes.append(rhs.shape)
+        return solve(factors, rhs)
+
+    monkeypatch.setattr(incremental, "lu_solve", recorded_solve)
+    state = IncrementalExpState(s)
+    for col in make_columns():
+        shapes.clear()
+        state.step(col)
+        b = col.block_size
+        assert shapes == [(b, b), (b, b)]
+        assert state.cache_bytes == _held_bytes(state)
 
 
 @pytest.mark.parametrize("make_columns", [_random_sequence, _jacobi_sequence],

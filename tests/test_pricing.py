@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -437,6 +438,27 @@ def test_price_call_runs_to_nmax():
     assert not res.converged
     assert res.terminal_degree == 6
     assert len(res.rows) == 7
+
+
+def test_a_diverging_series_raises():
+    # a long horizon makes the weight N(0, 0.5^2) far narrower than the
+    # log-price law, and the series diverges: at n_max = 20 its last term
+    # is 6.1 times f_0 at tau = 2 and 5.6e3 times at tau = 5
+    diverging = r"N\(0, 0.5\^2\) diverges: unconverged at degree n_max = 20, where \|term\|"
+    for tau, kappa, sigma in ((2.0, 1.0, 0.5), (5.0, 3.0, 1.0)):
+        params = dataclasses.replace(BENCH_PARAMS, kappa=kappa, sigma=sigma)
+        with pytest.raises(ValueError, match=diverging):
+            price_call(bench_config(params=params, tau=tau, n_max=20))
+    params = dataclasses.replace(BENCH_PARAMS, kappa=1.0, sigma=0.5)
+    # eps = 0 asks for the raw series, which is returned
+    res = price_call(bench_config(params=params, tau=2.0, eps=0.0, n_max=20))
+    assert not res.converged
+    assert abs(res.rows[-1].term) > abs(res.rows[0].term)
+    # the test reads only where the series stops: at n_max = 12 the terms
+    # have not outgrown f_0 yet, and the partial sum is returned
+    res = price_call(bench_config(params=params, tau=2.0, n_max=12))
+    assert not res.converged
+    assert abs(res.rows[-1].term) < abs(res.rows[0].term)
 
 
 def test_price_call_structure():
