@@ -22,11 +22,11 @@ state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
 Every cache that a product reads -- the scaled matrix and squares 0 ..
-max(s, 1) - 1 -- is an append-only list of column chunks.  A chunk of
-block columns keeps only the rows down to its last column, so the zero
-lower block triangle is mostly not stored, and a step writes its new block
-column into the open chunk or into a new one: no chunk is copied or
-written once a later one opens.  A wide block column opens a chunk of
+max(s, 1) - 1, or fewer in the column stream below -- is an append-only
+list of column chunks.  A chunk of block columns keeps only the rows down
+to its last column, so the zero lower block triangle is mostly not
+stored, and a step writes its new block column into the open chunk or
+into a new one: no chunk is copied or written once a later one opens.  A wide block column opens a chunk of
 exactly its own width, and narrow ones are packed into shared chunks, so
 the chunks hold little beyond the block upper triangle.  The first step
 adopts its new diagonal blocks as the first chunks.  A product with a new
@@ -37,13 +37,17 @@ exponential, which no product reads, is instead the leading d x d block
 of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
 no later step writes.  Each step also hands back the new block column of
-the exponential.  A reader that needs only some of its columns, as
+the exponential.  A reader that needs only the first column of each, as
 Hermite-series pricing does, drives the engine at a fixed scaling power
-without the buffer and names the columns it keeps (see ``_drive``):
-squares 0 .. s - 1 are still formed in full, since the next step's
-products read them, but square s, which nothing reads for s >= 1, is
-formed only on the kept columns, at every step from the first.  The stage
-path forms every column as before.
+as a column stream, without the buffer (see ``_drive``).  With t = min(s,
+3), it forms and caches squares 0 .. s - t in full, since the next step's
+products read them, and forms the first column of square s as S^(2^t) e
+by 2^t - 1 one-column products with S, square s - t: repeated products
+with a vector cost less than squaring the matrix when one column is read,
+the idea of the action of the exponential (Al-Mohy and Higham, SIAM J.
+Sci. Comput. 33(2), 2011).  At s = 3 square 0, which the rational solve
+reads anyway, is the one square cached.  The stage path forms every
+column of every square as before.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -93,6 +97,20 @@ _CHUNK_GROWTH = 4
 # not hold the next block, and every step would copy the buffer.
 _GROWTH = 1.05
 
+# A column stream at scaling power s caches squares 0 .. s - t, with
+# t = min(s, _COLUMN_LEVELS), and forms its one kept column of square s as
+# S^(2^t) e by 2^t - 1 one-column products with S, square s - t.  At
+# degree 60 of the pricing stream a product with square 0 (dimension 1830,
+# 50 chunks) takes 4.9 ms on 61 columns and 0.70 ms on one, so each level
+# moved onto the column saves a full-width squaring and a cache, while the
+# column products double per level.  A sweep of one price_call (eps =
+# 1e-3, stopping at degree 60, 1 BLAS thread, mean of 2 runs) took 0.50 /
+# 0.42 / 0.38 s at t <= 1 / 2 / 3 with n_max = 100 (s = 3), and 0.73 /
+# 0.60 / 0.58 / 0.58 / 0.66 s at t <= 1 / 2 / 3 / 4 / 5 with n_max = 200
+# (s = 6), its heap peak 15.6 MB lower per level: past 3 the column
+# products cost more time than the squarings they replace.
+_COLUMN_LEVELS = 3
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -107,7 +125,9 @@ class StepReport:
     The last four fields split the stage's one :meth:`IncrementalExpState.step`
     into its phases: the power recurrence, the rational solve, the squaring
     and the growth of the caches.  ``squaring_seconds`` covers squares 1 ..
-    s; in the column stream square s is formed only on the kept columns.
+    s; in the column stream squares s - t + 1 .. s are formed only on the
+    kept column, as 2^t - 1 one-column products with square s - t (see
+    :meth:`IncrementalExpState._squaring_column`).
     A restart or first stage is one step from an empty state, so they time
     that step; ``seconds`` of a restart also covers merging the matrix.
     """
@@ -305,10 +325,12 @@ class IncrementalExpState:
     (:class:`_ChunkedCache`), so at s = 0 square 0 is kept there as well;
     square s is emitted as the leading ``dim`` x ``dim`` block of one
     buffer with spare capacity.  A state of ``_drive``'s column stream is
-    built with a selection ``_keep`` that indexes the columns of each new
-    block column, the first included: it keeps no buffer, forms the new
-    block column of square s >= 1 only on those columns, and hands them
-    back.  ``_keep=None``, the default, is a stage state.  The state also
+    built with ``_first_column=True``: it keeps no buffer, caches only
+    squares 0 .. s - t, for t = min(s, 3), so s - t + 2 chunked caches in
+    all, which is 2 for every s <= 3, forms square s only on the first
+    column of each new block column, from square s - t (see
+    :meth:`_squaring_column`), and hands that column back.  The default
+    is a stage state.  The state also
     keeps the zero-row profile of the scaled matrix (see
     :func:`_grow_lead`), which windows the power recurrence, and in
     ``phase_seconds`` the seconds of each phase of the last step, keyed by
@@ -318,17 +340,18 @@ class IncrementalExpState:
     # The approximant every cache extends; tracing tools read its degree.
     pade = PADE_13
 
-    def __init__(self, s: int, *, _keep=None):
+    def __init__(self, s: int, *, _first_column: bool = False):
         self.s = as_scaling_power(s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt = _ChunkedCache()
-        self._squares = [_ChunkedCache() for _ in range(max(self.s, 1))]
-        # A state of _drive's column stream keeps no buffer: the kept
-        # columns of each new block column of the exponential leave only
-        # as step's return.
-        self._keep = _keep
-        self._exp = np.empty((0, 0)) if _keep is None else None
+        # A state of _drive's column stream keeps no buffer: the first
+        # column of each new block column of the exponential leaves only as
+        # step's return, formed from square s - t, the last one cached.
+        self._t = min(self.s, _COLUMN_LEVELS) if _first_column else 0
+        levels = self.s - self._t + 1 if _first_column else max(self.s, 1)
+        self._squares = [_ChunkedCache() for _ in range(levels)]
+        self._exp = None if _first_column else np.empty((0, 0))
 
     @property
     def dim(self) -> int:
@@ -380,8 +403,9 @@ class IncrementalExpState:
         Returns the new block column [top; diag] of exp(G) as the pair
         (top, diag); the whole new exponential is available as
         :attr:`exponential` afterwards.  A state of the column stream
-        returns only the columns ``_keep`` of the new block column, and
-        forms only those of square s.
+        returns only the first column of the new block column, as a d x 1
+        top and a b x 1 diagonal part, and forms only that column of
+        square s.
 
         Raises
         ------
@@ -521,8 +545,8 @@ class IncrementalExpState:
         return f_col, f_diag
 
     def _squaring_column(self, f_col, f_diag):
-        """New block columns of the cached squares 0 .. max(s, 1) - 1, as a
-        list, and of square s, the exponential.
+        """New block columns of the cached squares, as a list, and of square
+        s, the exponential.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
         off-diagonal column follows
@@ -530,44 +554,59 @@ class IncrementalExpState:
             Z_l = Fprev^(2^(l-1)) Z_{l-1} + Z_{l-1} D^(2^(l-1)),
 
         where Fprev powers come from the cache before extension and D
-        powers are squared locally along the way.  Column j of level l
-        reads only column j of Z_{l-1} and of D^(2^(l-1)) on the right, so
-        a state of the column stream forms level s >= 1, which no cache
-        keeps, only on its kept columns.  At s = 0 the level is square 0,
-        which its cache keeps in full for the rational solve.
+        powers are squared locally along the way.  A stage state forms
+        every level so, up to square s, and caches squares 0 .. max(s, 1)
+        - 1; at s = 0 square s is square 0, which its cache keeps for the
+        rational solve.
+
+        A state of the column stream forms only squares 0 .. s - t so, the
+        ones it caches, and the first column of square s, which is S^(2^t)
+        e for S = [[Sprev, z], [0, D]], square s - t with its new block
+        column, and e the first column of that block column.  S e is
+        [z; D] e, and each of the 2^t - 1 further products S v = [Sprev
+        v_top + z v_d; D v_d] reads one column of the cache Sprev.  At
+        degree 60 of the pricing stream the seven one-column products with
+        square 0 at s = 3 take about 5 ms, where the two b-wide squaring
+        products and the one-column one that they replace take about 10.5
+        ms (see _COLUMN_LEVELS).
         """
-        keep = slice(None) if self._keep is None else self._keep
         z, dsq = f_col, f_diag
         cols = []
-        for l in range(self.s):
+        for l in range(self.s - self._t):
             cols.append((z, dsq))
-            j = keep if l == self.s - 1 else slice(None)
-            z = self._squares[l].product(z[:, j]) + z @ dsq[:, j]
-            dsq = dsq @ dsq[:, j]
-        if self.s == 0:
+            z = self._squares[l].product(z) + z @ dsq
+            dsq = dsq @ dsq
+        if len(cols) < len(self._squares):
+            # the last cached square is square s - t of a stream, or square
+            # 0 = s of a stage state at s = 0
             cols.append((z, dsq))
-            z, dsq = z[:, keep], dsq[:, keep]
+        if self._exp is None:
+            cache, top, diag = self._squares[-1], z, dsq
+            z, dsq = top[:, :1], diag[:, :1]
+            for _ in range(2**self._t - 1):
+                z, dsq = cache.product(z) + top @ dsq, diag @ dsq
         return cols, (z, dsq)
 
 
-def _drive(columns, fixed: int | None, keep=None):
+def _drive(columns, fixed: int | None, first_column: bool = False):
     """The one loop of both drivers and of Hermite-series pricing: a fixed
     scaling power, or None for adaptive scaling.  The running 1-norm is
     the largest absolute column sum so far, exact for block upper
     triangular G.
 
-    With ``keep=None`` it yields each stage as
-    :attr:`IncrementalExpState.exponential`.  Otherwise ``keep`` is a
-    numpy index of the columns of each block column of ``columns`` (a
-    slice or a list of positions), its state keeps no exponential buffer,
-    and it yields in place of each stage the pair (top, diag) of the
-    kept columns of the column's block column of exp(G): d x k and b x k
-    for k kept columns of a block of size b at dimension d.  Square s is
-    formed only on those columns.  Such a column stream runs at a fixed
-    scaling power only, so it never restarts: ValueError at the first
-    ``next`` if ``keep`` is given with ``fixed=None``.
+    By default it yields each stage as
+    :attr:`IncrementalExpState.exponential`.  With ``first_column=True``
+    its state keeps no exponential buffer, and it yields in place of each
+    stage the pair (top, diag) of the first column of the column's block
+    column of exp(G): d x 1 and b x 1 for a block of size b at dimension
+    d.  Such a column stream caches squares 0 .. s - t, t = min(s, 3), and
+    forms the first column of square s by 2^t - 1 one-column products
+    with square s - t (see :meth:`IncrementalExpState._squaring_column`).
+    It runs at a fixed scaling power only, so it never restarts:
+    ValueError at the first ``next`` if ``first_column`` is set with
+    ``fixed=None``.
     """
-    if keep is not None and fixed is None:
+    if first_column and fixed is None:
         raise ValueError("a column stream runs at a fixed scaling power")
     state = None
     norm = 0.0
@@ -592,13 +631,13 @@ def _drive(columns, fixed: int | None, keep=None):
             step_col = BlockColumn(np.empty((0, g.shape[0])), g, check_finite=False)
             del g
         if state is None:
-            state = IncrementalExpState(need if fixed is None else fixed, _keep=keep)
+            state = IncrementalExpState(need if fixed is None else fixed, _first_column=first_column)
         stage = state.step(step_col)
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
                             **state.phase_seconds)
-        if keep is None:
+        if not first_column:
             # Hold no copy of the new column beside the buffer while the
             # stage is out.
             stage = state.exponential

@@ -416,10 +416,13 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     column once it is computed.  So each degree keeps the column at y^n
     of its new block column, its first, since y^n leads the degree-n
     monomials, and l_n is read off the n + 1 kept columns.  The engine
-    forms the last square of each degree only on that column, which BLAS
-    rounds differently from the same column of a wide product, so a
-    moment equals the read-off of the whole exponential to rounding, not
-    bit for bit.
+    caches squares 0 .. s - t, t = min(s, 3), and forms that column of
+    square s as S^(2^t) e, by 2^t - 1 one-column products with square
+    s - t, which cost less than the t full-width squarings they replace
+    (at degree 60 one product with square 0 takes 0.70 ms on one column
+    and 4.9 ms on all 61).  The products round differently from the
+    squarings, so a moment equals the read-off of the whole exponential to
+    rounding, not bit for bit.
     """
     basis = rescaled_basis(cfg.n_max)
     ea, eb = basis
@@ -436,7 +439,7 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     else:
         s = as_scaling_power(cfg.scaling)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau, shift=mu)
-    runner = _drive(columns, s, keep=[0])
+    runner = _drive(columns, s, first_column=True)
 
     t0 = time.perf_counter()
     price = 0.0

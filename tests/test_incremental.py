@@ -127,7 +127,7 @@ def test_scaling_power_0_stages_match_the_baseline():
     for n, (f, report) in enumerate(stages):
         assert report.s == 0
         assert rel_error_fro(f.data, expm_baseline(g.leading(n).data, s=0)) <= 1e-12
-    streamed = incremental._drive(cols, 0, keep=[0])
+    streamed = incremental._drive(cols, 0, first_column=True)
     for (f, report), ((top, diag), _) in zip(stages, streamed, strict=True):
         d = report.dim - report.block_size
         assert np.array_equal(np.vstack([top, diag]), f.data[: report.dim, d : d + 1])
@@ -452,7 +452,7 @@ def test_every_report_carries_its_own_column_block_size():
     runs = {
         "fixed": run_fixed(cols, s=12),
         "adaptive": run_adaptive(cols),
-        "stream": incremental._drive(cols, 12, keep=[0]),
+        "stream": incremental._drive(cols, 12, first_column=True),
     }
     for name, runner in runs.items():
         reports = [report for _, report in runner]
@@ -667,7 +667,7 @@ def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
     assert sum(r.restart for _, r in run_adaptive(cols)) == 1
     # wide blocks with zero-row windows, in the column stream
     for _ in incremental._drive(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
-                                                         scale=0.25), 5, keep=[0]):
+                                                         scale=0.25), 5, first_column=True):
         pass
     assert set(calls) == {"_extend_pq", "_solve_rational_column", "_squaring_column"}
     # a strided x is made contiguous before it reaches BLAS
@@ -696,18 +696,18 @@ def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
 
 
 def test_pricing_caches_hold_little_beyond_the_block_triangle():
-    # price_adaptive's pass to degree 60 at s = 4: the s + 1 chunked caches
-    # (the scaled matrix and squares 0 .. s - 1) store the block upper
-    # triangle of dimension 1891 with at most 10% idle capacity, and the
-    # zero-row profile
+    # a pricing pass to degree 60 at s = 4: the 3 chunked caches (the
+    # scaled matrix and squares 0 .. s - 3) store the block upper triangle
+    # of dimension 1891 with at most 10% idle capacity, and the zero-row
+    # profile
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
     s = 4
-    *_, (_, report) = incremental._drive(cols, s, keep=[0])
+    *_, (_, report) = incremental._drive(cols, s, first_column=True)
     d = report.dim
     assert d == 1891
     triangle = 8 * d * (d + 1) // 2
-    assert report.cache_bytes <= 1.10 * (s + 1) * triangle + 8 * (d + 1)
+    assert report.cache_bytes <= 1.10 * 3 * triangle + 8 * (d + 1)
 
 
 def test_zero_row_profile_of_generator():
@@ -903,76 +903,90 @@ def _restarting_columns():
     return cols
 
 
-def _last_square_rounding(cols, s):
-    """Per step of a full-width column stream at fixed s, how far two
-    evaluations of the new block column of square s can differ.
+def _kept_column_bound(state, d):
+    """How far two evaluations of the first new column of square s can
+    differ in a column stream state just stepped from dimension d.
 
-    That column is S S[:, new], with S the step's square s - 1, whose
-    caches both evaluations share.  Each entry is an inner product of
-    length n = dim, which rounds by at most gamma_n = n u / (1 - n u) times
-    the same product of |S| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), whatever order BLAS sums it in, so two evaluations
-    differ by at most twice that.
+    The stream forms that column as S^(2^t) e, with S the state's square
+    s - t, t = min(s, 3), and e the unit vector of column d, by 2^t - 1
+    products with S; the stage path squares S t times.  To first order
+    each evaluation differs from the exact value by at most (2^t - 1)
+    gamma_n (|S|^(2^t) e), n = dim: each product's inner products of
+    length n round by at most gamma_n = n u / (1 - n u) times the same
+    product of absolute values, whatever order BLAS sums them in, and an
+    error made before a product is carried through it by |S| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1 and 3.5).  So two
+    evaluations from the same bytes of S differ by at most twice that.
+    At s = 0, t = 0 and the bound is 0: the kept column is square 0's.
     """
     u = np.finfo(float).eps / 2
-    state = IncrementalExpState(s, _keep=slice(None))
-    bounds = []
-    for col in cols:
-        d = state.dim
-        state.step(col)
-        n = state.dim
-        sq = np.abs(state._squares[s - 1].dense())
-        bounds.append(2 * n * u / (1 - n * u) * (sq @ sq[:, d:]))
-    return bounds
+    n = state.dim
+    t = min(state.s, 3)
+    a = np.abs(state._squares[state.s - t].dense())
+    v = a[:, d]
+    for _ in range(2**t - 1):
+        v = a @ v
+    return 2 * (2**t - 1) * n * u / (1 - n * u) * v
 
 
-def test_column_stream_assembles_the_stages_bit_for_bit():
-    # the stream of new exponential block columns that pricing reads comes
-    # from the stage path's arithmetic: with every column kept, each stage's
-    # new block column is the stage's, bit for bit
-    cols = _restarting_columns()
-    streamed = incremental._drive(cols, 6, keep=slice(None))
-    for (f, report), ((top, diag), col_report) in zip(run_fixed(cols, s=6), streamed,
-                                                      strict=True):
-        d, e = report.dim - col_report.block_size, report.dim
-        assert top.shape == (d, e - d) and diag.shape == (e - d, e - d)
-        assert np.array_equal(top, f.data[:d, d:e])
-        assert np.array_equal(diag, f.data[d:e, d:e])
-        assert (col_report.step, col_report.dim, col_report.s, col_report.restart) == (
-            report.step, report.dim, report.s, report.restart)
+def _chunked_caches(state):
+    """The chunked caches the state holds, directly or in a list."""
+    out = []
+    for v in vars(state).values():
+        for x in v if isinstance(v, list) else [v]:
+            if isinstance(x, incremental._ChunkedCache):
+                out.append(x)
+    return out
+
+
+def test_column_stream_shares_the_stage_caches_and_bounds_its_column():
+    # the stream of first columns that pricing reads comes from the stage
+    # path's caches: at every step its scaled matrix and squares 0 .. s - t
+    # hold the stage state's bytes, and its column agrees with the stage's
+    # first new column within the rounding bound of the two evaluations
+    cases = {
+        "random": _restarting_columns(),
+        "jacobi": list(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
+                                               scale=0.25)),
+    }
+    for name, cols in cases.items():
+        for s in (0, 1, 2, 3, 4, 6):
+            stream = IncrementalExpState(s, _first_column=True)
+            staged = IncrementalExpState(s)
+            for col in cols:
+                d = staged.dim
+                top, diag = stream.step(col)
+                staged.step(col)
+                assert top.shape == (d, 1) and diag.shape == (col.block_size, 1)
+                caches = [stream._gt, *stream._squares]
+                assert len(caches) == s - min(s, 3) + 2
+                for mine, theirs in zip(caches, [staged._gt, *staged._squares]):
+                    assert np.array_equal(mine.dense(), theirs.dense()), (name, s, d)
+                got = np.vstack([top, diag])[:, 0]
+                want = staged.exponential.data[:, d]
+                assert np.all(np.abs(got - want) <= _kept_column_bound(stream, d)), (
+                    name, s, d)
     # a stream never restarts, so it needs a fixed scaling power
     with pytest.raises(ValueError, match="a column stream runs at a fixed scaling power"):
-        next(incremental._drive(cols, None, keep=[0]))
+        next(incremental._drive(cases["random"], None, first_column=True))
 
 
-@pytest.mark.parametrize("case, keep", [
-    pytest.param("jacobi", [0], id="jacobi"),
-    pytest.param("random", [0], id="random"),
-    pytest.param("jacobi", [-1], id="jacobi-last"),
-    pytest.param("jacobi", slice(0, 2), id="jacobi-first-two"),
-    pytest.param("random", slice(0, 2), id="random-first-two"),
-])
-def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatch, case,
-                                                                      keep):
-    # a stream that keeps some columns of each block column forms squares
-    # 0 .. s - 1 in full, as the caches hold them, and square s only on the
-    # kept columns: its reports are those of the full-width stream, and its
-    # columns agree with that stream's same columns within the rounding
-    # bound of the last square's products
+@pytest.mark.parametrize("case", ["jacobi", "random"])
+def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatch, case):
+    # a stream forms squares 1 .. s - t, t = min(s, 3), in full, as the
+    # caches hold them, with one b-wide product each, and the first column
+    # of square s with 2^t - 1 one-column products with square s - t, at
+    # every step, the first included, down to each chunk's BLAS call
     if case == "jacobi":
         s = 5
-        def columns():
-            return generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25)
+        cols = generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25)
     else:
         s = 6
         rng = np.random.default_rng(199)
         cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 30, 40)), scale=0.05)
-        def columns():
-            return cols
-    full = list(incremental._drive(columns(), s, keep=slice(None)))
-    bounds = _last_square_rounding(columns(), s)
+    t = min(s, 3)
 
-    squarings = []  # per step: the block size and, per product, [width, dgemm widths]
+    squarings = []  # per step: the block size and, per product, [cache, width, dgemm widths]
     calls = None
     squaring = IncrementalExpState._squaring_column
     product = incremental._ChunkedCache.product
@@ -984,12 +998,12 @@ def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatc
         try:
             return squaring(self, f_col, f_diag)
         finally:
-            squarings.append((f_diag.shape[0], calls))
+            squarings.append((f_diag.shape[0], self._squares, calls))
             calls = None
 
     def recorded_product(self, x, *args):
         if calls is not None:
-            calls.append([x.shape[1]])
+            calls.append([self, x.shape[1]])
         return product(self, x, *args)
 
     def recorded_dgemm(alpha, a, b, **kwargs):
@@ -1000,46 +1014,67 @@ def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatc
     monkeypatch.setattr(IncrementalExpState, "_squaring_column", recorded_squaring)
     monkeypatch.setattr(incremental._ChunkedCache, "product", recorded_product)
     monkeypatch.setattr(incremental, "dgemm", recorded_dgemm)
-    narrow = list(incremental._drive(columns(), s, keep=keep))
+    for (top, diag), report in incremental._drive(cols, s, first_column=True):
+        assert top.shape == (report.dim - report.block_size, 1)
+        assert diag.shape == (report.block_size, 1)
     monkeypatch.undo()
 
-    assert len(narrow) == len(full)
-    for ((top, diag), report), ((ftop, fdiag), freport), bound in zip(narrow, full, bounds,
-                                                                     strict=True):
-        assert [(r.step, r.dim, r.block_size, r.s, r.restart, r.cache_bytes)
-                for r in (report, freport)] == [
-            (freport.step, freport.dim, freport.block_size, freport.s, freport.restart,
-             freport.cache_bytes)] * 2
-        got, want = np.vstack([top, diag]), np.vstack([ftop, fdiag])[:, keep]
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= bound[:, keep]), report.step
-    # every step, the first included, forms square s on the k kept columns
-    # of its block, down to each chunk's BLAS call
-    for b, step_calls in squarings:
-        k = np.arange(b)[keep].size
-        widths = [call[0] for call in step_calls]
-        assert widths == [b] * (s - 1) + [k]
-        assert all(w == b for call in step_calls[:-1] for w in call[1:])
-        assert all(w == k for w in step_calls[-1][1:])
-    assert any(len(step_calls[-1]) > 1 for _, step_calls in squarings[1:])
+    for b, squares, step_calls in squarings:
+        assert len(squares) == s - t + 1
+        assert [(cache, width) for cache, width, *_ in step_calls] == (
+            [(squares[l], b) for l in range(s - t)] + [(squares[s - t], 1)] * (2**t - 1))
+        assert all(w == b for call in step_calls[: s - t] for w in call[2:])
+        assert all(w == 1 for call in step_calls[s - t :] for w in call[2:])
+    assert any(len(step_calls[-1]) > 2 for *_, step_calls in squarings[1:])
+
+
+@pytest.mark.parametrize("s, streamed_caches, staged_caches",
+                         [(0, 2, 2), (1, 2, 2), (2, 2, 3), (3, 2, 4), (4, 3, 5), (6, 5, 7)])
+def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, streamed_caches,
+                                                           staged_caches):
+    # a stream at s caches the scaled matrix and squares 0 .. s - min(s, 3),
+    # s - min(s, 3) + 2 chunked caches: 2 for every s <= 3; a stage state
+    # caches squares 0 .. max(s, 1) - 1, max(s, 1) + 1 chunked caches, beside
+    # its exponential buffer.  Each report's cache_bytes is what the state
+    # holds after its step.
+    rng = np.random.default_rng(227)
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 20)), scale=0.02)
+    held = []
+    step = IncrementalExpState.step
+
+    def walking_step(state, col):
+        out = step(state, col)
+        held.append((len(_chunked_caches(state)), state._exp is None, _held_bytes(state)))
+        return out
+
+    monkeypatch.setattr(IncrementalExpState, "step", walking_step)
+    streamed = [r for _, r in incremental._drive(cols, s, first_column=True)]
+    staged = [r for _, r in run_fixed(cols, s)]
+    monkeypatch.undo()
+
+    n = len(cols)
+    assert held[:n] == [(streamed_caches, True, r.cache_bytes) for r in streamed]
+    assert held[n:] == [(staged_caches, False, r.cache_bytes) for r in staged]
 
 
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
     # the case of test_memory_guard_raises_and_leaves_state without the
-    # exponential buffer: three adopted 3 x 3 chunks and a zero-row profile
-    # of 4 entries, then three opened 15 x 12 chunks and 6 entries
+    # exponential buffer: at s = 2 the stream caches the scaled matrix and
+    # square 0, two adopted 3 x 3 chunks and a zero-row profile of 4
+    # entries, then two opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(2, _keep=slice(None))
+    state = IncrementalExpState(2, _first_column=True)
     staged = IncrementalExpState(2)
     top, diag = state.step(cols[0])
     staged.step(cols[0])
-    assert top.shape == (0, 3)
-    assert np.array_equal(diag, staged.exponential.data)
-    assert state.cache_bytes == _held_bytes(state) == 3 * 72 + 32
+    assert top.shape == (0, 1) and diag.shape == (3, 1)
+    assert np.all(np.abs(diag[:, 0] - staged.exponential.data[:, 0])
+                  <= _kept_column_bound(state, 0))
+    assert state.cache_bytes == _held_bytes(state) == 2 * 72 + 32
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 3 * 72 + 3 * 15 * 12 * 8 + 48
+    need = 2 * 72 + 2 * 15 * 12 * 8 + 48
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"{need} bytes"):
         state.step(cols[1])
@@ -1048,5 +1083,5 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert state.cache_bytes == _held_bytes(state) == need
     monkeypatch.undo()
     staged.step(cols[1])
-    assert np.array_equal(staged.exponential.data[:3, 3:], top)
-    assert np.array_equal(staged.exponential.data[3:, 3:], diag)
+    got = np.vstack([top, diag])[:, 0]
+    assert np.all(np.abs(got - staged.exponential.data[:, 3]) <= _kept_column_bound(state, 3))

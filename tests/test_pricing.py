@@ -808,20 +808,22 @@ def _ledgers_off_stages(cfgs):
     return [done[k] for k in range(len(cfgs))]
 
 
-# price_call forms the last square only on the kept column, which BLAS
-# rounds differently from the same column of the stages' wide product.
-# Over the cases below a moment deviated from the stages' by at most
-# 3.6e-15 = 16 eps times the series' largest |l_m| on the unshifted
-# stream, and 1.6 eps on the shifted one, a term or partial sum by less
-# (1 and 2 BLAS threads, OpenBLAS); four times 16 eps bounds all three.
+# price_call forms the kept column of the last squares by repeated
+# one-column products, which round differently from the stages' wide
+# squarings.  Over the cases below a moment deviated from the stages' by
+# at most 3.6e-15 = 16 eps times the series' largest |l_m| on the
+# unshifted stream, 1.6 eps on the shifted one with the last square alone
+# on the column, and 1.5 eps with the last t = min(s, 3) as products with
+# square s - t, a term or partial sum by less (1 and 2 BLAS threads,
+# OpenBLAS); four times 16 eps bounds them all.
 _LEDGER_TOL = 64 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
 def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
     # the kept pure-y columns give every moment, term and partial sum as
-    # the whole exponential does, to the rounding of the narrowed last
-    # square, and one engine pass serves any state: a second state's
+    # the whole exponential does, to the rounding of the one-column
+    # products, and one engine pass serves any state: a second state's
     # ledger is read off the same stages
     cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
     ledgers = _ledgers_off_stages(cfgs)

@@ -9,10 +9,12 @@ BLAS thread count.  Three things decide which bits each cache product
 rounds to: the engine's chunk rule, which splits it into panels (and also
 sets ``cache_bytes``), how BLAS accumulates each panel into the product,
 here in place with beta = 1, each earlier panel at its chunk's full
-stored width, and the product's width: BLAS rounds a one-column product
-differently from the same column of a wide one, and ``price_call``'s
-stream forms each last square on one kept column.  A change to any of
-them can move both hashes.
+stored width, and the product's width and order: BLAS rounds a
+one-column product differently from the same column of a wide one, and
+``price_call``'s stream forms its one kept column of each exponential as
+S^(2^t) e, by 2^t - 1 one-column products with its square s - t, t =
+min(s, 3), in place of the last t squarings.  A change to any of them can
+move both hashes.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
