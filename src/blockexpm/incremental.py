@@ -12,27 +12,31 @@ of the denominator's new diagonal block.  The per-step cost drops to
 O(d^2 b) for a new block of size b, and counts only the blocks that can be
 nonzero: every cache is block upper triangular, so each product with a
 new block column skips the zero lower block triangle (down to the edges of
-the column chunks below).  The power recurrence also skips, column chunk
-by column chunk, the leading rows that the scaled matrix's zero-row
-profile keeps exactly zero, so a banded scaled matrix, such as a
-polynomial generator, costs only its band.
+the column chunks below).  A sparse scaled matrix, such as a polynomial
+generator, is held as compressed sparse columns, so the power recurrence
+reads only its nonzeros and costs only its band.
 Only new block columns are ever computed, so earlier stages survive bit
 for bit inside later ones.  The first block is one step from an empty
 state, and that step's arithmetic is the baseline's, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
-Every cache that a product reads -- the scaled matrix and squares 0 ..
-max(s, 1) - 1, or fewer in the column stream below -- is an append-only
-list of column chunks.  A chunk of block columns keeps only the rows down
-to its last column, so the zero lower block triangle is mostly not
-stored, and a step writes its new block column into the open chunk or
-into a new one: no chunk is copied or written once a later one opens.  A wide block column opens a chunk of
+Every square that a product reads -- squares 0 .. max(s, 1) - 1, or
+fewer in the column stream below -- is an append-only list of column
+chunks, and so is the scaled matrix while it is dense.  A chunk of block
+columns keeps only the rows down to its last column, so the zero lower
+block triangle is mostly not stored, and a step writes its new block
+column into the open chunk or into a new one: no chunk is copied or
+written once a later one opens.  A wide block column opens a chunk of
 exactly its own width, and narrow ones are packed into shared chunks, so
 the chunks hold little beyond the block upper triangle.  The first step
 adopts its new diagonal blocks as the first chunks.  A product with a new
 block column makes one GEMM per chunk: the last chunk writes the product,
 and BLAS accumulates each earlier chunk's share in place in the output,
-with no temporary and no separate add.  The current
+with no temporary and no separate add.  The scaled matrix converts once
+to compressed sparse columns, in buffers that only grow, when that form
+takes fewer bytes than its block triangle, and a product with it is one
+CSC product (see ``IncrementalExpState._scaled_growth``); the squares
+are dense, and stay chunked.  The current
 exponential, which no product reads, is instead the leading d x d block
 of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
@@ -90,7 +94,8 @@ _CHUNK_GROWTH = 4
 
 # A full exponential buffer is reallocated to this multiple of the new
 # dimension, or to room for two more blocks of the size just added if that
-# is more.  Growing by 5% spreads the copying over many steps while adding
+# is more, and so is each full buffer of a sparse scaled matrix, counted in
+# nonzeros or columns.  Growing by 5% spreads the copying over many steps while adding
 # at most about 10% to the bytes held; doubling would add up to 300%.  The
 # two blocks matter where blocks grow as a share of the dimension, as the
 # degree blocks of a polynomial generator do below degree 80: there 5% does
@@ -162,7 +167,7 @@ def _check_cache_bytes(need: int, dim: int, s: int) -> None:
 
 class _ChunkedCache:
     """A block upper triangular cache stored as an append-only list of
-    column chunks.
+    column chunks: each square, and the scaled matrix while it is dense.
 
     Chunk k holds the columns [starts[k], k1), where k1 is the next
     chunk's start or, for the last chunk, ``dim``; it keeps only their rows
@@ -220,26 +225,20 @@ class _ChunkedCache:
             chunk[d:e, d - k0 : e - k0] = diag
         self.dim = e
 
-    def product(self, x: np.ndarray, c: int = 0,
-                lead: np.ndarray | None = None) -> np.ndarray:
+    def product(self, x: np.ndarray, c: int = 0) -> np.ndarray:
         """``a @ x`` for the cache a, reading no stored zero below the chunks.
 
         The rows of ``x`` above ``c`` are zero, so only the chunks right of
         c contribute.  The last chunk writes the product, and BLAS adds
-        each earlier one's straight into its leading rows, with no
-        temporary: ``dgemm`` forms C <- A B + C on the transposes, which
-        for C-ordered arrays are the Fortran operands it reads in place.
-        So every operand it gets is contiguous: ``x`` is made so once, and
-        an earlier chunk passes all its stored columns, each with its row
-        of ``x``.  Those left of c meet zero rows of ``x``, and the spare
-        columns of a chunk that closed before filling up are stored zeros:
-        the rows of ``x`` they meet, which the next chunk's first block
-        column reads, add exactly nothing while they are finite.
-
-        ``lead``, the zero-row profile of a (see :func:`_grow_lead`),
-        windows each chunk further: the columns [j0, k1) that a chunk
-        contributes are zero above row lead[j0], so it reads only the rows
-        from lead[j0], and the last chunk writes zeros above its window.
+        each earlier one's straight into it, with no temporary: ``dgemm``
+        forms C <- A B + C on the transposes, which for C-ordered arrays
+        are the Fortran operands it reads in place.  So every operand it
+        gets is contiguous: ``x`` is made so once, and an earlier chunk
+        passes all its stored columns, each with its row of ``x``.  Those
+        left of c meet zero rows of ``x``, and the spare columns of a chunk
+        that closed before filling up are stored zeros: the rows of ``x``
+        they meet, which the next chunk's first block column reads, add
+        exactly nothing while they are finite.
         """
         d = self.dim
         if c >= d:
@@ -250,16 +249,20 @@ class _ChunkedCache:
         for k0, chunk in zip(reversed(self.starts), reversed(self.chunks)):
             if k1 <= c:
                 break
-            j0 = max(k0, c)
-            i0 = 0 if lead is None else int(lead[j0])
             if k1 == d:
-                out[:i0] = 0.0
-                np.matmul(chunk[i0:k1, j0 - k0 : k1 - k0], x[j0:k1], out=out[i0:k1])
+                j0 = max(k0, c)
+                np.matmul(chunk[:k1, j0 - k0 : k1 - k0], x[j0:k1], out=out)
             else:
                 xs = x[k0 : k0 + chunk.shape[1]]
-                dgemm(1.0, xs.T, chunk[i0:k1].T, beta=1.0, c=out[i0:k1].T, overwrite_c=True)
+                dgemm(1.0, xs.T, chunk[:k1].T, beta=1.0, c=out[:k1].T, overwrite_c=True)
             k1 = k0
         return out
+
+    def block_columns(self):
+        """Each chunk's stored columns as a block column (top, diag): the
+        rows above the chunk's start, and the square below them."""
+        for k0, k1, chunk in zip(self.starts, self.starts[1:] + [self.dim], self.chunks):
+            yield chunk[:k0, : k1 - k0], chunk[k0:k1, : k1 - k0]
 
     def dense(self) -> np.ndarray:
         """The cache as a d x d array."""
@@ -268,6 +271,120 @@ class _ChunkedCache:
         for k0, k1, chunk in zip(self.starts, self.starts[1:] + [d], self.chunks):
             out[:k1, k0:k1] = chunk[:k1, : k1 - k0]
         return out
+
+
+def _grown_capacity(need: int, added: int) -> int:
+    """Capacity of a full buffer reallocated to hold ``need`` entries after
+    ``added`` more: _GROWTH times ``need``, or room for two more additions
+    of the same size if that is more."""
+    return max(int(_GROWTH * need), need + 2 * added)
+
+
+class _SparseColumns:
+    """A block upper triangular matrix stored as compressed sparse columns,
+    in buffers that only grow.
+
+    Column j holds the values ``data[indptr[j] : indptr[j + 1]]`` in the
+    rows ``indices[...]``, ascending.  Only ``indptr[: dim + 1]`` and the
+    first ``indptr[dim]`` entries of ``data`` and ``indices`` are in use;
+    the rest is spare capacity.  A new store holds exactly the capacity it
+    is built with, and a full buffer is reallocated as the exponential
+    buffer is (see :func:`_grown_capacity`).  The indices are 64-bit, so a
+    nonzero takes 16 bytes, twice what a dense entry takes, and a matrix
+    converts only while fewer than half its stored entries are nonzero
+    (see :meth:`IncrementalExpState._scaled_growth`); with 32-bit ones the
+    upper triangular first block of a dense random instance, 54% nonzero at
+    26 columns, would convert and keep the whole matrix sparse.  scipy
+    copies the indices to 32 bits for each product while they fit.
+    """
+
+    def __init__(self, nnz: int, dim: int):
+        self.dim = 0
+        self.data = np.empty(nnz)
+        self.indices = np.empty(nnz, dtype=np.int64)
+        self.indptr = np.zeros(dim + 1, dtype=np.int64)
+
+    @staticmethod
+    def bytes_for(nnz: int, dim: int) -> int:
+        """Bytes of a store built for ``nnz`` nonzeros in ``dim`` columns."""
+        return 16 * nnz + 8 * (dim + 1)
+
+    @classmethod
+    def from_chunks(cls, cache: _ChunkedCache, nnz: int, dim: int) -> "_SparseColumns":
+        """The columns of a chunked cache, in a store built for ``nnz``
+        nonzeros in ``dim`` columns."""
+        store = cls(nnz, dim)
+        for top, diag in cache.block_columns():
+            store.append(top, diag)
+        return store
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def _reallocated(self, nnz: int, b: int) -> tuple[int, int]:
+        """Entries of the data and index buffers, and of ``indptr``, that
+        appending a block column of size b with ``nnz`` nonzeros
+        reallocates; 0 for a buffer it still fits."""
+        n, e = int(self.indptr[self.dim]) + nnz, self.dim + b
+        data = _grown_capacity(n, nnz) if n > self.data.shape[0] else 0
+        ptr = _grown_capacity(e, b) + 1 if e + 1 > self.indptr.shape[0] else 0
+        return data, ptr
+
+    def grown_bytes(self, nnz: int, b: int) -> int:
+        """Bytes of the buffers that appending a block column of size b
+        with ``nnz`` nonzeros reallocates."""
+        data, ptr = self._reallocated(nnz, b)
+        return 16 * data + 8 * ptr
+
+    def append(self, top: np.ndarray, diag: np.ndarray) -> None:
+        """Append the block column [top; diag], storing its nonzeros only."""
+        d, b = self.dim, diag.shape[1]
+        # the transpose lists the nonzeros column by column, rows ascending
+        block = np.vstack([top, diag]).T
+        cols, rows = np.nonzero(block)
+        data, ptr = self._reallocated(rows.size, b)
+        p0 = int(self.indptr[d])
+        p1 = p0 + rows.size
+        if data:
+            self.data = _regrown(self.data, data, p0)
+            self.indices = _regrown(self.indices, data, p0)
+        if ptr:
+            self.indptr = _regrown(self.indptr, ptr, d + 1)
+        self.data[p0:p1] = block[cols, rows]
+        self.indices[p0:p1] = rows
+        self.indptr[d + 1 : d + b + 1] = p0 + np.cumsum(np.bincount(cols, minlength=b))
+        self.dim = d + b
+
+    def product(self, x: np.ndarray, c: int = 0) -> np.ndarray:
+        """``a @ x`` for the stored a, where the rows of ``x`` above ``c``
+        are zero: one CSC product with the columns right of c, which reads
+        only their nonzeros and leaves every row they miss exactly 0."""
+        from scipy.sparse import csc_matrix
+
+        d = self.dim
+        if c >= d:
+            return np.zeros((d, x.shape[1]))
+        ptr = self.indptr[c : d + 1]
+        p0, p1 = int(ptr[0]), int(ptr[-1])
+        a = csc_matrix((self.data[p0:p1], self.indices[p0:p1], ptr - p0), shape=(d, d - c))
+        return a @ x[c:d]
+
+    def dense(self) -> np.ndarray:
+        """The stored matrix as a d x d array."""
+        d = self.dim
+        nnz = int(self.indptr[d])
+        out = np.zeros((d, d))
+        out[self.indices[:nnz], np.repeat(np.arange(d), np.diff(self.indptr[: d + 1]))] = (
+            self.data[:nnz])
+        return out
+
+
+def _regrown(buf: np.ndarray, size: int, used: int) -> np.ndarray:
+    """A buffer of ``size`` entries holding the first ``used`` of ``buf``."""
+    grown = np.empty(size, dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
 
 
 def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
@@ -321,20 +438,23 @@ class IncrementalExpState:
       rational solve of the next step (see :meth:`_solve_rational_column`).
 
     The scaled matrix and squares 0 .. max(s, 1) - 1 are read by the next
-    step's products and are stored as column chunks
+    step's products.  The squares are stored as column chunks
     (:class:`_ChunkedCache`), so at s = 0 square 0 is kept there as well;
-    square s is emitted as the leading ``dim`` x ``dim`` block of one
-    buffer with spare capacity.  A state of ``_drive``'s column stream is
-    built with ``_first_column=True``: it keeps no buffer, caches only
-    squares 0 .. s - t, for t = min(s, 3), so s - t + 2 chunked caches in
-    all, which is 2 for every s <= 3, forms square s only on the first
-    column of each new block column, from square s - t (see
-    :meth:`_squaring_column`), and hands that column back.  The default
-    is a stage state.  The state also
-    keeps the zero-row profile of the scaled matrix (see
-    :func:`_grow_lead`), which windows the power recurrence, and in
-    ``phase_seconds`` the seconds of each phase of the last step, keyed by
-    the matching :class:`StepReport` fields.
+    the scaled matrix starts as column chunks and converts once to
+    compressed sparse columns (:class:`_SparseColumns`) when that form
+    takes fewer bytes (see :meth:`_scaled_growth`), as a polynomial
+    generator does at degree 4 and a dense matrix never does.  Square s is
+    emitted as the leading ``dim`` x ``dim`` block of one buffer with
+    spare capacity.  A state of ``_drive``'s column stream is built with
+    ``_first_column=True``: it keeps no buffer, caches only squares 0 ..
+    s - t, for t = min(s, 3), so s - t + 1 chunked squares, which is 1 for
+    every s <= 3, forms square s only on the first column of each new
+    block column, from square s - t (see :meth:`_squaring_column`), and
+    hands that column back.  The default is a stage state.  The state
+    also keeps the zero-row profile of the scaled matrix (see
+    :func:`_grow_lead`), which bounds the nonzero rows of the power
+    recurrence, and in ``phase_seconds`` the seconds of each phase of the
+    last step, keyed by the matching :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -344,7 +464,11 @@ class IncrementalExpState:
         self.s = as_scaling_power(s)
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
-        self._gt = _ChunkedCache()
+        self._gt: _ChunkedCache | _SparseColumns = _ChunkedCache()
+        # The scaled matrix's nonzeros and block-triangle entries, which
+        # decide when its chunks convert to sparse columns.
+        self._nnz = 0
+        self._entries = 0
         # A state of _drive's column stream keeps no buffer: the first
         # column of each new block column of the exponential leaves only as
         # step's return, formed from square s - t, the last one cached.
@@ -359,12 +483,13 @@ class IncrementalExpState:
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes of every array the state holds: the chunks, the
-        exponential buffer with its spare capacity, if the state keeps
-        one, and the zero-row profile."""
-        chunks = self._gt.nbytes + sum(sq.nbytes for sq in self._squares)
+        """Bytes of every array the state holds: the scaled matrix's
+        chunks or sparse buffers, the squares' chunks, the exponential
+        buffer, if the state keeps one, and the zero-row profile, each
+        with its spare capacity."""
+        caches = self._gt.nbytes + sum(sq.nbytes for sq in self._squares)
         exp = 0 if self._exp is None else self._exp.nbytes
-        return chunks + exp + self._lead.nbytes
+        return caches + exp + self._lead.nbytes
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
@@ -395,7 +520,7 @@ class IncrementalExpState:
         held = self._exp.shape[0]
         if held >= e:
             return held
-        return e if self.dim == 0 else max(int(_GROWTH * e), e + 2 * b)
+        return e if self.dim == 0 else _grown_capacity(e, b)
 
     def step(self, col: BlockColumn) -> tuple[np.ndarray, np.ndarray]:
         """Grow the matrix by one block column and update all caches.
@@ -426,17 +551,24 @@ class IncrementalExpState:
                 f"block column has {col.rows} rows, current dimension is {self.dim}"
             )
         d, b = self.dim, col.block_size
-        # What the step leaves held, plus the old exponential buffer while
-        # a full one is reallocated: the chunked caches open their chunks
-        # together, and the zero-row profile grows by b entries.
-        need = self.cache_bytes + 8 * b + (len(self._squares) + 1) * self._gt.opened_bytes(b)
+        scale = 2.0 ** (-self.s)
+        gt_col, dt = col.top * scale, col.diag * scale
+        nnz = np.count_nonzero(gt_col) + np.count_nonzero(dt)
+        gt_bytes, to_sparse = self._scaled_growth(nnz, b)
+        # What the step leaves held, plus what it drops at the end: the old
+        # exponential buffer while a full one is reallocated, and the old
+        # buffers or chunks of the scaled matrix (see _scaled_growth).  The
+        # squares open their chunks together, and the zero-row profile
+        # grows by b entries.
+        need = (self.cache_bytes + 8 * b + gt_bytes
+                + len(self._squares) * self._squares[0].opened_bytes(b))
         if self._exp is not None:
             capacity = self._capacity(d + b, b)
             if capacity > self._exp.shape[0]:
                 need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
         t0 = time.perf_counter()
-        p_top, p_diag, q_top, q_diag, gt_col, dt, lead, c = self._extend_pq(col)
+        p_top, p_diag, q_top, q_diag, lead, c = self._extend_pq(gt_col, dt)
         t1 = time.perf_counter()
         f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
@@ -445,7 +577,11 @@ class IncrementalExpState:
 
         # Every phase has succeeded; only now are the caches grown.
         self._lead = lead
+        if to_sparse:
+            self._gt = _SparseColumns.from_chunks(self._gt, self._nnz + nnz, d + b)
         self._gt.append(gt_col, dt)
+        self._nnz += nnz
+        self._entries += (d + b) * b
         for cache, (top, diag) in zip(self._squares, square_cols):
             cache.append(top, diag)
         if self._exp is not None:
@@ -459,9 +595,34 @@ class IncrementalExpState:
         }
         return z, dsq
 
+    def _scaled_growth(self, nnz: int, b: int) -> tuple[int, bool]:
+        """Bytes that appending a block column of size b with ``nnz``
+        nonzeros allocates for the scaled matrix, and whether the append
+        converts its chunks to sparse columns first.
+
+        The chunks convert once the sparse form of the grown matrix takes
+        fewer bytes than the block upper triangle it holds: 16 per nonzero
+        and 8 per column, against 8 per entry.  Spare capacity is left out
+        of both counts, since either form fills it as it grows; counting
+        the room that a packed chunk opens with would convert a dense
+        matrix of narrow blocks at its second block.  So a matrix converts
+        only while fewer than half the entries of its block triangle are
+        nonzero, as in a polynomial generator past degree 3, and never if
+        its diagonal blocks are full upper triangles below full tops, as in
+        the random test instances.  A converting step holds both forms
+        until the chunks are dropped, and a store never converts back.
+        """
+        if isinstance(self._gt, _SparseColumns):
+            return self._gt.grown_bytes(nnz, b), False
+        e = self.dim + b
+        sparse = _SparseColumns.bytes_for(self._nnz + nnz, e)
+        if sparse < 8 * (self._entries + e * b):
+            return sparse, True
+        return self._gt.opened_bytes(b), False
+
     # -- step phases --------------------------------------------------
 
-    def _extend_pq(self, col: BlockColumn):
+    def _extend_pq(self, gt_col: np.ndarray, dt: np.ndarray):
         """New block columns of the numerator and denominator polynomials.
 
         With the scaled column g and scaled diagonal block D, the powers of
@@ -476,11 +637,12 @@ class IncrementalExpState:
         the baseline sums its powers in.
 
         If the rows of X_{l-1} above c are zero, so are those of X_l above
-        r = min(lead[c], c): the product reads each column chunk of Gprev
-        right of c only from the profile's row for its first column read,
-        at or below row r, so a banded Gprev costs only its band.  The
-        term g D^(l-1) is formed only on the rows from g's first nonzero
-        row, and both sums are accumulated only on the rows from r.  The
+        r = min(lead[c], c), and the product reads only the columns of
+        Gprev right of c.  Held as sparse columns, as a polynomial
+        generator is, Gprev is read only at its nonzeros, so a banded Gprev
+        costs only its band.  The term g D^(l-1) is formed only on the
+        rows from g's first nonzero row, and both sums are accumulated only
+        on the rows from r.  The
         last such row bound is returned with the columns: the rows of both
         top parts above it are zero.  The zero-row profile grown with the
         new column, whose entry at d bounds g's first nonzero row, is
@@ -488,10 +650,6 @@ class IncrementalExpState:
         """
         m = self.pade.degree
         alpha, beta = self.pade.alpha, self.pade.beta
-        scale = 2.0 ** (-self.s)
-        gt_col = col.top * scale
-        dt = col.diag * scale
-
         d = self.dim
         lead = _grow_lead(self._lead, gt_col, dt)
         c = g0 = min(int(lead[d]), d)
@@ -504,7 +662,7 @@ class IncrementalExpState:
         p_diag = alpha[0] * eye + alpha[1] * d_prev
         q_diag = beta[0] * eye + beta[1] * d_prev
         for l in range(2, m + 1):
-            x = self._gt.product(x, c, self._lead)
+            x = self._gt.product(x, c)
             x[g0:] += gt_col[g0:] @ d_prev
             c = min(int(self._lead[c]), c)
             d_prev = d_prev @ dt
@@ -512,7 +670,7 @@ class IncrementalExpState:
             q_top[c:] += beta[l] * x[c:]
             p_diag += alpha[l] * d_prev
             q_diag += beta[l] * d_prev
-        return p_top, p_diag, q_top, q_diag, gt_col, dt, lead, c
+        return p_top, p_diag, q_top, q_diag, lead, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
         """Last block column of F = Q^-1 P for the extended polynomials.

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import blockexpm
 import blockexpm.incremental as incremental
 from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
 from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
@@ -540,63 +544,65 @@ def _profile(a, sizes):
     return lead
 
 
+def _sparse(a, sizes):
+    """The block upper triangular ``a`` appended block column by block
+    column to a sparse store built for its nonzeros."""
+    d, nnz = a.shape[0], int(np.count_nonzero(a))
+    store = incremental._SparseColumns(nnz, d)
+    off = Partition(sizes).offsets
+    for r0, r1 in zip(off, off[1:]):
+        store.append(a[:r0, r0:r1], a[r0:r1, r0:r1])
+    assert np.array_equal(store.dense(), a)
+    # a store built for its nonzeros holds no spare capacity
+    assert int(store.indptr[d]) == nnz
+    assert store.nbytes == incremental._SparseColumns.bytes_for(nnz, d) == 16 * nnz + 8 * (d + 1)
+    return store
+
+
 def test_panel_product_skips_rows_known_zero():
+    # the sparse store's product from column c reads only the nonzeros
+    # right of c, so the rows that are zero there come out exactly 0
     rng = np.random.default_rng(157)
     sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
-    # rows above r are zero right of c: r inside the third chunk, c inside
-    # the fourth
-    starts = _chunked(a, sizes).starts
-    r, c = (starts[2] + starts[3]) // 2, (starts[3] + starts[4]) // 2
-    assert starts[2] < r < starts[3] < c < starts[4]
+    d = a.shape[0]
+    r, c = d // 3, d // 2
     a[:r, c:] = 0.0
-    cache = _chunked(a, sizes)
-    lead = _profile(a, sizes)
-    assert lead[c] >= r
-    x = rng.standard_normal((a.shape[0], 2))
+    store = _sparse(a, sizes)
+    assert _profile(a, sizes)[c] >= r
+    x = rng.standard_normal((d, 2))
     x[:c] = 0.0
-    got = cache.product(x, c, lead)
+    got = store.product(x, c)
     assert rel_error_fro(got, a @ x) <= 1e-14
     assert not got[:r].any()
+    # from c = d there is nothing to read
+    assert np.array_equal(store.product(x, d), np.zeros((d, 2)))
 
 
 @pytest.mark.parametrize("where", ["inside", "boundary", "top"])
 def test_panel_product_reads_only_the_band(where):
     rng = np.random.default_rng(163)
-    # about 350 columns: the adopted first block and five opened chunks
     sizes = tuple(int(b) for b in rng.integers(1, 7, 100))
     a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
     d, width = a.shape[0], 40
-    # a band: column j is zero above row j - width, so the profile rises
-    # inside every chunk and each chunk's window starts at its own row
+    # a band: column j is zero above row j - width
     rows, cols = np.indices(a.shape)
     a[rows < cols - width] = 0.0
-    cache = _chunked(a, sizes)
-    lead = _profile(a, sizes)
-    assert lead.tolist() == np.maximum(np.arange(d) - width, 0).tolist() + [d]
-    starts = cache.starts
-    assert starts == _rule_starts(sizes) and len(starts) == 6
-    # c in, or at the edge of, the third chunk from the end: below the
-    # band's top, so that r > 0, with two chunks right of it
-    if where == "inside":
-        c = (starts[-3] + starts[-2]) // 2
-        assert starts[-3] < c < starts[-2]
-    elif where == "boundary":
-        c = starts[-3]
-    else:
-        c = 0
-    r = min(int(lead[c]), c)
+    store = _sparse(a, sizes)
+    # the store holds the band's nonzeros only, well under the triangle
+    assert int(store.indptr[d]) == np.count_nonzero(a) < d * (d + 1) // 4
+    # c inside a block column, at the start of one, or at column 0
+    off = Partition(sizes).offsets
+    k = next(k for k in range(len(sizes) // 2, len(sizes)) if sizes[k] > 1)
+    c = {"inside": off[k] + 1, "boundary": off[k], "top": 0}[where]
+    assert (c > off[k]) == (where == "inside")
+    r = min(int(_profile(a, sizes)[c]), c)
     assert (r > 0) == (c > 0)
-    # the last chunk's window starts below r, so the windows trim
-    assert lead[max(starts[-1], c)] > r
+    # the rows of x above c are never read, so NaN there does not show
     x = rng.standard_normal((d, 3))
-    x[:c] = 0.0
-    # leave NaN in the memory the product's output is likely to reuse, so
-    # that an output row nothing writes shows
-    junk = np.full((d, 3), np.nan)
-    del junk
-    got = cache.product(x, c, lead)
-    assert rel_error_fro(got, a @ x) <= 1e-14
+    x[:c] = np.nan
+    got = store.product(x, c)
+    assert rel_error_fro(got, a[:, c:] @ x[c:]) <= 1e-14
     assert not got[:r].any()
 
 
@@ -604,6 +610,8 @@ def test_panel_product_reads_only_the_band(where):
 # at the chunk's full stored width.
 @pytest.mark.parametrize("layout", ["spare", "inside", "lead", "strided"])
 def test_chunk_products_accumulate_in_place(layout):
+    # "lead": a banded cache, whose chunks store the band's zeros and add
+    # them in
     rng = np.random.default_rng(191)
     # about 450 columns of blocks of 2-4, packed into shared chunks
     sizes = tuple(int(b) for b in rng.integers(2, 5, 150))
@@ -620,7 +628,7 @@ def test_chunk_products_accumulate_in_place(layout):
     spare = [k for k, (k0, k1) in enumerate(zip(cache.starts, ends))
              if cache.chunks[k].shape[1] > k1 - k0]
     assert len(spare) >= 2
-    c, lead = 0, None
+    c = 0
     x = rng.standard_normal((d, 3))
     if layout == "inside":
         # c strictly inside a closed chunk with spare columns
@@ -629,13 +637,12 @@ def test_chunk_products_accumulate_in_place(layout):
         assert cache.starts[k] < c < ends[k]
         x[:c] = 0.0
     elif layout == "lead":
-        lead = _profile(a, sizes)
-        # the windows of closed chunks start below row 0
-        assert lead[cache.starts[-2]] > 0
+        # closed chunks whose columns are zero at the top
+        assert _profile(a, sizes)[cache.starts[-2]] > 0
     elif layout == "strided":
         x = rng.standard_normal((d, 6))[:, ::2]
         assert not x.flags.c_contiguous
-    assert rel_error_fro(cache.product(x, c, lead), cache.dense() @ x) <= 1e-14
+    assert rel_error_fro(cache.product(x, c), cache.dense() @ x) <= 1e-14
 
 
 def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
@@ -665,7 +672,7 @@ def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 5, 120)), scale=0.02)
     cols[60] = BlockColumn(100.0 * cols[60].top, 100.0 * cols[60].diag)
     assert sum(r.restart for _, r in run_adaptive(cols)) == 1
-    # wide blocks with zero-row windows, in the column stream
+    # wide blocks, in the column stream
     for _ in incremental._drive(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
                                                          scale=0.25), 5, first_column=True):
         pass
@@ -696,18 +703,68 @@ def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
 
 
 def test_pricing_caches_hold_little_beyond_the_block_triangle():
-    # a pricing pass to degree 60 at s = 4: the 3 chunked caches (the
-    # scaled matrix and squares 0 .. s - 3) store the block upper triangle
-    # of dimension 1891 with at most 10% idle capacity, and the zero-row
-    # profile
+    # a pricing pass to degree 60 at s = 4: the 2 chunked squares (0 .. s - 3)
+    # store the block upper triangle of dimension 1891 with at most 10% idle
+    # capacity, the scaled matrix, as sparse columns, its nonzeros with at
+    # most 10% idle capacity, and the zero-row profile its 1892 entries
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
-    s = 4
-    *_, (_, report) = incremental._drive(cols, s, first_column=True)
-    d = report.dim
+    state = IncrementalExpState(4, _first_column=True)
+    for col in cols:
+        state.step(col)
+    d = state.dim
     assert d == 1891
     triangle = 8 * d * (d + 1) // 2
-    assert report.cache_bytes <= 1.10 * 3 * triangle + 8 * (d + 1)
+    squares = sum(sq.nbytes for sq in state._squares)
+    assert len(state._squares) == 2 and squares <= 1.10 * 2 * triangle
+    assert isinstance(state._gt, incremental._SparseColumns)
+    nnz = np.count_nonzero(state._gt.dense())
+    assert nnz < d * 7
+    assert state._gt.nbytes <= 1.10 * incremental._SparseColumns.bytes_for(nnz, d)
+    assert state.cache_bytes == squares + state._gt.nbytes + 8 * (d + 1)
+
+
+def _scaled_forms(cols, make_state):
+    """The form of the scaled matrix after each step of a new state."""
+    state = make_state()
+    forms = []
+    for col in cols:
+        state.step(col)
+        forms.append(type(state._gt))
+    return forms
+
+
+def test_scaled_matrix_converts_to_sparse_columns_once_they_take_fewer_bytes():
+    # a Jacobi generator's scaled matrix converts at degree 4, where its 54
+    # nonzeros in 15 columns take 16 * 54 + 8 * 16 = 992 bytes against the
+    # 8 * 140 = 1120 of its block triangle (at degree 3: 568 against 520),
+    # in the stream and the stage state alike, and stays converted
+    chunked, sparse = incremental._ChunkedCache, incremental._SparseColumns
+    cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
+    for s in (0, 3, 6):
+        for first_column in (True, False):
+            forms = _scaled_forms(cols, lambda: IncrementalExpState(
+                s, _first_column=first_column))
+            assert forms == [chunked] * 4 + [sparse] * 9, (s, first_column)
+    # dense matrices never convert: random blocks at the sizes of the desk
+    # (20-40) and thin (2-4) benchmark instances, full or, as in those
+    # instances, upper triangular on the diagonal below full tops, whose
+    # nonzeros fill more than half the block triangle
+    rng = np.random.default_rng(229)
+    for sizes in (rng.integers(20, 41, 12), rng.integers(2, 5, 150)):
+        cols = random_columns(rng, tuple(int(b) for b in sizes), scale=0.02)
+        triangular = [BlockColumn(c.top, np.triu(c.diag)) for c in cols]
+        for case in (cols, triangular):
+            assert _scaled_forms(case, lambda: IncrementalExpState(3)) == [chunked] * len(cols)
+
+
+def test_import_does_not_load_scipy_sparse():
+    # the sparse store imports scipy.sparse where it first multiplies, so
+    # importing the package costs nothing for it
+    root = os.path.dirname(os.path.dirname(blockexpm.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import blockexpm; "
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'")
+    subprocess.run([sys.executable, "-c", code, root], check=True)
 
 
 def test_zero_row_profile_of_generator():
@@ -881,17 +938,25 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
     rng = np.random.default_rng(181)
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(20, 41, 12)), scale=0.05)
     cols[6] = BlockColumn(60.0 * cols[6].top, 60.0 * cols[6].diag)
+    # a generator's scaled matrix converts to sparse columns at degree 4,
+    # and grows its buffers past it
+    generator = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
     walked = []
     step = IncrementalExpState.step
 
     def walking_step(state, col):
         step(state, col)
-        walked.append(_held_bytes(state))
+        walked.append((type(state._gt), _held_bytes(state)))
 
     monkeypatch.setattr(IncrementalExpState, "step", walking_step)
-    reports = [r for _, r in run_adaptive(cols)]
-    assert any(r.restart for r in reports)
-    assert [r.cache_bytes for r in reports] == walked
+    for runner, converts in ((run_adaptive(cols), False), (run_fixed(generator, 3), True),
+                             (incremental._drive(generator, 3, first_column=True), True)):
+        walked.clear()
+        reports = [r for _, r in runner]
+        assert any(r.restart for r in reports) != converts
+        assert [r.cache_bytes for r in reports] == [held for _, held in walked]
+        sparse = [form is incremental._SparseColumns for form, _ in walked]
+        assert sparse == [False] * 4 + [True] * 9 if converts else not any(sparse)
 
 
 def _restarting_columns():
@@ -1085,3 +1150,30 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     staged.step(cols[1])
     got = np.vstack([top, diag])[:, 0]
     assert np.all(np.abs(got - staged.exponential.data[:, 3]) <= _kept_column_bound(state, 3))
+
+    # a Jacobi generator's stream at s = 2 converts its scaled matrix at
+    # degree 4: beside what it held (3304 bytes: two 1608-byte chunk sets
+    # and 11 profile entries) the step holds 5 more profile entries and
+    # the new store, 54 nonzeros in 15 columns (16 * 54 + 8 * 16 = 992),
+    # then drops the 1608 bytes of old chunks.  Degree 5 reallocates the
+    # store, to 147 entries of data and indices and 34 of indptr (2624),
+    # drops the old one, and opens a chunk of 15 + 60 rows and 60 columns
+    # (36000) for square 0.
+    cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=5, scale=0.25))
+    state = IncrementalExpState(2, _first_column=True)
+    for col in cols[:4]:
+        state.step(col)
+    held = 3304
+    assert state.cache_bytes == held and state._gt.nbytes == 1608
+    # 4336 = 3304 + 40 + 992 leaves 2728; 41400 = 2728 + 48 + 2624 + 36000
+    for col, need, dropped in ((cols[4], 4336, 1608), (cols[5], 41400, 992)):
+        form = type(state._gt)
+        monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(MemoryError, match=f"{need} bytes"):
+            state.step(col)
+        assert state.cache_bytes == held and type(state._gt) is form
+        monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need)
+        state.step(col)
+        held = need - dropped
+        assert state.cache_bytes == _held_bytes(state) == held
+        assert isinstance(state._gt, incremental._SparseColumns)

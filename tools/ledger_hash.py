@@ -5,16 +5,19 @@
 CHECKOUT is a source tree of this repository (default: the one holding
 this script); its ``src`` is imported.  Two equal lines from two trees
 mean that both compute the same floats, bit for bit, on this machine and
-BLAS thread count.  Three things decide which bits each cache product
+BLAS thread count.  Four things decide which bits each cache product
 rounds to: the engine's chunk rule, which splits it into panels (and also
 sets ``cache_bytes``), how BLAS accumulates each panel into the product,
 here in place with beta = 1, each earlier panel at its chunk's full
-stored width, and the product's width and order: BLAS rounds a
-one-column product differently from the same column of a wide one, and
+stored width, the product's width and order: BLAS rounds a one-column
+product differently from the same column of a wide one, and
 ``price_call``'s stream forms its one kept column of each exponential as
 S^(2^t) e, by 2^t - 1 one-column products with its square s - t, t =
-min(s, 3), in place of the last t squarings.  A change to any of them can
-move both hashes.
+min(s, 3), in place of the last t squarings, and the scaled matrix's
+form: chunks, or compressed sparse columns once those take fewer bytes
+than its block triangle, whose product scipy sums nonzero by nonzero (the
+pricing generator converts at degree 4; the engine's dense instances
+never do).  A change to any of them can move both hashes.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
