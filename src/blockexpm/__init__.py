@@ -65,10 +65,8 @@ from .pricing import (
     PriceLedgerRow,
     PriceResult,
     PricingConfig,
-    conditional_moment,
     fourier_coefficient,
     hermite_moment,
-    hermite_vector,
     hermite_y_coefficients,
     price_call,
     rescaled_basis,

@@ -24,12 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockTriangularMatrix
 from .generators import (
     JacobiParams,
     _check_finite,
-    basis_index,
-    basis_size,
     basis_values,
     generator_block_columns,
     jacobi_norm_bound,
@@ -63,6 +60,9 @@ def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     h~_{j+1}(x) = (x h~_j(x) - sqrt(j) h~_{j-1}(x)) / sqrt(j + 1), so no
     factorial is formed and they stay finite past degree 170.  Entry p of
     the result multiplies y^p.  ``muw`` and ``sigmaw`` must be finite.
+    Raises ``ValueError`` if the coefficients overflow the float range,
+    as they do for a narrow weight at high degree: they grow like
+    sigmaw^-n / sqrt(n!).
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -74,29 +74,19 @@ def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     prev = np.array([1.0])  # h~_0
     if n == 0:
         return prev
-    cur = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h~_1(x(y))
-    for j in range(1, n):
-        nxt = np.zeros(j + 2)
-        nxt[1:] += cur / sigmaw
-        nxt[: j + 1] += -(muw / sigmaw) * cur
-        nxt[: j] += -math.sqrt(j) * prev
-        nxt /= math.sqrt(j + 1)
-        prev, cur = cur, nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h~_1(x(y))
+        for j in range(1, n):
+            nxt = np.zeros(j + 2)
+            nxt[1:] += cur / sigmaw
+            nxt[: j + 1] += -(muw / sigmaw) * cur
+            nxt[: j] += -math.sqrt(j) * prev
+            nxt /= math.sqrt(j + 1)
+            prev, cur = cur, nxt
+    if not np.isfinite(cur).all():
+        raise ValueError(f"the degree-{n} Hermite coefficients overflow the float range for "
+                         f"the weight N(muw = {muw!r}, sigmaw = {sigmaw!r}^2)")
     return cur
-
-
-def hermite_vector(n: int, muw: float, sigmaw: float) -> np.ndarray:
-    """Coordinates of the normalized Hermite polynomial in the graded
-    basis of two-variable polynomials of degree <= n.
-
-    The polynomial only involves the log price, so the nonzero entries sit
-    at the pure-y monomials y^p, p = 0..n.
-    """
-    coeffs = hermite_y_coefficients(n, muw, sigmaw)
-    vec = np.zeros(basis_size(2, n))
-    for p, c in enumerate(coeffs):
-        vec[basis_index((p, 0))] = c
-    return vec
 
 
 def _normal_cdf(z: float) -> float:
@@ -169,32 +159,6 @@ def _closed_form_coefficient(n, logstrike, muw, sigmaw, r, tau) -> float:
     return math.exp(-r * tau) * math.exp(muw) * sigmaw * integral / math.sqrt(n)
 
 
-def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
-    """Conditional expectation of a polynomial at horizon tau.
-
-    ``exp_tau_g`` is exp(tau G_n) on the graded basis (array or block
-    matrix), ``x0`` the state at time zero, and ``pvec`` the coordinate
-    vector of the polynomial.  The result is the basis evaluation row at
-    x0 applied to exp(tau G_n) pvec, formed from only the columns of the
-    matrix where ``pvec`` is nonzero.
-    """
-    mat = exp_tau_g.data if isinstance(exp_tau_g, BlockTriangularMatrix) else exp_tau_g
-    size = mat.shape[0]
-    pvec = np.asarray(pvec, dtype=np.float64)
-    if mat.shape != (size, size) or pvec.shape != (size,):
-        raise ValueError(f"shape mismatch: matrix {mat.shape}, vector {pvec.shape}")
-    d = len(tuple(x0))
-    if d < 1:
-        raise ValueError("the state x0 needs at least one coordinate")
-    n = 0
-    while basis_size(d, n) < size:
-        n += 1
-    if basis_size(d, n) != size:
-        raise ValueError(f"matrix size {size} is not a full graded basis in {d} variables")
-    nz = np.flatnonzero(pvec)
-    return float(basis_values(d, n, x0) @ (mat[:, nz] @ pvec[nz]))
-
-
 @dataclass(frozen=True)
 class PriceLedgerRow:
     """One term of the Hermite series with its running aggregates.
@@ -203,7 +167,8 @@ class PriceLedgerRow:
     ``cache_bytes`` the bytes its caches hold after it, both from the
     stage's ``StepReport``; ``quad_seconds`` is the time spent on the
     payoff coefficient f_n (closed form) and ``moment_seconds`` on reading
-    l_n off the exponential.  ``cum_seconds`` is the wall time since the
+    l_n off the exponential: the dot product that gives the raw moment m_n
+    and :func:`hermite_moment`.  ``cum_seconds`` is the wall time since the
     series started, so cum_seconds - expm - quad - moment is the generator
     assembly and bookkeeping time.
     """
@@ -311,39 +276,23 @@ def rescaled_basis(n_max: int) -> tuple[int, int]:
     [a^n_max, 1], and 2^-600 keeps that factor far above the subnormal
     range (2^-1022).  The read-off's Hermite coefficients of y / a grow
     like (a sigmaw)^-n; a^-n <= 2^600 leaves them 2^424 of headroom for
-    sigmaw^-n / sqrt(n!), and :func:`hermite_moment` refuses coefficients
-    that overflow all the same.
+    sigmaw^-n / sqrt(n!), and :func:`hermite_y_coefficients` refuses
+    coefficients that overflow all the same.
     """
     e = min(_BASIS_SHIFT, _BASIS_RANGE // max(n_max, 1))
     return -e, min(0, 2 - e)
 
 
-def hermite_moment(columns, x0, muw: float, sigmaw: float) -> float:
-    """Expected normalized Hermite polynomial of the log price at ``x0``
-    against the weight N(muw, sigmaw^2), read off the pure-y columns of
-    exp(tau G_n).
+def hermite_moment(moments, muw: float, sigmaw: float) -> float:
+    """Expected normalized Hermite polynomial of the log price against the
+    weight N(muw, sigmaw^2), from the raw moments of the log price.
 
-    ``columns[p]`` is the exponential's column at y^p, p = 0 .. n with
-    n = len(columns) - 1, down to the last row where it can be nonzero:
-    the Hermite polynomial involves only these monomials, so they are
-    all the read-off needs (see :func:`price_call`).  Raises
-    ``ValueError`` if the Hermite coefficients overflow.  The result is
-    :func:`conditional_moment` of :func:`hermite_vector` on the whole
-    exponential, and rounds the same: the operand is the columns of the
-    nonzero coefficients, zero-padded to the full dimension, in the
-    Fortran order numpy gives that function's gather ``mat[:, nz]``.
+    ``moments[p]`` is the expectation of y^p, p = 0 .. n with
+    n = len(moments) - 1, and the result is c_n^T moments, where c_n holds
+    the :func:`hermite_y_coefficients` of degree n (Ackerer, Filipovic &
+    Pulido 2018).  Raises ``ValueError`` if they overflow.
     """
-    n = len(columns) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = hermite_y_coefficients(n, muw, sigmaw)
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"the degree-{n} Hermite coefficients overflow the float range for "
-                         f"the weight N(muw = {muw!r}, sigmaw = {sigmaw!r}^2)")
-    nz = np.flatnonzero(coeffs)
-    gathered = np.zeros((basis_size(2, n), nz.size), order="F")
-    for k, p in enumerate(nz):
-        gathered[: columns[p].shape[0], k] = columns[p]
-    return float(basis_values(2, n, x0) @ (gathered @ coeffs[nz]))
+    return float(hermite_y_coefficients(len(moments) - 1, muw, sigmaw) @ moments)
 
 
 def price_call(cfg: PricingConfig) -> PriceResult:
@@ -382,9 +331,8 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     sequence stays nested.  The moment is
     u(a y0, b v0)^T exp(B) D^-1 h_n, where D^-1 h_n is the Hermite
     polynomial of y / a, the one for N(a muw, (a sigmaw)^2), so each one
-    is read off exp(B) at that state and weight (see
-    :func:`hermite_moment`), and D^-1, whose a^-n overflows at high
-    degree, is never formed.
+    is read off exp(B) at that state against that weight, and D^-1, whose
+    a^-n overflows at high degree, is never formed.
 
     The engine runs on B - mu I, the other half of Ward's preprocessing:
     exp(B) = e^mu exp(B - mu I), and for one mu the shifted sequence is
@@ -410,19 +358,23 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     series with a ``ValueError`` before that degree instead of returning
     an inaccurate price.
 
-    The engine keeps no exponential here.  The moment l_n reads only the
-    columns at y^0 .. y^n, and column y^p of exp(B_n) is column y^p of
-    exp(B_p) with zeros below it, since the engine never revises a block
-    column once it is computed.  So each degree keeps the column at y^n
-    of its new block column, its first, since y^n leads the degree-n
-    monomials, and l_n is read off the n + 1 kept columns.  The engine
-    caches squares 0 .. s - t, t = min(s, 3), and forms that column of
-    square s as S^(2^t) e, by 2^t - 1 one-column products with square
-    s - t, which cost less than the t full-width squarings they replace
-    (at degree 60 one product with square 0 takes 0.70 ms on one column
-    and 4.9 ms on all 61).  The products round differently from the
-    squarings, so a moment equals the read-off of the whole exponential to
-    rounding, not bit for bit.
+    Neither the engine nor the loop keeps an exponential column here.
+    The moment l_n reads only the columns at y^0 .. y^n, and column y^p of
+    exp(B_n) is column y^p of exp(B_p) with zeros below it, since the
+    engine never revises a block column once it is computed.  So the raw
+    moment m_p = u^T exp(B_p - mu I) e_(y^p), with u = u(a y0, b v0), is
+    one scalar, fixed from degree p on: each degree takes the column at
+    y^n of its new block column, its first, since y^n leads the degree-n
+    monomials, keeps its dot product with u, and drops it.  Then
+    l_n = c_n^T m_(0..n) / m_0 (:func:`hermite_moment`), where m_0 is the
+    stream's e^-mu exactly, as u_0 = 1.  The engine caches squares
+    0 .. s - t, t = min(s, 3), and forms that column of square s as
+    S^(2^t) e, by 2^t - 1 one-column products with square s - t, which
+    cost less than the t full-width squarings they replace (at degree 60
+    one product with square 0 takes 0.70 ms on one column and 4.9 ms on
+    all 61).  The products round differently from the squarings, and the
+    moments sum in another order than u^T (exp(B_n) h_n), so l_n equals the
+    read-off of the whole exponential to rounding, not bit for bit.
     """
     basis = rescaled_basis(cfg.n_max)
     ea, eb = basis
@@ -446,13 +398,15 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     rows: list[PriceLedgerRow] = []
     converged = False
     prev_small = False
-    kept: list[np.ndarray] = []  # column y^p of exp(B_p - mu I), p = 0 .. n
+    u = basis_values(2, cfg.n_max, x0)
+    moments = np.empty(cfg.n_max + 1)  # u^T exp(B_p - mu I) e_(y^p), p = 0 .. n
     for (top, diag), report in runner:
         n = report.step
-        kept.append(np.concatenate([top, diag]).ravel())
+        d = top.shape[0]
         tm = time.perf_counter()
-        # exp(B) e_0 = e_0, so kept[0] is the stream's own e^-mu
-        l_n = hermite_moment(kept, x0, muw, sigmaw) / float(kept[0][0])
+        moments[n] = u[:d] @ top[:, 0] + u[d : d + diag.shape[0]] @ diag[:, 0]
+        # exp(B) e_0 = e_0 and u_0 = 1, so moments[0] is the stream's own e^-mu
+        l_n = hermite_moment(moments[: n + 1], muw, sigmaw) / float(moments[0])
         tq = time.perf_counter()
         moment_seconds = tq - tm
         f_n = fourier_coefficient(

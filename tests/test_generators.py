@@ -198,6 +198,9 @@ def test_basis_values_match_the_monomial_products():
             got = basis_values(d, n, point)
             assert got.shape == (basis_size(d, n),)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+            # a higher degree only appends: price_call evaluates u at n_max
+            # once and reads its prefix at each degree
+            assert np.array_equal(basis_values(d, n + 5, point)[: got.size], got)
 
 
 # -- operator application ----------------------------------------------------

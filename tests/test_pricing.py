@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 import blockexpm.incremental as incremental
 import blockexpm.pricing as pricing
-from blockexpm.blocks import matrix_from_columns
+from blockexpm.blocks import BlockTriangularMatrix, matrix_from_columns
 from blockexpm.dense import one_norm
 from blockexpm.generators import (
     HestonParams,
@@ -28,11 +29,11 @@ from blockexpm.generators import (
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
 from blockexpm.pade import expm_baseline, scaling_power
 from blockexpm.pricing import (
+    PriceLedgerRow,
+    PriceResult,
     PricingConfig,
-    conditional_moment,
     fourier_coefficient,
     hermite_moment,
-    hermite_vector,
     hermite_y_coefficients,
     price_call,
     rescaled_basis,
@@ -77,15 +78,62 @@ def scaled_read_off(cfg, basis=(0, 0)):
     return x0, math.ldexp(cfg.muw, ea), math.ldexp(cfg.sigmaw, ea)
 
 
-def pure_y_columns(mat, n):
-    # the columns at y^0 .. y^n of a degree-n matrix, each cut below the
-    # rows of its own degree
-    return [mat[: basis_size(2, p), basis_index((p, 0))] for p in range(n + 1)]
+def raw_moments(mat, n, x0):
+    # u(x0)^T times the columns at y^0 .. y^n of a degree-n matrix, each cut
+    # below the rows of its own degree: the raw moments of y^p, p = 0 .. n
+    u = basis_values(2, n, x0)
+    return np.array([u[: basis_size(2, p)] @ mat[: basis_size(2, p), basis_index((p, 0))]
+                     for p in range(n + 1)])
 
 
 def normalized_hermite_e(x, n):
     # h_n(x) / sqrt(n!) from numpy's probabilists' Hermite series
     return np.polynomial.hermite_e.hermeval(x, [0.0] * n + [1.0]) / math.sqrt(math.factorial(n))
+
+
+# -- oracles -----------------------------------------------------------------
+# The read-off of a whole exponential, which price_call's raw moments are
+# checked against.
+
+
+def hermite_vector(n: int, muw: float, sigmaw: float) -> np.ndarray:
+    """Coordinates of the normalized Hermite polynomial in the graded
+    basis of two-variable polynomials of degree <= n.
+
+    The polynomial only involves the log price, so the nonzero entries sit
+    at the pure-y monomials y^p, p = 0..n.
+    """
+    coeffs = hermite_y_coefficients(n, muw, sigmaw)
+    vec = np.zeros(basis_size(2, n))
+    for p, c in enumerate(coeffs):
+        vec[basis_index((p, 0))] = c
+    return vec
+
+
+def conditional_moment(exp_tau_g, x0, pvec: np.ndarray) -> float:
+    """Conditional expectation of a polynomial at horizon tau.
+
+    ``exp_tau_g`` is exp(tau G_n) on the graded basis (array or block
+    matrix), ``x0`` the state at time zero, and ``pvec`` the coordinate
+    vector of the polynomial.  The result is the basis evaluation row at
+    x0 applied to exp(tau G_n) pvec, formed from only the columns of the
+    matrix where ``pvec`` is nonzero.
+    """
+    mat = exp_tau_g.data if isinstance(exp_tau_g, BlockTriangularMatrix) else exp_tau_g
+    size = mat.shape[0]
+    pvec = np.asarray(pvec, dtype=np.float64)
+    if mat.shape != (size, size) or pvec.shape != (size,):
+        raise ValueError(f"shape mismatch: matrix {mat.shape}, vector {pvec.shape}")
+    d = len(tuple(x0))
+    if d < 1:
+        raise ValueError("the state x0 needs at least one coordinate")
+    n = 0
+    while basis_size(d, n) < size:
+        n += 1
+    if basis_size(d, n) != size:
+        raise ValueError(f"matrix size {size} is not a full graded basis in {d} variables")
+    nz = np.flatnonzero(pvec)
+    return float(basis_values(d, n, x0) @ (mat[:, nz] @ pvec[nz]))
 
 
 # -- Hermite polynomials -----------------------------------------------------
@@ -171,6 +219,20 @@ def test_hermite_vector_pure_y():
             assert entry == coeffs[[p for p in range(n + 1) if p * (p + 1) // 2 == i][0]]
         else:
             assert entry == 0.0  # exact zero on anything involving v
+
+
+def test_hermite_y_coefficients_refuse_an_overflow_without_a_warning():
+    # h_200 of y / 0.001 overflows in the recurrence, and a muw far above a
+    # tiny sigmaw already in h_1: each is one ValueError naming the degree
+    # and the weight, with no RuntimeWarning from the inf or nan on the way
+    cases = [(200, 0.0, 1e-3, r"degree-200 .* N\(muw = 0\.0, sigmaw = 0\.001\^2\)"),
+             (1, 1e300, 1e-300, "degree-1 Hermite coefficients overflow"),
+             (3, np.float64(1e300), np.float64(1e-300), "degree-3 Hermite coefficients overflow")]
+    for n, muw, sigmaw, match in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                hermite_y_coefficients(n, muw, sigmaw)
 
 
 # -- payoff Fourier coefficients ---------------------------------------------
@@ -271,7 +333,7 @@ def test_non_finite_payoff_and_hermite_inputs_are_named(bad):
             fourier_coefficient(3, **args)
 
 
-# -- conditional moments -----------------------------------------------------
+# -- the conditional-moment oracle -------------------------------------------
 
 
 def test_conditional_moment_constant():
@@ -313,16 +375,6 @@ def test_conditional_moment_mean_reversion():
     assert conditional_moment(f, (y0, v0), np.array([0.0, 1.0, 0.0])) == pytest.approx(ey, rel=1e-12)
 
 
-def test_conditional_moment_block_matrix_input():
-    spec = jacobi_spec(BENCH_PARAMS)
-    last = None
-    for f, _ in run_fixed(generator_block_columns(spec, max_degree=2, scale=0.25), s=3):
-        last = f
-    pvec = np.arange(6.0)
-    x0 = (0.1, 0.3)
-    assert conditional_moment(last, x0, pvec) == conditional_moment(last.data, x0, pvec)
-
-
 def test_conditional_moment_matches_the_dense_formula():
     # only the columns where pvec is nonzero are read; the dense formula
     # applies the whole matrix
@@ -343,31 +395,20 @@ def test_conditional_moment_matches_the_dense_formula():
             assert abs(conditional_moment(mat, x0, pvec) - want) <= 1e-13 * scale
 
 
-def test_conditional_moment_validation():
-    with pytest.raises(ValueError):
-        conditional_moment(np.eye(3), (0.0, 0.1), np.zeros(2))
-    with pytest.raises(ValueError):
-        conditional_moment(np.eye(4), (0.0, 0.1), np.zeros(4))  # 4 is not a graded size
-    with pytest.raises(ValueError):
-        conditional_moment(np.ones((3, 2)), (0.0, 0.1), np.zeros(3))
-    # an empty state has a one-element basis at every degree, so no
-    # degree search could end
-    with pytest.raises(ValueError, match="at least one coordinate"):
-        conditional_moment(np.eye(3), (), np.ones(3))
-
-
 # -- Hermite moments ---------------------------------------------------------
 
 
 def test_hermite_moment_degree_zero():
-    assert hermite_moment([np.ones(1)], *scaled_read_off(bench_config())) == 1.0
+    _, muw, sigmaw = scaled_read_off(bench_config())
+    assert hermite_moment(np.ones(1), muw, sigmaw) == 1.0
 
 
 def test_hermite_moment_identity_exponential():
     # exp = I reduces the moment to evaluating the polynomial at the state
     cfg = bench_config(y0=0.3, muw=0.1, sigmaw=0.7)
     n = 9
-    got = hermite_moment(pure_y_columns(np.eye(basis_size(2, n)), n), *scaled_read_off(cfg))
+    x0, muw, sigmaw = scaled_read_off(cfg)
+    got = hermite_moment(raw_moments(np.eye(basis_size(2, n)), n, x0), muw, sigmaw)
     expect = normalized_hermite_e(np.array([(0.3 - 0.1) / 0.7]), n)[0]
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -385,7 +426,7 @@ def test_hermite_moment_matches_baseline():
     for f, rep in run_adaptive(generator_block_columns(spec, max_degree=40, scale=cfg.tau)):
         n = rep.step
         restarts += rep.restart
-        l_inc = hermite_moment(pure_y_columns(f.data, n), x0, muw, sigmaw)
+        l_inc = hermite_moment(raw_moments(f.data, n, x0), muw, sigmaw)
         assert abs(l_inc - ledger[n].l_n) <= 1e-11 * abs(ledger[n].l_n), f"degree {n}"
         if n <= 10 or n % 5 == 0:
             moments[n] = l_inc
@@ -400,9 +441,8 @@ def test_hermite_moment_matches_baseline():
 def test_hermite_moment_refuses_overflowing_coefficients():
     # h_200 of y / 0.001 has coefficients near 1000^200 / sqrt(200!): past
     # the float range, so the read-off raises instead of returning nan
-    columns = [np.zeros(basis_size(2, p)) for p in range(201)]
     with pytest.raises(ValueError, match="degree-200 Hermite coefficients overflow"):
-        hermite_moment(columns, (0.0, 0.04), 0.0, 1e-3)
+        hermite_moment(np.zeros(201), 0.0, 1e-3)
 
 
 def test_hermite_moments_match_a_sparse_expm_action():
@@ -810,20 +850,24 @@ def _ledgers_off_stages(cfgs):
 
 # price_call forms the kept column of the last squares by repeated
 # one-column products, which round differently from the stages' wide
-# squarings.  Over the cases below a moment deviated from the stages' by
-# at most 3.6e-15 = 16 eps times the series' largest |l_m| on the
-# unshifted stream, 1.6 eps on the shifted one with the last square alone
-# on the column, and 1.5 eps with the last t = min(s, 3) as products with
-# square s - t, a term or partial sum by less (1 and 2 BLAS threads,
-# OpenBLAS); four times 16 eps bounds them all.
+# squarings, and sums l_n from raw moments, c_n^T (u^T col_p), where the
+# stages' read-off sums u^T (exp h_n).  Over the cases below a moment
+# deviated from the stages' by at most 3.6e-15 = 16 eps times the series'
+# largest |l_m| on the unshifted stream, 1.6 eps on the shifted one with
+# the last square alone on the column, 1.5 eps with the last t = min(s, 3)
+# as products with square s - t, a term or partial sum by less, and a
+# moment, term or partial sum by 18.6 eps from raw moments, at n_max = 30
+# for the second state, where the raw and the stages' sums miss the exact
+# read-off of the same stages by 12 and 9.3 eps (1 and 2 BLAS threads,
+# OpenBLAS); 64 eps bounds them all.
 _LEDGER_TOL = 64 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
 def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
-    # the kept pure-y columns give every moment, term and partial sum as
-    # the whole exponential does, to the rounding of the one-column
-    # products, and one engine pass serves any state: a second state's
+    # the raw moments give every moment, term and partial sum as the whole
+    # exponential does, to the rounding of the one-column products and of
+    # the two sums, and one engine pass serves any state: a second state's
     # ledger is read off the same stages
     cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
     ledgers = _ledgers_off_stages(cfgs)
@@ -867,16 +911,41 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     assert all(r.moment_seconds >= 0 for r in res.rows)
 
 
-def test_pure_y_columns_read_off_as_the_whole_exponential():
-    # hermite_moment on the kept columns, each cut at its own degree's
-    # rows, equals the read-off of the whole matrix, also with zero Hermite
-    # coefficients (muw = 0 leaves every other one zero) and a shifted
-    # weight
+def test_raw_moments_read_off_as_the_whole_exponential():
+    # hermite_moment on the raw moments of the pure-y columns, each cut at
+    # its own degree's rows, agrees with the read-off of the whole matrix,
+    # also with zero Hermite coefficients (muw = 0 leaves every other one
+    # zero) and on a rescaled basis.  Both sum l = sum_p c_p u^T col_p in
+    # two rounds of dot products, one over at most d = basis_size(2, n)
+    # terms and one over at most n + 1, so each lies within
+    # gamma_k * sum_p |c_p| (|u|^T |col_p|) of l, with k = d + n + 1 and
+    # gamma_k = k u / (1 - k u), u the unit roundoff (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, sec. 3.1), and they differ
+    # by at most twice that
     n = 12
     f = expm_baseline(0.25 * build_generator_matrix(jacobi_spec(BENCH_PARAMS), n)[0])
-    kept = pure_y_columns(f, n)
+    k = basis_size(2, n) + n + 1
+    unit = np.finfo(float).eps / 2
+    gamma = k * unit / (1 - k * unit)
     for cfg in (bench_config(), bench_config(muw=0.3, y0=0.1)):
         for basis in ((0, 0), (-3, -2)):
             x0, muw, sigmaw = scaled_read_off(cfg, basis)
-            assert hermite_moment(kept, x0, muw, sigmaw) == conditional_moment(
-                f, x0, hermite_vector(n, muw, sigmaw))
+            coeffs = hermite_y_coefficients(n, muw, sigmaw)
+            # |u(x0)| = u(|x0|), as every entry of u is a monomial
+            absolute = raw_moments(np.abs(f), n, tuple(abs(x) for x in x0))
+            bound = 2 * gamma * float(np.abs(coeffs) @ absolute)
+            got = hermite_moment(raw_moments(f, n, x0), muw, sigmaw)
+            want = conditional_moment(f, x0, hermite_vector(n, muw, sigmaw))
+            assert abs(got - want) <= bound, (cfg, basis)
+
+
+def test_ledger_values_are_python_floats():
+    # a numpy scalar in the ledger would change its repr under numpy 2, and
+    # with it tools/ledger_hash.py's price line, on representation alone
+    res = price_call(bench_config(eps=0.0, n_max=6))
+    for cls, records in ((PriceLedgerRow, res.rows), (PriceResult, [res])):
+        names = [field.name for field in dataclasses.fields(cls) if field.type == "float"]
+        assert names
+        for record in records:
+            assert [type(getattr(record, name)) for name in names] == [float] * len(names)
+    assert type(res.price) is float

@@ -17,7 +17,10 @@ min(s, 3), in place of the last t squarings, and the scaled matrix's
 form: chunks, or compressed sparse columns once those take fewer bytes
 than its block triangle, whose product scipy sums nonzero by nonzero (the
 pricing generator converts at degree 4; the engine's dense instances
-never do).  A change to any of them can move both hashes.
+never do).  A change to any of them can move both hashes.  ``price``
+also rounds in ``price_call``'s read-off, which sums each moment from
+raw moments as c_n^T (u^T column) over its Hermite coefficients c_n; a
+change to that order moves ``price`` alone.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
