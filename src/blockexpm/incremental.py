@@ -3,55 +3,64 @@
 Given a sequence of matrices G_0, G_1, ... where each G_n extends G_{n-1}
 by one block column (and a new diagonal block), computing exp(G_n) from
 scratch costs O(d_n^3) per step.  The engine here caches the intermediate
-quantities of the Pade scaling-and-squaring pass -- the scaled matrix and
-every repeated square of the rational approximant -- and extends all of
-them by one block column per step.  The rational solve needs no cache of
-its own: the approximant commutes with its denominator, so its new block
-column follows from the cached approximant, square 0, and the LU factors
-of the denominator's new diagonal block.  The per-step cost drops to
-O(d^2 b) for a new block of size b, and counts only the blocks that can be
-nonzero: every cache is block upper triangular, so each product with a
-new block column skips the zero lower block triangle (down to the edges of
-the column chunks below).  A sparse scaled matrix, such as a polynomial
-generator, is held as compressed sparse columns, so the power recurrence
-reads only its nonzeros and costs only its band.
-Only new block columns are ever computed, so earlier stages survive bit
-for bit inside later ones.  The first block is one step from an empty
-state, and that step's arithmetic is the baseline's, so the first stage is
+quantities of the Pade scaling-and-squaring pass -- the scaled matrix A,
+its powers A^2 and A^6, and the repeated squares of the rational
+approximant -- and extends all of them by one block column per step.  The
+numerator and denominator polynomials take six products a step, by
+Higham's evaluation of r_13 made incremental (see
+``IncrementalExpState._six_product_tops``), where summing the powers of A
+takes twelve.  The rational solve needs no cache of its own: the
+approximant commutes with its denominator, so its new block column follows
+from the cached approximant, square 0, and the LU factors of the
+denominator's new diagonal block.  The per-step cost drops to O(d^2 b) for
+a new block of size b, and counts only the blocks that can be nonzero:
+every cache is block upper triangular, so each product with a new block
+column skips the zero lower block triangle (down to the edges of the
+column chunks below).  A sparse scaled matrix, such as a polynomial
+generator, is held as compressed sparse columns; the state then drops A^2
+and A^6 and sums the powers by the recurrence, which reads only its
+nonzeros and costs only its band.  Only new block columns are ever
+computed, so earlier stages survive bit for bit inside later ones.  The
+first block is one step from an empty state, and every new diagonal block
+is evaluated as the baseline evaluates a matrix, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
-Every square that a product reads -- squares 0 .. max(s, 1) - 1, or
-fewer in the column stream below -- is an append-only list of column
-chunks, and so is the scaled matrix while it is dense.  A chunk of block
-columns keeps only the rows down to its last column, so the zero lower
-block triangle is mostly not stored, and a step writes its new block
-column into the open chunk or into a new one: no chunk is copied or
-written once a later one opens.  A wide block column opens a chunk of
-exactly its own width, and narrow ones are packed into shared chunks, so
-the chunks hold little beyond the block upper triangle.  The first step
-adopts its new diagonal blocks as the first chunks.  A product with a new
-block column makes one GEMM per chunk: the last chunk writes the product,
-and BLAS accumulates each earlier chunk's share in place in the output,
-with no temporary and no separate add.  The scaled matrix converts once
-to compressed sparse columns, in buffers that only grow, when that form
-takes fewer bytes than its block triangle, and a product with it is one
-CSC product (see ``IncrementalExpState._scaled_growth``); the squares
-are dense, and stay chunked.  The current
-exponential, which no product reads, is instead the leading d x d block
-of one contiguous buffer with a few percent of spare capacity,
-reallocated when full, so an emitted stage is a read-only view of it that
-no later step writes.  Each step also hands back the new block column of
-the exponential.  A reader that needs only the first column of each, as
-Hermite-series pricing does, drives the engine at a fixed scaling power
-as a column stream, without the buffer (see ``_drive``).  With t = min(s,
-3), it forms and caches squares 0 .. s - t in full, since the next step's
-products read them, and forms the first column of square s as S^(2^t) e
-by 2^t - 1 one-column products with S, square s - t: repeated products
-with a vector cost less than squaring the matrix when one column is read,
-the idea of the action of the exponential (Al-Mohy and Higham, SIAM J.
-Sci. Comput. 33(2), 2011).  At s = 3 square 0, which the rational solve
-reads anyway, is the one square cached.  The stage path forms every
-column of every square as before.
+Every cache that a product reads -- the scaled matrix while it is dense,
+A^2, A^6 and squares 0 .. s - t, with t = min(s, 2) on the stage path and
+min(s, 3) in the column stream below -- is an append-only list of column
+chunks.  A chunk of block columns keeps only the rows down to its last
+column, so the zero lower block triangle is mostly not stored, and a step
+writes its new block column into the open chunk or into a new one: no
+chunk is copied or written once a later one opens.  A wide block column
+opens a chunk of exactly its own width, and narrow ones are packed into
+shared chunks, so the chunks hold little beyond the block upper triangle.
+The first step adopts its new diagonal blocks as the first chunks.  A
+product with a new block column makes one GEMM per chunk: the last chunk
+writes the product, and BLAS accumulates each earlier chunk's share in
+place in the output, with no temporary and no separate add.  The scaled
+matrix converts once to compressed sparse columns, in buffers that only
+grow, when that form takes fewer bytes than its block triangle, and a
+product with it is one CSC product (see
+``IncrementalExpState._scaled_growth``); the squares are dense, and stay
+chunked, and A^2 and A^6 are dropped.  The current exponential, which no
+product reads, is instead the leading d x d block of one contiguous buffer
+with a few percent of spare capacity, reallocated when full, so an emitted
+stage is a read-only view of it that no later step writes.  Each step also
+hands back the new block column of the exponential.  A reader that needs
+only the first column of each, as Hermite-series pricing does, drives the
+engine at a fixed scaling power as a column stream, without the buffer
+(see ``_drive``).  With t = min(s, 3), it forms and caches squares 0 .. s
+- t in full, since the next step's products read them, and forms the first
+column of square s as S^(2^t) e by 2^t - 1 one-column products with S,
+square s - t: repeated products with a vector cost less than squaring the
+matrix when one column is read, the idea of the action of the exponential
+(Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011).  At s = 3 square
+0, which the rational solve reads anyway, is the one square cached.  The
+stage path forms all b columns of square s the same way, as S^(2^t - 1)
+[z; D] by 2^t - 1 b-wide products with square s - t, t = min(s, 2): one
+product more than the two squarings it replaces, for one cache fewer,
+which holds its heap peak down while A^2 and A^6 are cached (see
+``_STAGE_LEVELS``).
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -78,7 +87,7 @@ from scipy.linalg.blas import dgemm
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, lu_factor, lu_solve
-from .pade import PADE_13, THETA_13, as_scaling_power, scaling_power
+from .pade import PADE_13, THETA_13, as_scaling_power, pade_polynomials, scaling_power
 
 # The width of a new chunk (see _ChunkedCache._opened_columns).  A block of
 # b >= 23 columns gets a chunk exactly its own width, so wide blocks leave
@@ -116,6 +125,27 @@ _GROWTH = 1.05
 # products cost more time than the squarings they replace.
 _COLUMN_LEVELS = 3
 
+# A stage state at scaling power s caches squares 0 .. s - t, with
+# t = min(s, _STAGE_LEVELS), and forms the new block column of square s as
+# S^(2^t - 1) [z; D] by 2^t - 1 b-wide products with S, square s - t.  At
+# t = 1 that is the squaring of square s - 1; level t makes 2^(t-1) - 1
+# products a step more than level t - 1, and caches a square fewer.  The
+# six-product power phase caches A^2 and A^6 beside the scaled matrix, so
+# at t = 1 a stage state holds two caches more than summing powers did,
+# and at t = 2 one.  Sized on perfbench's desk and thin
+# workloads (1 BLAS thread, the warm-up pass's tracemalloc peak, as
+# perfbench takes it, and the best of 5 passes, two processes per t run
+# in turn), against 30.30 and 34.53 MB when the powers were summed: t = 1
+# peaked at 35.37 and 42.63 MB, t = 2 at 32.24 and 38.58 MB and t = 3 at
+# 29.12 and 34.52 MB; desk's passes took 0.085-0.089 s at t = 1,
+# 0.088-0.091 s at t = 2 and 0.101-0.107 s at t = 3, thin's 0.39-0.42,
+# 0.39-0.42 and 0.46-0.49 s.
+_STAGE_LEVELS = 2
+
+# The sparse form of the scaled matrix holds 32-bit indices, so it stores
+# at most this many nonzeros in at most this many columns.
+_MAX_INDEX = int(np.iinfo(np.int32).max)
+
 
 @dataclass(frozen=True)
 class StepReport:
@@ -128,10 +158,15 @@ class StepReport:
     stage, spare capacity included.
 
     The last four fields split the stage's one :meth:`IncrementalExpState.step`
-    into its phases: the power recurrence, the rational solve, the squaring
-    and the growth of the caches.  ``squaring_seconds`` covers squares 1 ..
-    s; in the column stream squares s - t + 1 .. s are formed only on the
-    kept column, as 2^t - 1 one-column products with square s - t (see
+    into its phases: the powers (``power_seconds``: the new block columns
+    of the numerator and denominator polynomials, by six products while
+    the scaled matrix is dense and by the power recurrence once it is
+    sparse, see :meth:`IncrementalExpState._extend_pq`), the rational
+    solve, the squaring and the growth of the caches.
+    ``squaring_seconds`` covers squares 1 .. s: squares 1 .. s - t
+    squared, and square s as 2^t - 1 products with square s - t, b columns
+    wide on the stage path (t = min(s, 2)) and one column wide in the
+    column stream (t = min(s, 3), see
     :meth:`IncrementalExpState._squaring_column`).
     A restart or first stage is one step from an empty state, so they time
     that step; ``seconds`` of a restart also covers merging the matrix.
@@ -289,25 +324,32 @@ class _SparseColumns:
     first ``indptr[dim]`` entries of ``data`` and ``indices`` are in use;
     the rest is spare capacity.  A new store holds exactly the capacity it
     is built with, and a full buffer is reallocated as the exponential
-    buffer is (see :func:`_grown_capacity`).  The indices are 64-bit, so a
-    nonzero takes 16 bytes, twice what a dense entry takes, and a matrix
-    converts only while fewer than half its stored entries are nonzero
-    (see :meth:`IncrementalExpState._scaled_growth`); with 32-bit ones the
-    upper triangular first block of a dense random instance, 54% nonzero at
-    26 columns, would convert and keep the whole matrix sparse.  scipy
-    copies the indices to 32 bits for each product while they fit.
+    buffer is (see :func:`_grown_capacity`).  The indices are 32-bit, the
+    type scipy's sparse products take without a copy, so a nonzero takes
+    12 bytes and a column 4, and a store holds at most 2^31 - 1 nonzeros
+    and columns (see :meth:`check_size`).
     """
 
     def __init__(self, nnz: int, dim: int):
         self.dim = 0
         self.data = np.empty(nnz)
-        self.indices = np.empty(nnz, dtype=np.int64)
-        self.indptr = np.zeros(dim + 1, dtype=np.int64)
+        self.indices = np.empty(nnz, dtype=np.int32)
+        self.indptr = np.zeros(dim + 1, dtype=np.int32)
 
     @staticmethod
     def bytes_for(nnz: int, dim: int) -> int:
         """Bytes of a store built for ``nnz`` nonzeros in ``dim`` columns."""
-        return 16 * nnz + 8 * (dim + 1)
+        return 12 * nnz + 4 * (dim + 1)
+
+    @staticmethod
+    def check_size(nnz: int, dim: int) -> None:
+        """Raise ValueError unless 32-bit indices address ``nnz`` nonzeros
+        in ``dim`` columns."""
+        if max(nnz, dim) > _MAX_INDEX:
+            raise ValueError(
+                f"the scaled matrix would hold {nnz} nonzeros in {dim} columns, past the "
+                f"{_MAX_INDEX} that the 32-bit indices of its sparse form address"
+            )
 
     @classmethod
     def from_chunks(cls, cache: _ChunkedCache, nnz: int, dim: int) -> "_SparseColumns":
@@ -335,7 +377,7 @@ class _SparseColumns:
         """Bytes of the buffers that appending a block column of size b
         with ``nnz`` nonzeros reallocates."""
         data, ptr = self._reallocated(nnz, b)
-        return 16 * data + 8 * ptr
+        return 12 * data + 4 * ptr
 
     def append(self, top: np.ndarray, diag: np.ndarray) -> None:
         """Append the block column [top; diag], storing its nonzeros only."""
@@ -429,30 +471,34 @@ class IncrementalExpState:
     A new state is empty, of dimension 0, and every block column enters
     through :meth:`step`, the first included, so the first block gets the
     same pivot and memory checks as every later one.  The state holds
-    two kinds of cache, each block upper triangular and grown by one block
-    column per step:
+    three kinds of cache, each block upper triangular and grown by one
+    block column per step:
 
-    * the scaled matrix 2^-s G;
-    * the squares r(2^-s G)^(2^l) for l = 0 .. s; square s is the current
-      exponential, and square 0, the approximant F itself, also gives the
-      rational solve of the next step (see :meth:`_solve_rational_column`).
+    * the scaled matrix A = 2^-s G;
+    * its powers A^2 and A^6, which the six-product evaluation of the Pade
+      polynomials reads (see :meth:`_extend_pq`), while A is held as
+      column chunks;
+    * the squares r(A)^(2^l) for l = 0 .. s - t; square 0, the approximant
+      F itself, also gives the rational solve of the next step (see
+      :meth:`_solve_rational_column`), and square s is the current
+      exponential.
 
-    The scaled matrix and squares 0 .. max(s, 1) - 1 are read by the next
-    step's products.  The squares are stored as column chunks
-    (:class:`_ChunkedCache`), so at s = 0 square 0 is kept there as well;
-    the scaled matrix starts as column chunks and converts once to
-    compressed sparse columns (:class:`_SparseColumns`) when that form
-    takes fewer bytes (see :meth:`_scaled_growth`), as a polynomial
-    generator does at degree 4 and a dense matrix never does.  Square s is
-    emitted as the leading ``dim`` x ``dim`` block of one buffer with
-    spare capacity.  A state of ``_drive``'s column stream is built with
-    ``_first_column=True``: it keeps no buffer, caches only squares 0 ..
-    s - t, for t = min(s, 3), so s - t + 1 chunked squares, which is 1 for
-    every s <= 3, forms square s only on the first column of each new
-    block column, from square s - t (see :meth:`_squaring_column`), and
-    hands that column back.  The default is a stage state.  The state
-    also keeps the zero-row profile of the scaled matrix (see
-    :func:`_grow_lead`), which bounds the nonzero rows of the power
+    Every cache but the exponential is read by the next step's products,
+    and each is stored as column chunks (:class:`_ChunkedCache`).  The
+    scaled matrix starts so and converts once to compressed sparse columns
+    (:class:`_SparseColumns`) when that form takes fewer bytes (see
+    :meth:`_scaled_growth`), as a polynomial generator does at degree 4
+    and a dense matrix never does; the state then drops A^2 and A^6 and
+    extends the polynomials by the power recurrence, which reads only the
+    sparse store.  A stage state, the default, has t = min(s, 2): it forms
+    square s from square s - t (see :meth:`_squaring_column`) and emits it
+    as the leading ``dim`` x ``dim`` block of one buffer with spare
+    capacity.  A state of ``_drive``'s column stream is built with
+    ``_first_column=True``: it keeps no buffer, has t = min(s, 3), so s -
+    t + 1 chunked squares, which is 1 for every s <= 3, forms square s only
+    on the first column of each new block column, and hands that column
+    back.  The state also keeps the zero-row profile of the scaled matrix
+    (see :func:`_grow_lead`), which bounds the nonzero rows of the power
     recurrence, and in ``phase_seconds`` the seconds of each phase of the
     last step, keyed by the matching :class:`StepReport` fields.
     """
@@ -465,6 +511,8 @@ class IncrementalExpState:
         self.partition = Partition(())
         self._lead = np.zeros(1, dtype=np.intp)
         self._gt: _ChunkedCache | _SparseColumns = _ChunkedCache()
+        # A^2 and A^6, held while the scaled matrix is chunked
+        self._powers = [_ChunkedCache(), _ChunkedCache()]
         # The scaled matrix's nonzeros and block-triangle entries, which
         # decide when its chunks convert to sparse columns.
         self._nnz = 0
@@ -472,9 +520,8 @@ class IncrementalExpState:
         # A state of _drive's column stream keeps no buffer: the first
         # column of each new block column of the exponential leaves only as
         # step's return, formed from square s - t, the last one cached.
-        self._t = min(self.s, _COLUMN_LEVELS) if _first_column else 0
-        levels = self.s - self._t + 1 if _first_column else max(self.s, 1)
-        self._squares = [_ChunkedCache() for _ in range(levels)]
+        self._t = min(self.s, _COLUMN_LEVELS if _first_column else _STAGE_LEVELS)
+        self._squares = [_ChunkedCache() for _ in range(self.s - self._t + 1)]
         self._exp = None if _first_column else np.empty((0, 0))
 
     @property
@@ -484,10 +531,10 @@ class IncrementalExpState:
     @property
     def cache_bytes(self) -> int:
         """Bytes of every array the state holds: the scaled matrix's
-        chunks or sparse buffers, the squares' chunks, the exponential
-        buffer, if the state keeps one, and the zero-row profile, each
-        with its spare capacity."""
-        caches = self._gt.nbytes + sum(sq.nbytes for sq in self._squares)
+        chunks or sparse buffers, the chunks of its powers and of the
+        squares, the exponential buffer, if the state keeps one, and the
+        zero-row profile, each with its spare capacity."""
+        caches = self._gt.nbytes + sum(c.nbytes for c in self._powers + self._squares)
         exp = 0 if self._exp is None else self._exp.nbytes
         return caches + exp + self._lead.nbytes
 
@@ -536,7 +583,9 @@ class IncrementalExpState:
         ------
         ValueError
             If the column's row count is not the current dimension: on an
-            empty state the first column has an empty top part.
+            empty state the first column has an empty top part.  Also if
+            the sparse form of the scaled matrix would pass the 2^31 - 1
+            nonzeros or columns its 32-bit indices address.
         SingularMatrixError
             If the denominator polynomial of the new diagonal block is
             singular or numerically singular, which signals a norm far
@@ -558,17 +607,17 @@ class IncrementalExpState:
         # What the step leaves held, plus what it drops at the end: the old
         # exponential buffer while a full one is reallocated, and the old
         # buffers or chunks of the scaled matrix (see _scaled_growth).  The
-        # squares open their chunks together, and the zero-row profile
-        # grows by b entries.
-        need = (self.cache_bytes + 8 * b + gt_bytes
-                + len(self._squares) * self._squares[0].opened_bytes(b))
+        # squares, and the powers unless the step drops them, open their
+        # chunks together, and the zero-row profile grows by b entries.
+        grown = len(self._squares) + (0 if to_sparse else len(self._powers))
+        need = self.cache_bytes + 8 * b + gt_bytes + grown * self._squares[0].opened_bytes(b)
         if self._exp is not None:
             capacity = self._capacity(d + b, b)
             if capacity > self._exp.shape[0]:
                 need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
         t0 = time.perf_counter()
-        p_top, p_diag, q_top, q_diag, lead, c = self._extend_pq(gt_col, dt)
+        p_top, p_diag, q_top, q_diag, lead, c, power_cols = self._extend_pq(gt_col, dt)
         t1 = time.perf_counter()
         f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
@@ -579,11 +628,17 @@ class IncrementalExpState:
         self._lead = lead
         if to_sparse:
             self._gt = _SparseColumns.from_chunks(self._gt, self._nnz + nnz, d + b)
+            self._powers, power_cols = [], []
         self._gt.append(gt_col, dt)
         self._nnz += nnz
         self._entries += (d + b) * b
-        for cache, (top, diag) in zip(self._squares, square_cols):
+        for cache, (top, diag) in zip(self._powers + self._squares, power_cols + square_cols,
+                                      strict=True):
             cache.append(top, diag)
+        # The caches hold copies of the step's new columns: drop those, so
+        # that they are not held while a full exponential buffer is
+        # reallocated beside the old one, where the heap peaks.
+        del gt_col, p_top, q_top, f_col, power_cols, square_cols, top
         if self._exp is not None:
             self._exp = _write_column(self._exp, d, z, dsq, capacity)
         self.partition = self.partition.append(b)
@@ -600,24 +655,31 @@ class IncrementalExpState:
         nonzeros allocates for the scaled matrix, and whether the append
         converts its chunks to sparse columns first.
 
-        The chunks convert once the sparse form of the grown matrix takes
-        fewer bytes than the block upper triangle it holds: 16 per nonzero
-        and 8 per column, against 8 per entry.  Spare capacity is left out
-        of both counts, since either form fills it as it grows; counting
-        the room that a packed chunk opens with would convert a dense
-        matrix of narrow blocks at its second block.  So a matrix converts
-        only while fewer than half the entries of its block triangle are
-        nonzero, as in a polynomial generator past degree 3, and never if
-        its diagonal blocks are full upper triangles below full tops, as in
-        the random test instances.  A converting step holds both forms
-        until the chunks are dropped, and a store never converts back.
+        The chunks convert once the sparse form of the grown matrix would
+        take fewer bytes than the block upper triangle it holds, counted
+        at 16 bytes per nonzero and 8 per column, against 8 per entry.
+        That count is a policy, not the store's size: with 32-bit indices a
+        nonzero takes 12 bytes, and counting those would convert the upper
+        triangular first block of a dense random instance, 54% nonzero at
+        26 columns, and keep the whole matrix sparse.  Spare capacity is
+        left out of both counts, since either form fills it as it grows;
+        counting the room that a packed chunk opens with would convert a
+        dense matrix of narrow blocks at its second block.  So a matrix
+        converts only while fewer than half the entries of its block
+        triangle are nonzero, as in a polynomial generator past degree 3,
+        and never if its diagonal blocks are full upper triangles below
+        full tops, as in the random test instances.  A converting step
+        holds both forms until the chunks are dropped, and a store never
+        converts back.  ValueError, before any cache changes, if the store
+        would pass the size its indices address.
         """
+        e, n = self.dim + b, self._nnz + nnz
         if isinstance(self._gt, _SparseColumns):
+            _SparseColumns.check_size(n, e)
             return self._gt.grown_bytes(nnz, b), False
-        e = self.dim + b
-        sparse = _SparseColumns.bytes_for(self._nnz + nnz, e)
-        if sparse < 8 * (self._entries + e * b):
-            return sparse, True
+        if 16 * n + 8 * (e + 1) < 8 * (self._entries + e * b):
+            _SparseColumns.check_size(n, e)
+            return _SparseColumns.bytes_for(n, e), True
         return self._gt.opened_bytes(b), False
 
     # -- step phases --------------------------------------------------
@@ -625,52 +687,116 @@ class IncrementalExpState:
     def _extend_pq(self, gt_col: np.ndarray, dt: np.ndarray):
         """New block columns of the numerator and denominator polynomials.
 
-        With the scaled column g and scaled diagonal block D, the powers of
-        the extended matrix have last block column X_l following
+        The new diagonal blocks are p(D) and q(D) for the scaled diagonal
+        block D, evaluated by :func:`~blockexpm.pade.pade_polynomials` as
+        the baseline evaluates a whole matrix, whatever form the scaled
+        matrix takes, so a one-block stage is the baseline's bit for bit.
+        The top parts extend products of block upper triangular matrices:
+        the new block column of X Y, for X = [[Xprev, x], [0, X_D]] and Y
+        likewise, is Xprev y + x Y_D.  While the scaled matrix A is chunked,
+        its powers A^2 and A^6 are cached beside it and the tops follow
+        Higham's six-product evaluation (see :meth:`_six_product_tops`);
+        once it is held as sparse columns, they follow the power recurrence
+        (see :meth:`_recurrence_tops`), which reads only its nonzeros and
+        is faster there.
 
-            X_1 = g,   X_l = Gprev X_{l-1} + g D^{l-1},
-
-        so one pass accumulates sum alpha_l X_l and sum beta_l X_l in
-        ascending order, reusing each X_l for both polynomials.  The same
-        pass forms each power D^l once, from one running D^(l-1), and adds
-        it to both new diagonal blocks p(D) and q(D) in the ascending order
-        the baseline sums its powers in.
-
-        If the rows of X_{l-1} above c are zero, so are those of X_l above
-        r = min(lead[c], c), and the product reads only the columns of
-        Gprev right of c.  Held as sparse columns, as a polynomial
-        generator is, Gprev is read only at its nonzeros, so a banded Gprev
-        costs only its band.  The term g D^(l-1) is formed only on the
-        rows from g's first nonzero row, and both sums are accumulated only
-        on the rows from r.  The
-        last such row bound is returned with the columns: the rows of both
-        top parts above it are zero.  The zero-row profile grown with the
-        new column, whose entry at d bounds g's first nonzero row, is
-        returned as well, for :meth:`step` to commit with the caches.
+        Returned with the four blocks: a row bound c, above which the rows
+        of both top parts are zero, so that the solve's product reads only
+        the chunks of square 0 right of it; the zero-row profile grown with
+        the new column, for :meth:`step` to commit with the caches; and the
+        new block columns of A^2 and A^6, or an empty list on the
+        recurrence.  Only the recurrence tracks c: a scaled matrix held
+        dense has nonzeros in at least half its block triangle, so the
+        six-product tops take c = 0.
         """
-        m = self.pade.degree
-        alpha, beta = self.pade.alpha, self.pade.beta
         d = self.dim
         lead = _grow_lead(self._lead, gt_col, dt)
-        c = g0 = min(int(lead[d]), d)
-        eye = np.eye(dt.shape[0])
-        # D^(l-1) at the top of iteration l; D^1 is I @ D, as in the baseline
-        d_prev = eye @ dt
-        x = gt_col
+        p_diag, q_diag = pade_polynomials(dt)
+        if self._powers:
+            p_top, q_top, power_cols = self._six_product_tops(gt_col, dt)
+            c = 0
+        else:
+            p_top, q_top, c = self._recurrence_tops(gt_col, dt, min(int(lead[d]), d))
+            power_cols = []
+        return p_top, p_diag, q_top, q_diag, lead, c, power_cols
+
+    def _six_product_tops(self, g: np.ndarray, dt: np.ndarray):
+        """Top parts of p and q by Higham's evaluation of r_13 (SIAM J.
+        Matrix Anal. Appl. 26(4), 2005), with b_l the numerator's
+        coefficients:
+
+            U = A [A^6 W + b7 A^6 + b5 A^4 + b3 A^2 + b1 I],   W = b13 A^6 + b11 A^4 + b9 A^2,
+            V = A^6 Z + b6 A^6 + b4 A^4 + b2 A^2 + b0 I,       Z = b12 A^6 + b10 A^4 + b8 A^2,
+
+        p = V + U and q = V - U.  Extended by a block column, with the new
+        columns a2, a4 and a6 of A^2, A^4 and A^6,
+
+            a2 = Aprev g + g D,  a4 = A2prev a2 + a2 D^2,  a6 = A2prev a4 + a2 D^4,
+
+        w and z are the same combinations of them as W and Z, the new
+        columns of A^6 W and A^6 Z come from one product A6prev [w | z] +
+        a6 [W_D | Z_D], u1 and v follow from those as the bracket of U and
+        V do, and u = Aprev u1 + g U1_D.  That is two b-wide products with
+        the scaled matrix, two with A^2 and one 2b-wide with A^6, where the
+        recurrence makes twelve b-wide ones; A^4 is never cached.  The
+        b x b blocks D^2 .. U1_D are formed here the same way.  Returns the
+        tops and the new block columns of A^2 and A^6.
+        """
+        bc = self.pade.alpha
+        a, a2_cache, a6_cache = self._gt, *self._powers
+        b = g.shape[1]
+        d2 = dt @ dt
+        d4 = d2 @ d2
+        d6 = d2 @ d4
+        w_d = bc[13] * d6 + bc[11] * d4 + bc[9] * d2
+        z_d = bc[12] * d6 + bc[10] * d4 + bc[8] * d2
+        u1_d = d6 @ w_d + bc[7] * d6 + bc[5] * d4 + bc[3] * d2 + bc[1] * np.eye(b)
+        a2 = a.product(g) + g @ dt
+        a4 = a2_cache.product(a2) + a2 @ d2
+        a6 = a2_cache.product(a4) + a2 @ d4
+        w = bc[13] * a6 + bc[11] * a4 + bc[9] * a2
+        z = bc[12] * a6 + bc[10] * a4 + bc[8] * a2
+        wz = a6_cache.product(np.hstack([w, z])) + a6 @ np.hstack([w_d, z_d])
+        u1 = wz[:, :b] + bc[7] * a6 + bc[5] * a4 + bc[3] * a2
+        v = wz[:, b:] + bc[6] * a6 + bc[4] * a4 + bc[2] * a2
+        u = a.product(u1) + g @ u1_d
+        return v + u, v - u, [(a2, d2), (a6, d6)]
+
+    def _recurrence_tops(self, g: np.ndarray, dt: np.ndarray, g0: int):
+        """Top parts of p and q by the power recurrence, for a scaled
+        matrix held as sparse columns.
+
+        With the scaled column g and diagonal block D, the powers of the
+        extended matrix have last block column X_l following
+
+            X_1 = g,   X_l = Aprev X_{l-1} + g D^{l-1},
+
+        so one pass accumulates sum alpha_l X_l and sum beta_l X_l in
+        ascending order, reusing each X_l for both polynomials, from one
+        running D^(l-1).  Aprev is read only at its nonzeros, so a banded
+        one, as a polynomial generator is, costs only its band.
+
+        The rows of g above g0 are zero.  If the rows of X_{l-1} above c are
+        zero, so are those of X_l above r = min(lead[c], c), and the product
+        reads only the columns of Aprev right of c.  The term g D^(l-1) is
+        formed only on the rows from g0, and both sums are accumulated only
+        on the rows from r.  Returns the tops and the last such r.
+        """
+        alpha, beta = self.pade.alpha, self.pade.beta
+        c = g0
+        x = g
         p_top = alpha[1] * x
         q_top = beta[1] * x
-        p_diag = alpha[0] * eye + alpha[1] * d_prev
-        q_diag = beta[0] * eye + beta[1] * d_prev
-        for l in range(2, m + 1):
+        d_prev = dt
+        for l in range(2, self.pade.degree + 1):
+            if l > 2:
+                d_prev = d_prev @ dt
             x = self._gt.product(x, c)
-            x[g0:] += gt_col[g0:] @ d_prev
+            x[g0:] += g[g0:] @ d_prev
             c = min(int(self._lead[c]), c)
-            d_prev = d_prev @ dt
             p_top[c:] += alpha[l] * x[c:]
             q_top[c:] += beta[l] * x[c:]
-            p_diag += alpha[l] * d_prev
-            q_diag += beta[l] * d_prev
-        return p_top, p_diag, q_top, q_diag, lead, c
+        return p_top, q_top, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
         """Last block column of F = Q^-1 P for the extended polynomials.
@@ -712,21 +838,21 @@ class IncrementalExpState:
             Z_l = Fprev^(2^(l-1)) Z_{l-1} + Z_{l-1} D^(2^(l-1)),
 
         where Fprev powers come from the cache before extension and D
-        powers are squared locally along the way.  A stage state forms
-        every level so, up to square s, and caches squares 0 .. max(s, 1)
-        - 1; at s = 0 square s is square 0, which its cache keeps for the
-        rational solve.
-
-        A state of the column stream forms only squares 0 .. s - t so, the
-        ones it caches, and the first column of square s, which is S^(2^t)
-        e for S = [[Sprev, z], [0, D]], square s - t with its new block
-        column, and e the first column of that block column.  S e is
-        [z; D] e, and each of the 2^t - 1 further products S v = [Sprev
-        v_top + z v_d; D v_d] reads one column of the cache Sprev.  At
-        degree 60 of the pricing stream the seven one-column products with
-        square 0 at s = 3 take about 5 ms, where the two b-wide squaring
-        products and the one-column one that they replace take about 10.5
-        ms (see _COLUMN_LEVELS).
+        powers are squared locally along the way.  Squares 0 .. s - t, the
+        ones the state caches, are formed so.  Square s is S^(2^t) for
+        S = [[Sprev, z], [0, D]], square s - t with its new block column,
+        so its new block column is S^(2^t - 1) [z; D], and each of the 2^t
+        - 1 products S v = [Sprev v_top + z v_d; D v_d] reads the cache
+        Sprev once.  A stage state, with t = min(s, 2), makes them on all b
+        columns, three b-wide products with square s - 2 at s >= 2 where
+        two squarings would make two, and so caches one square fewer (see
+        _STAGE_LEVELS); it still forms the diagonal block of square s by t
+        squarings of D, so that a one-block stage is the baseline's bit for
+        bit.  A state of the column stream, with t = min(s, 3), makes them
+        on the first column alone: at degree 60 of the pricing stream the
+        seven one-column products with square 0 at s = 3 take about 5 ms,
+        where the two b-wide squaring products and the one-column one that
+        they replace take about 10.5 ms (see _COLUMN_LEVELS).
         """
         z, dsq = f_col, f_diag
         cols = []
@@ -734,15 +860,17 @@ class IncrementalExpState:
             cols.append((z, dsq))
             z = self._squares[l].product(z) + z @ dsq
             dsq = dsq @ dsq
-        if len(cols) < len(self._squares):
-            # the last cached square is square s - t of a stream, or square
-            # 0 = s of a stage state at s = 0
-            cols.append((z, dsq))
+        cols.append((z, dsq))
+        cache, top, diag = self._squares[-1], z, dsq
         if self._exp is None:
-            cache, top, diag = self._squares[-1], z, dsq
             z, dsq = top[:, :1], diag[:, :1]
-            for _ in range(2**self._t - 1):
-                z, dsq = cache.product(z) + top @ dsq, diag @ dsq
+        for _ in range(2**self._t - 1):
+            z, dsq = cache.product(z) + top @ dsq, diag @ dsq
+        if self._exp is not None:
+            # the diagonal block by t squarings, as the baseline forms it
+            dsq = diag
+            for _ in range(self._t):
+                dsq = dsq @ dsq
         return cols, (z, dsq)
 
 

@@ -52,6 +52,11 @@ _BASIS_RANGE = 600
 _SHIFT_LIMIT = 256 * math.log(2)
 
 
+# The weight, degree and last two vectors (None before h~_0) of the last
+# call of hermite_y_coefficients, which a later call resumes from.
+_last_hermite = None
+
+
 def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     """Coefficients in y of (1/sqrt(n!)) h_n((y - muw) / sigmaw).
 
@@ -63,30 +68,42 @@ def hermite_y_coefficients(n: int, muw: float, sigmaw: float) -> np.ndarray:
     Raises ``ValueError`` if the coefficients overflow the float range,
     as they do for a narrow weight at high degree: they grow like
     sigmaw^-n / sqrt(n!).
+
+    A call for the degree after the last call's, or any later one, at the
+    same weight resumes the recurrence from that call's last two vectors,
+    so :func:`price_call`'s read-off, which asks for degrees 0, 1, 2, ...
+    in turn, pays one O(n) update per degree; the floats are the same as
+    from h~_0.
     """
+    global _last_hermite
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     _check_finite(muw=muw, sigmaw=sigmaw)
     if sigmaw <= 0:
         raise ValueError(f"sigmaw must be positive, got {sigmaw}")
+    last = _last_hermite
+    if last is not None and last[:2] == (muw, sigmaw) and last[2] <= n:
+        j, prev, cur = last[2:]
+    else:
+        j, prev, cur = 0, None, np.array([1.0])  # h~_0
     # x = (y - muw) / sigmaw; multiply-by-x maps coefficient vectors via a
     # shift (for the y factor) and a scalar combination.
-    prev = np.array([1.0])  # h~_0
-    if n == 0:
-        return prev
     with np.errstate(over="ignore", invalid="ignore"):
-        cur = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h~_1(x(y))
-        for j in range(1, n):
-            nxt = np.zeros(j + 2)
-            nxt[1:] += cur / sigmaw
-            nxt[: j + 1] += -(muw / sigmaw) * cur
-            nxt[: j] += -math.sqrt(j) * prev
-            nxt /= math.sqrt(j + 1)
+        for k in range(j, n):
+            if k == 0:
+                nxt = np.array([-muw / sigmaw, 1.0 / sigmaw])  # h~_1(x(y))
+            else:
+                nxt = np.zeros(k + 2)
+                nxt[1:] += cur / sigmaw
+                nxt[: k + 1] += -(muw / sigmaw) * cur
+                nxt[:k] += -math.sqrt(k) * prev
+                nxt /= math.sqrt(k + 1)
             prev, cur = cur, nxt
+    _last_hermite = (muw, sigmaw, n, prev, cur)
     if not np.isfinite(cur).all():
         raise ValueError(f"the degree-{n} Hermite coefficients overflow the float range for "
                          f"the weight N(muw = {muw!r}, sigmaw = {sigmaw!r}^2)")
-    return cur
+    return cur.copy()
 
 
 def _normal_cdf(z: float) -> float:

@@ -108,11 +108,12 @@ def test_rational_solve_reads_square_0_and_keeps_no_inverse(monkeypatch):
             n = state.dim
             scale = np.abs(f_prev) @ np.abs(q) + np.abs(f) @ np.abs(qnn) + np.abs(p)
             assert np.all(residual <= 3 * n * u / (1 - n * u) * scale)
-        # the chunked caches are the scaled matrix and max(s, 1) squares:
-        # no factor or inverse of Q
+        # the chunked caches are the scaled matrix, its powers A^2 and A^6
+        # and squares 0 .. s - min(s, 2): no factor or inverse of Q
         chunked = [v for v in vars(state).values() if isinstance(v, incremental._ChunkedCache)]
         assert chunked == [state._gt]
-        assert len(state._squares) == max(s, 1)
+        assert len(state._powers) == 2
+        assert len(state._squares) == s - min(s, 2) + 1
         assert state.cache_bytes == _held_bytes(state)
 
 
@@ -555,7 +556,9 @@ def _sparse(a, sizes):
     assert np.array_equal(store.dense(), a)
     # a store built for its nonzeros holds no spare capacity
     assert int(store.indptr[d]) == nnz
-    assert store.nbytes == incremental._SparseColumns.bytes_for(nnz, d) == 16 * nnz + 8 * (d + 1)
+    # 32-bit indices: 12 bytes a nonzero and 4 a column
+    assert store.indices.dtype == store.indptr.dtype == np.int32
+    assert store.nbytes == incremental._SparseColumns.bytes_for(nnz, d) == 12 * nnz + 4 * (d + 1)
     return store
 
 
@@ -758,6 +761,164 @@ def test_scaled_matrix_converts_to_sparse_columns_once_they_take_fewer_bytes():
             assert _scaled_forms(case, lambda: IncrementalExpState(3)) == [chunked] * len(cols)
 
 
+def test_first_block_that_converts_is_bitwise_baseline(monkeypatch):
+    # a diagonal first block of b >= 4 converts to sparse columns at its
+    # first step (24 b + 8 policy bytes against the 8 b^2 of its triangle),
+    # so the state drops A^2 and A^6 before its second step; its stage is
+    # still the baseline's bit for bit, since every diagonal block is
+    # evaluated as the baseline evaluates a matrix, whatever form the scaled
+    # matrix takes, and so is a restart stage whose merged matrix converts
+    rng = np.random.default_rng(239)
+    cols = [BlockColumn(np.zeros((0, 5)), np.diag(rng.uniform(-1.0, 1.0, 5)))]
+    dim = 5
+    for b, scale in ((2, 0.5), (3, 0.5), (1, 0.5), (2, 8.0), (3, 0.5)):
+        top = np.zeros((dim, b))
+        top[rng.integers(dim), 0] = scale
+        cols.append(BlockColumn(top, scale * np.triu(rng.standard_normal((b, b)))))
+        dim += b
+    g = matrix_from_columns(cols)
+    forms = []
+    step = IncrementalExpState.step
+
+    def recording_step(state, col):
+        out = step(state, col)
+        forms.append((type(state._gt), state._powers))
+        return out
+
+    monkeypatch.setattr(IncrementalExpState, "step", recording_step)
+    stages = list(run_adaptive(cols))
+    monkeypatch.undo()
+    assert [r.restart for _, r in stages] == [False] * 4 + [True, False]
+    assert all(form is incremental._SparseColumns and powers == [] for form, powers in forms)
+    for n, (f, report) in enumerate(stages):
+        want = expm_baseline(g.leading(n).data, s=report.s)
+        if n in (0, 4):
+            assert np.array_equal(f.data, want), n
+        assert rel_error_fro(f.data, want) <= 1e-12, n
+    assert stages[0][1].s < stages[4][1].s
+
+
+def _products_by_phase(monkeypatch):
+    """Record each chunked-cache product as (cache, width), keyed by the
+    step phase that makes it: the powers, the solve or the squaring; the
+    caller clears the dict before each step."""
+    calls = {}
+    phase = None
+    product = incremental._ChunkedCache.product
+
+    def recorded_product(self, x, *args):
+        calls.setdefault(phase, []).append((self, x.shape[1]))
+        return product(self, x, *args)
+
+    def in_phase(name, method):
+        def wrapped(self, *args):
+            nonlocal phase
+            phase = name
+            try:
+                return method(self, *args)
+            finally:
+                phase = None
+        return wrapped
+
+    for name in ("_extend_pq", "_solve_rational_column", "_squaring_column"):
+        monkeypatch.setattr(IncrementalExpState, name,
+                            in_phase(name, getattr(IncrementalExpState, name)))
+    monkeypatch.setattr(incremental._ChunkedCache, "product", recorded_product)
+    return calls
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
+def test_dense_stage_step_makes_six_power_products(monkeypatch, s):
+    # per step of a dense stage state, the first included: two b-wide
+    # products with the scaled matrix, two with A^2 and one 2b-wide with
+    # A^6 in the power phase, six b-wide where the recurrence made twelve;
+    # one with square 0 in the solve; and in the squaring, with t = min(s,
+    # 2), s - t squarings of squares 0 .. s - t - 1 and 2^t - 1 products
+    # with square s - t: s - 2 + 3 at s >= 2
+    rng = np.random.default_rng(241)
+    cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 8, 25)), scale=0.05)
+    calls = _products_by_phase(monkeypatch)
+    state = IncrementalExpState(s)
+    t = min(s, 2)
+    for col in cols:
+        a, (a2, a6), squares = state._gt, state._powers, state._squares
+        calls.clear()
+        state.step(col)
+        b = col.block_size
+        assert calls.pop("_extend_pq") == [(a, b), (a2, b), (a2, b), (a6, 2 * b), (a, b)]
+        assert calls.pop("_solve_rational_column") == [(squares[0], b)]
+        assert calls.pop("_squaring_column", []) == (
+            [(squares[l], b) for l in range(s - t)] + [(squares[s - t], b)] * (2**t - 1))
+        assert calls == {}
+    monkeypatch.undo()
+    assert len(state._squares) == s - t + 1
+    assert isinstance(state._gt, incremental._ChunkedCache)
+    want = expm_baseline(state.unscaled_matrix(), s=s)
+    assert rel_error_fro(state.exponential.data, want) <= 1e-12
+
+
+def test_pricing_generator_drops_the_powers_when_it_converts(monkeypatch):
+    # the Jacobi generator's scaled matrix converts at degree 4: the state,
+    # stage or stream, then holds no A^2 or A^6 cache, and its power phase
+    # reads the sparse store alone, by the recurrence, with no chunked
+    # product
+    cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
+    calls = _products_by_phase(monkeypatch)
+    for first_column in (False, True):
+        state = IncrementalExpState(3, _first_column=first_column)
+        for n, col in enumerate(cols):
+            calls.clear()
+            state.step(col)
+            converted = n >= 4
+            assert isinstance(state._gt, incremental._SparseColumns) == converted
+            assert len(state._powers) == (0 if converted else 2)
+            assert [len(v) for k, v in calls.items() if k == "_extend_pq"] == (
+                [] if n > 4 else [5])
+
+
+def test_sparse_store_hands_scipy_its_32_bit_indices(monkeypatch):
+    # scipy builds each product's matrix on the store's own buffers, with no
+    # copy of the indices
+    import scipy.sparse
+
+    rng = np.random.default_rng(251)
+    sizes = tuple(int(b) for b in rng.integers(1, 7, 40))
+    a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
+    a[rng.random(a.shape) < 0.8] = 0.0
+    store = _sparse(a, sizes)
+    made = []
+    csc_matrix = scipy.sparse.csc_matrix
+
+    def recording(*args, **kwargs):
+        made.append(csc_matrix(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(scipy.sparse, "csc_matrix", recording)
+    x = rng.standard_normal((a.shape[0], 3))
+    assert rel_error_fro(store.product(x), a @ x) <= 1e-14
+    (m,) = made
+    assert np.shares_memory(m.indices, store.indices) and np.shares_memory(m.data, store.data)
+
+
+@pytest.mark.parametrize("limit, refused", [(53, 4), (54, 5)])
+def test_sparse_store_refuses_more_nonzeros_than_its_indices_address(monkeypatch, limit,
+                                                                     refused):
+    # the Jacobi generator's scaled matrix converts at degree 4 with 54
+    # nonzeros: below a limit of 54 the converting step is refused, and at
+    # 54 the next one, each with one ValueError before any cache changes
+    monkeypatch.setattr(incremental, "_MAX_INDEX", limit)
+    cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=6, scale=0.25))
+    state = IncrementalExpState(3)
+    for col in cols[:refused]:
+        state.step(col)
+    held, form, before = state.cache_bytes, type(state._gt), state.exponential.data
+    with pytest.raises(ValueError, match=f"nonzeros in [0-9]+ columns, past the {limit} that "
+                                         "the 32-bit indices"):
+        state.step(cols[refused])
+    assert state.dim == before.shape[0] and state.cache_bytes == held
+    assert type(state._gt) is form and np.array_equal(state.exponential.data, before)
+
+
 def test_import_does_not_load_scipy_sparse():
     # the sparse store imports scipy.sparse where it first multiplies, so
     # importing the package costs nothing for it
@@ -806,16 +967,16 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     state = IncrementalExpState(2)
     state.step(cols[0])
     before = state.exponential.data
-    # At s = 2 the chunked caches are the scaled matrix and squares 0 and 1.
-    # The step holds their three adopted 3 x 3 chunks (216 bytes), three
-    # opened chunks of 15 x 12 doubles (4320: a block of 2 at dimension 3
-    # opens min(256, 4 * 3) columns), the new exponential buffer with room
-    # for two more blocks of 2, 9 x 9, beside the old 3 x 3 one (648 + 72)
-    # and a zero-row profile of 6 entries (48): 5304 bytes.
-    held = 3 * 72 + 72 + 32
+    # At s = 2 the chunked caches are the scaled matrix, its powers A^2 and
+    # A^6, and square 0.  The step holds their four adopted 3 x 3 chunks
+    # (288 bytes), four opened chunks of 15 x 12 doubles (5760: a block of 2
+    # at dimension 3 opens min(256, 4 * 3) columns), the new exponential
+    # buffer with room for two more blocks of 2, 9 x 9, beside the old 3 x 3
+    # one (648 + 72) and a zero-row profile of 6 entries (48): 6816 bytes.
+    held = 4 * 72 + 72 + 32
     assert state.cache_bytes == held
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 5303)
-    with pytest.raises(MemoryError, match="dimension 5 .* 5304 bytes.*5303 bytes"):
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6815)
+    with pytest.raises(MemoryError, match="dimension 5 .* 6816 bytes.*6815 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
@@ -830,10 +991,10 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     with pytest.raises(MemoryError, match="dimension 200 at scaling power 1000"):
         big.step(BlockColumn(np.zeros((0, 200)), np.eye(200)))
     assert big.dim == 0 and big.cache_bytes == 8
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 5304)
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6816)
     state.step(cols[1])
     assert state.dim == 5
-    assert state.cache_bytes == 5304 - 72
+    assert state.cache_bytes == 6816 - 72
     # a small state holds small caches
     assert state.cache_bytes <= 8 * 1024
 
@@ -858,7 +1019,7 @@ def _stored_below_diagonal(state):
     past the dimension, where only zeros belong."""
     d = state.dim
     ends = np.repeat(state.partition.offsets[1:], state.partition.sizes)
-    caches = [state._gt, *state._squares]
+    caches = [state._gt, *state._powers, *state._squares]
     out = []
     for cache in caches:
         for k0, chunk in zip(cache.starts, cache.chunks):
@@ -887,7 +1048,7 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
     def checked_step(state, col):
         first = state.dim == 0
         step(state, col)
-        caches = [state._gt, *state._squares]
+        caches = [state._gt, *state._powers, *state._squares]
         d = state.dim
         if first:
             # a first step, at construction or a restart, adopts its
@@ -920,11 +1081,11 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
     restarts = [n for n, (_, r) in enumerate(held) if r.restart]
     assert restarts == [100]
     assert adopted == [sizes[0], held[100][0].dim]
-    # every cache, the scaled matrix and squares 0 .. max(s, 1) - 1, closed
-    # at least two chunks in each pass: the adopted first block and an
-    # opened one
+    # every cache, the scaled matrix, A^2, A^6 and squares 0 .. s - min(s,
+    # 2), closed at least two chunks in each pass: the adopted first block
+    # and an opened one
     for closed, (_, report) in zip(passes, (held[0], held[-1]), strict=True):
-        assert len(closed) >= 2 * (1 + max(report.s, 1))
+        assert len(closed) >= 2 * (3 + report.s - min(report.s, 2) + 1)
     fresh = [f.data.copy() for f, _ in run_adaptive(cols)]
     prev = None
     for (f, report), want in zip(held, fresh, strict=True):
@@ -974,9 +1135,12 @@ def _kept_column_bound(state, d):
 
     The stream forms that column as S^(2^t) e, with S the state's square
     s - t, t = min(s, 3), and e the unit vector of column d, by 2^t - 1
-    products with S; the stage path squares S t times.  To first order
-    each evaluation differs from the exact value by at most (2^t - 1)
-    gamma_n (|S|^(2^t) e), n = dim: each product's inner products of
+    products with S; the stage path reaches it from the same S by 2^t - 1
+    products as well at t <= 2, and at t = 3 by squaring S once and making
+    three products with S^2, whose error reaches the column through four
+    factors S^2.  To first order each evaluation differs from the exact
+    value by at most (2^t - 1) gamma_n (|S|^(2^t) e), n = dim: each
+    product's inner products of
     length n round by at most gamma_n = n u / (1 - n u) times the same
     product of absolute values, whatever order BLAS sums them in, and an
     error made before a product is carried through it by |S| (Higham,
@@ -1006,9 +1170,13 @@ def _chunked_caches(state):
 
 def test_column_stream_shares_the_stage_caches_and_bounds_its_column():
     # the stream of first columns that pricing reads comes from the stage
-    # path's caches: at every step its scaled matrix and squares 0 .. s - t
-    # hold the stage state's bytes, and its column agrees with the stage's
-    # first new column within the rounding bound of the two evaluations
+    # path's caches: at every step its scaled matrix, the powers A^2 and A^6
+    # while it holds them, and squares 0 .. s - t hold the stage state's
+    # bytes, and its column agrees with the stage's first new column within
+    # the rounding bound of the two evaluations: the stage forms square s
+    # from square s - min(s, 2), after one squaring more than the stream at
+    # s >= 3, by 2^min(s, 2) - 1 products, and that chain makes as many
+    # products, to first order, as the stream's 2^t - 1
     cases = {
         "random": _restarting_columns(),
         "jacobi": list(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
@@ -1023,9 +1191,10 @@ def test_column_stream_shares_the_stage_caches_and_bounds_its_column():
                 top, diag = stream.step(col)
                 staged.step(col)
                 assert top.shape == (d, 1) and diag.shape == (col.block_size, 1)
-                caches = [stream._gt, *stream._squares]
-                assert len(caches) == s - min(s, 3) + 2
-                for mine, theirs in zip(caches, [staged._gt, *staged._squares]):
+                assert len(stream._squares) == s - min(s, 3) + 1
+                assert len(stream._powers) == len(staged._powers)
+                caches = [stream._gt, *stream._powers, *stream._squares]
+                for mine, theirs in zip(caches, [staged._gt, *staged._powers, *staged._squares]):
                     assert np.array_equal(mine.dense(), theirs.dense()), (name, s, d)
                 got = np.vstack([top, diag])[:, 0]
                 want = staged.exponential.data[:, d]
@@ -1094,14 +1263,15 @@ def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatc
 
 
 @pytest.mark.parametrize("s, streamed_caches, staged_caches",
-                         [(0, 2, 2), (1, 2, 2), (2, 2, 3), (3, 2, 4), (4, 3, 5), (6, 5, 7)])
+                         [(0, 2, 2), (1, 2, 2), (2, 2, 2), (3, 2, 3), (4, 3, 4), (6, 5, 6)])
 def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, streamed_caches,
                                                            staged_caches):
     # a stream at s caches the scaled matrix and squares 0 .. s - min(s, 3),
     # s - min(s, 3) + 2 chunked caches: 2 for every s <= 3; a stage state
-    # caches squares 0 .. max(s, 1) - 1, max(s, 1) + 1 chunked caches, beside
-    # its exponential buffer.  Each report's cache_bytes is what the state
-    # holds after its step.
+    # caches the scaled matrix and squares 0 .. s - min(s, 2), s - min(s, 2)
+    # + 2 chunked caches: 2 for every s <= 2, beside its exponential
+    # buffer.  Both also cache A^2 and A^6, as a dense matrix keeps them.
+    # Each report's cache_bytes is what the state holds after its step.
     rng = np.random.default_rng(227)
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 20)), scale=0.02)
     held = []
@@ -1118,15 +1288,15 @@ def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, strea
     monkeypatch.undo()
 
     n = len(cols)
-    assert held[:n] == [(streamed_caches, True, r.cache_bytes) for r in streamed]
-    assert held[n:] == [(staged_caches, False, r.cache_bytes) for r in staged]
+    assert held[:n] == [(streamed_caches + 2, True, r.cache_bytes) for r in streamed]
+    assert held[n:] == [(staged_caches + 2, False, r.cache_bytes) for r in staged]
 
 
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
     # the case of test_memory_guard_raises_and_leaves_state without the
-    # exponential buffer: at s = 2 the stream caches the scaled matrix and
-    # square 0, two adopted 3 x 3 chunks and a zero-row profile of 4
-    # entries, then two opened 15 x 12 chunks and 6 entries
+    # exponential buffer: at s = 2 the stream caches the scaled matrix, A^2,
+    # A^6 and square 0, four adopted 3 x 3 chunks and a zero-row profile of
+    # 4 entries, then four opened 15 x 12 chunks and 6 entries
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(2, _first_column=True)
@@ -1136,10 +1306,10 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert top.shape == (0, 1) and diag.shape == (3, 1)
     assert np.all(np.abs(diag[:, 0] - staged.exponential.data[:, 0])
                   <= _kept_column_bound(state, 0))
-    assert state.cache_bytes == _held_bytes(state) == 2 * 72 + 32
+    assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 2 * 72 + 2 * 15 * 12 * 8 + 48
+    need = 4 * 72 + 4 * 15 * 12 * 8 + 48
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"{need} bytes"):
         state.step(cols[1])
@@ -1152,21 +1322,24 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert np.all(np.abs(got - staged.exponential.data[:, 3]) <= _kept_column_bound(state, 3))
 
     # a Jacobi generator's stream at s = 2 converts its scaled matrix at
-    # degree 4: beside what it held (3304 bytes: two 1608-byte chunk sets
-    # and 11 profile entries) the step holds 5 more profile entries and
-    # the new store, 54 nonzeros in 15 columns (16 * 54 + 8 * 16 = 992),
-    # then drops the 1608 bytes of old chunks.  Degree 5 reallocates the
-    # store, to 147 entries of data and indices and 34 of indptr (2624),
-    # drops the old one, and opens a chunk of 15 + 60 rows and 60 columns
-    # (36000) for square 0.
+    # degree 4: beside what it held (6520 bytes: four 1608-byte chunk sets,
+    # of the scaled matrix, A^2, A^6 and square 0, and 11 profile entries)
+    # the step holds 5 more profile entries and the new store, 54 nonzeros
+    # in 15 columns (12 * 54 + 4 * 16 = 712), then drops the 3 * 1608 bytes
+    # of the scaled matrix's old chunks and of its powers, which the power
+    # recurrence does not read.  Degree 5 reallocates the store, to 147
+    # entries of data and indices and 34 of indptr (1900), drops the old
+    # one, and opens a chunk of 15 + 60 rows and 60 columns (36000) for
+    # square 0 alone.
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=5, scale=0.25))
     state = IncrementalExpState(2, _first_column=True)
     for col in cols[:4]:
         state.step(col)
-    held = 3304
+    held = 6520
     assert state.cache_bytes == held and state._gt.nbytes == 1608
-    # 4336 = 3304 + 40 + 992 leaves 2728; 41400 = 2728 + 48 + 2624 + 36000
-    for col, need, dropped in ((cols[4], 4336, 1608), (cols[5], 41400, 992)):
+    assert [cache.nbytes for cache in state._powers] == [1608, 1608]
+    # 7272 = 6520 + 40 + 712 leaves 2448; 40396 = 2448 + 48 + 1900 + 36000
+    for col, need, dropped in ((cols[4], 7272, 3 * 1608), (cols[5], 40396, 712)):
         form = type(state._gt)
         monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes"):
@@ -1176,4 +1349,4 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
         state.step(col)
         held = need - dropped
         assert state.cache_bytes == _held_bytes(state) == held
-        assert isinstance(state._gt, incremental._SparseColumns)
+        assert isinstance(state._gt, incremental._SparseColumns) and state._powers == []

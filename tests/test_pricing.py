@@ -192,6 +192,39 @@ def test_hermite_orthonormality():
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
+def test_hermite_y_coefficients_resume_the_recurrence_bit_for_bit(monkeypatch):
+    # asked for degrees 0, 1, 2, ... in turn, as price_call's read-off asks,
+    # each call resumes from the last call's two vectors and forms only the
+    # new degree, and the floats are the ones from h~_0; a lower degree or
+    # another weight starts over, and writing to a returned vector changes
+    # nothing that a later call reads
+    def fresh(n, muw, sigmaw):
+        monkeypatch.setattr(pricing, "_last_hermite", None)
+        return hermite_y_coefficients(n, muw, sigmaw)
+
+    want = {(n, w): fresh(n, *w) for n in range(61) for w in ((0.3, 0.7), (-0.1, 0.05))}
+    monkeypatch.setattr(pricing, "_last_hermite", None)
+    sqrt = math.sqrt
+    updates = []
+
+    def counting_sqrt(x):
+        updates.append(x)
+        return sqrt(x)
+
+    monkeypatch.setattr(pricing.math, "sqrt", counting_sqrt)
+    for n in range(61):
+        updates.clear()
+        got = hermite_y_coefficients(n, 0.3, 0.7)
+        assert np.array_equal(got, want[n, (0.3, 0.7)])
+        # one step of the recurrence: sqrt(n - 1) and sqrt(n)
+        assert updates == ([n - 1, n] if n >= 2 else [])
+        got[:] = 0.0
+    monkeypatch.undo()
+    for n, w in ((60, (0.3, 0.7)), (12, (0.3, 0.7)), (40, (-0.1, 0.05)), (60, (-0.1, 0.05)),
+                 (7, (0.3, 0.7))):
+        assert np.array_equal(hermite_y_coefficients(n, *w), want[n, w])
+
+
 def test_hermite_y_coefficients_past_factorial_overflow():
     # 171! overflows a float; the normalized recurrence never forms it.
     # At y = muw the polynomial is h_n(0) / sqrt(n!), which for even n is
@@ -859,7 +892,9 @@ def _ledgers_off_stages(cfgs):
 # moment, term or partial sum by 18.6 eps from raw moments, at n_max = 30
 # for the second state, where the raw and the stages' sums miss the exact
 # read-off of the same stages by 12 and 9.3 eps (1 and 2 BLAS threads,
-# OpenBLAS); 64 eps bounds them all.
+# OpenBLAS); once the stages formed square s from square s - 2 and the
+# first degrees' powers by six products, that deviation was 22.6 eps (1
+# BLAS thread); 64 eps bounds them all.
 _LEDGER_TOL = 64 * np.finfo(float).eps
 
 
@@ -887,14 +922,15 @@ def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
 
 def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     # no d x d array on the pricing path: each ledger row's cache_bytes is
-    # the chunks and the zero-row profile that its step left held
+    # the chunks and the zero-row profile that its step left held, A^2 and
+    # A^6 among them until the scaled matrix converts to sparse columns
     held = []
     states = []
     step = IncrementalExpState.step
 
     def recording_step(state, col):
         out = step(state, col)
-        caches = [state._gt, *state._squares]
+        caches = [state._gt, *state._powers, *state._squares]
         held.append(sum(c.nbytes for c in caches) + state._lead.nbytes)
         states.append(state)
         return out

@@ -5,19 +5,23 @@
 CHECKOUT is a source tree of this repository (default: the one holding
 this script); its ``src`` is imported.  Two equal lines from two trees
 mean that both compute the same floats, bit for bit, on this machine and
-BLAS thread count.  Four things decide which bits each cache product
+BLAS thread count.  Five things decide which bits each cache product
 rounds to: the engine's chunk rule, which splits it into panels (and also
 sets ``cache_bytes``), how BLAS accumulates each panel into the product,
 here in place with beta = 1, each earlier panel at its chunk's full
 stored width, the product's width and order: BLAS rounds a one-column
-product differently from the same column of a wide one, and
-``price_call``'s stream forms its one kept column of each exponential as
-S^(2^t) e, by 2^t - 1 one-column products with its square s - t, t =
-min(s, 3), in place of the last t squarings, and the scaled matrix's
-form: chunks, or compressed sparse columns once those take fewer bytes
-than its block triangle, whose product scipy sums nonzero by nonzero (the
-pricing generator converts at degree 4; the engine's dense instances
-never do).  A change to any of them can move both hashes.  ``price``
+product differently from the same column of a wide one, and square s is
+formed as S^(2^t - 1) [z; D], by 2^t - 1 products with square s - t, in
+place of the last t squarings, b columns wide on the stage path (t =
+min(s, 2)) and one column wide in ``price_call``'s stream (t = min(s,
+3)), the scaled matrix's form: chunks, or compressed sparse columns once
+those take fewer bytes than its block triangle, whose product scipy sums
+nonzero by nonzero (the pricing generator converts at degree 4; the
+engine's dense instances never do), and the evaluation scheme of the
+Pade polynomials: each new diagonal block sums its powers as
+``expm_baseline`` does, and the top parts follow Higham's six products
+while the scaled matrix is chunked and the power recurrence once it is
+sparse.  A change to any of them can move both hashes.  ``price``
 also rounds in ``price_call``'s read-off, which sums each moment from
 raw moments as c_n^T (u^T column) over its Hermite coefficients c_n; a
 change to that order moves ``price`` alone.
