@@ -38,14 +38,18 @@ The first step adopts its new diagonal blocks as the first chunks.  A
 product with a new block column makes one GEMM per chunk: the last chunk
 writes the product, and BLAS accumulates each earlier chunk's share in
 place in the output, with no temporary and no separate add.  The scaled
-matrix converts once to compressed sparse columns, in buffers that only
-grow, when that form takes fewer bytes than its block triangle, and a
-product with it is one CSC product (see
-``IncrementalExpState._scaled_growth``); the squares are dense, and stay
-chunked, and A^2 and A^6 are dropped.  The current exponential, which no
-product reads, is instead the leading d x d block of one contiguous buffer
-with a few percent of spare capacity, reallocated when full, so an emitted
-stage is a read-only view of it that no later step writes.  Each step also
+matrix converts once to compressed sparse columns when that form takes
+fewer bytes than its block triangle, and a product with it is one CSC
+product (see ``IncrementalExpState._scaled_growth``); the squares are
+dense, and stay chunked, and A^2 and A^6 are dropped.  The store's arrays
+hold exactly its entries, and each step replaces them by their
+concatenation with the new column's; its row indices are the state's only
+record of where A's nonzeros lie, and bound the rows that the power
+recurrence writes (see ``_SparseColumns.first_row``).  The current
+exponential, which no product reads, is instead the leading d x d block
+of one contiguous buffer with a few percent of spare capacity,
+reallocated when full, so an emitted stage is a read-only view of it that
+no later step writes.  Each step also
 hands back the new block column of the exponential.  A reader that needs
 only the first column of each, as Hermite-series pricing does, drives the
 engine at a fixed scaling power as a column stream, without the buffer
@@ -103,8 +107,7 @@ _CHUNK_GROWTH = 4
 
 # A full exponential buffer is reallocated to this multiple of the new
 # dimension, or to room for two more blocks of the size just added if that
-# is more, and so is each full buffer of a sparse scaled matrix, counted in
-# nonzeros or columns.  Growing by 5% spreads the copying over many steps while adding
+# is more.  Growing by 5% spreads the copying over many steps while adding
 # at most about 10% to the bytes held; doubling would add up to 300%.  The
 # two blocks matter where blocks grow as a share of the dimension, as the
 # degree blocks of a polynomial generator do below degree 80: there 5% does
@@ -308,37 +311,31 @@ class _ChunkedCache:
         return out
 
 
-def _grown_capacity(need: int, added: int) -> int:
-    """Capacity of a full buffer reallocated to hold ``need`` entries after
-    ``added`` more: _GROWTH times ``need``, or room for two more additions
-    of the same size if that is more."""
-    return max(int(_GROWTH * need), need + 2 * added)
-
-
 class _SparseColumns:
     """A block upper triangular matrix stored as compressed sparse columns,
-    in buffers that only grow.
+    in arrays of exactly its size.
 
     Column j holds the values ``data[indptr[j] : indptr[j + 1]]`` in the
-    rows ``indices[...]``, ascending.  Only ``indptr[: dim + 1]`` and the
-    first ``indptr[dim]`` entries of ``data`` and ``indices`` are in use;
-    the rest is spare capacity.  A new store holds exactly the capacity it
-    is built with, and a full buffer is reallocated as the exponential
-    buffer is (see :func:`_grown_capacity`).  The indices are 32-bit, the
-    type scipy's sparse products take without a copy, so a nonzero takes
-    12 bytes and a column 4, and a store holds at most 2^31 - 1 nonzeros
-    and columns (see :meth:`check_size`).
+    rows ``indices[...]``, ascending.  Each append replaces the three
+    arrays by their concatenation with the new column's entries, so the
+    store holds no spare capacity, and the old arrays are held beside the
+    new ones only while they are built.  The indices are 32-bit, the type
+    scipy's sparse products take without a copy, so a nonzero takes 12
+    bytes and a column 4, and a store holds at most 2^31 - 1 nonzeros and
+    columns (see :meth:`check_size`).  The row indices also say where the
+    nonzeros lie (see :meth:`first_row`), so the state keeps no other
+    record of A's sparsity.
     """
 
-    def __init__(self, nnz: int, dim: int):
+    def __init__(self):
         self.dim = 0
-        self.data = np.empty(nnz)
-        self.indices = np.empty(nnz, dtype=np.int32)
-        self.indptr = np.zeros(dim + 1, dtype=np.int32)
+        self.data = np.empty(0)
+        self.indices = np.empty(0, dtype=np.int32)
+        self.indptr = np.zeros(1, dtype=np.int32)
 
     @staticmethod
     def bytes_for(nnz: int, dim: int) -> int:
-        """Bytes of a store built for ``nnz`` nonzeros in ``dim`` columns."""
+        """Bytes of a store of ``nnz`` nonzeros in ``dim`` columns."""
         return 12 * nnz + 4 * (dim + 1)
 
     @staticmethod
@@ -352,10 +349,9 @@ class _SparseColumns:
             )
 
     @classmethod
-    def from_chunks(cls, cache: _ChunkedCache, nnz: int, dim: int) -> "_SparseColumns":
-        """The columns of a chunked cache, in a store built for ``nnz``
-        nonzeros in ``dim`` columns."""
-        store = cls(nnz, dim)
+    def from_chunks(cls, cache: _ChunkedCache) -> "_SparseColumns":
+        """The columns of a chunked cache."""
+        store = cls()
         for top, diag in cache.block_columns():
             store.append(top, diag)
         return store
@@ -364,20 +360,11 @@ class _SparseColumns:
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
-    def _reallocated(self, nnz: int, b: int) -> tuple[int, int]:
-        """Entries of the data and index buffers, and of ``indptr``, that
-        appending a block column of size b with ``nnz`` nonzeros
-        reallocates; 0 for a buffer it still fits."""
-        n, e = int(self.indptr[self.dim]) + nnz, self.dim + b
-        data = _grown_capacity(n, nnz) if n > self.data.shape[0] else 0
-        ptr = _grown_capacity(e, b) + 1 if e + 1 > self.indptr.shape[0] else 0
-        return data, ptr
-
-    def grown_bytes(self, nnz: int, b: int) -> int:
-        """Bytes of the buffers that appending a block column of size b
-        with ``nnz`` nonzeros reallocates."""
-        data, ptr = self._reallocated(nnz, b)
-        return 12 * data + 4 * ptr
+    def first_row(self, c: int) -> int:
+        """The first row holding a nonzero in any column from ``c`` on, or
+        c if that is smaller: the rows of a product ``a @ x`` above it are
+        zero whenever the rows of ``x`` above c are."""
+        return int(self.indices[self.indptr[c] :].min(initial=c))
 
     def append(self, top: np.ndarray, diag: np.ndarray) -> None:
         """Append the block column [top; diag], storing its nonzeros only."""
@@ -385,17 +372,10 @@ class _SparseColumns:
         # the transpose lists the nonzeros column by column, rows ascending
         block = np.vstack([top, diag]).T
         cols, rows = np.nonzero(block)
-        data, ptr = self._reallocated(rows.size, b)
-        p0 = int(self.indptr[d])
-        p1 = p0 + rows.size
-        if data:
-            self.data = _regrown(self.data, data, p0)
-            self.indices = _regrown(self.indices, data, p0)
-        if ptr:
-            self.indptr = _regrown(self.indptr, ptr, d + 1)
-        self.data[p0:p1] = block[cols, rows]
-        self.indices[p0:p1] = rows
-        self.indptr[d + 1 : d + b + 1] = p0 + np.cumsum(np.bincount(cols, minlength=b))
+        ptr = self.indptr[d] + np.cumsum(np.bincount(cols, minlength=b))
+        self.data = np.concatenate([self.data, block[cols, rows]])
+        self.indices = np.concatenate([self.indices, rows], dtype=np.int32)
+        self.indptr = np.concatenate([self.indptr, ptr], dtype=np.int32)
         self.dim = d + b
 
     def product(self, x: np.ndarray, c: int = 0) -> np.ndarray:
@@ -407,26 +387,17 @@ class _SparseColumns:
         d = self.dim
         if c >= d:
             return np.zeros((d, x.shape[1]))
-        ptr = self.indptr[c : d + 1]
-        p0, p1 = int(ptr[0]), int(ptr[-1])
-        a = csc_matrix((self.data[p0:p1], self.indices[p0:p1], ptr - p0), shape=(d, d - c))
+        ptr = self.indptr[c:]
+        p0 = int(ptr[0])
+        a = csc_matrix((self.data[p0:], self.indices[p0:], ptr - p0), shape=(d, d - c))
         return a @ x[c:d]
 
     def dense(self) -> np.ndarray:
         """The stored matrix as a d x d array."""
         d = self.dim
-        nnz = int(self.indptr[d])
         out = np.zeros((d, d))
-        out[self.indices[:nnz], np.repeat(np.arange(d), np.diff(self.indptr[: d + 1]))] = (
-            self.data[:nnz])
+        out[self.indices, np.repeat(np.arange(d), np.diff(self.indptr))] = self.data
         return out
-
-
-def _regrown(buf: np.ndarray, size: int, used: int) -> np.ndarray:
-    """A buffer of ``size`` entries holding the first ``used`` of ``buf``."""
-    grown = np.empty(size, dtype=buf.dtype)
-    grown[:used] = buf[:used]
-    return grown
 
 
 def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
@@ -449,20 +420,6 @@ def _write_column(buf: np.ndarray, d: int, top: np.ndarray, diag: np.ndarray,
     buf[:d, d:e] = top
     buf[d:e, d:e] = diag
     return buf
-
-
-def _grow_lead(lead: np.ndarray, top: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Zero-row profile of a matrix after appending the block column
-    [top; diag].
-
-    ``lead[c]`` is the smallest row holding a nonzero in any column >= c,
-    where a zero column counts as its own index, and ``lead[d] = d``.
-    """
-    d, b = top.shape[0], diag.shape[0]
-    nonzero = np.vstack([top != 0, diag != 0])
-    first = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), d + np.arange(b))
-    suffix = np.minimum.accumulate(first[::-1])[::-1]
-    return np.concatenate([np.minimum(lead[:d], suffix[0]), suffix, [d + b]])
 
 
 class IncrementalExpState:
@@ -490,17 +447,17 @@ class IncrementalExpState:
     :meth:`_scaled_growth`), as a polynomial generator does at degree 4
     and a dense matrix never does; the state then drops A^2 and A^6 and
     extends the polynomials by the power recurrence, which reads only the
-    sparse store.  A stage state, the default, has t = min(s, 2): it forms
-    square s from square s - t (see :meth:`_squaring_column`) and emits it
-    as the leading ``dim`` x ``dim`` block of one buffer with spare
-    capacity.  A state of ``_drive``'s column stream is built with
+    sparse store, whose row indices also bound the rows it writes.  A
+    stage state, the default, has t = min(s, 2): it forms square s from
+    square s - t (see :meth:`_squaring_column`) and emits it as the
+    leading ``dim`` x ``dim`` block of one buffer with spare capacity.  A
+    state of ``_drive``'s column stream is built with
     ``_first_column=True``: it keeps no buffer, has t = min(s, 3), so s -
-    t + 1 chunked squares, which is 1 for every s <= 3, forms square s only
-    on the first column of each new block column, and hands that column
-    back.  The state also keeps the zero-row profile of the scaled matrix
-    (see :func:`_grow_lead`), which bounds the nonzero rows of the power
-    recurrence, and in ``phase_seconds`` the seconds of each phase of the
-    last step, keyed by the matching :class:`StepReport` fields.
+    t + 1 chunked squares, which is 1 for every s <= 3, forms square s
+    only on the first column of each new block column, and hands that
+    column back.  The state also keeps in ``phase_seconds`` the seconds of
+    each phase of the last step, keyed by the matching
+    :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
@@ -509,7 +466,6 @@ class IncrementalExpState:
     def __init__(self, s: int, *, _first_column: bool = False):
         self.s = as_scaling_power(s)
         self.partition = Partition(())
-        self._lead = np.zeros(1, dtype=np.intp)
         self._gt: _ChunkedCache | _SparseColumns = _ChunkedCache()
         # A^2 and A^6, held while the scaled matrix is chunked
         self._powers = [_ChunkedCache(), _ChunkedCache()]
@@ -531,12 +487,12 @@ class IncrementalExpState:
     @property
     def cache_bytes(self) -> int:
         """Bytes of every array the state holds: the scaled matrix's
-        chunks or sparse buffers, the chunks of its powers and of the
-        squares, the exponential buffer, if the state keeps one, and the
-        zero-row profile, each with its spare capacity."""
+        chunks or sparse store, the chunks of its powers and of the
+        squares, and the exponential buffer, if the state keeps one, each
+        with its spare capacity."""
         caches = self._gt.nbytes + sum(c.nbytes for c in self._powers + self._squares)
         exp = 0 if self._exp is None else self._exp.nbytes
-        return caches + exp + self._lead.nbytes
+        return caches + exp
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
@@ -567,7 +523,7 @@ class IncrementalExpState:
         held = self._exp.shape[0]
         if held >= e:
             return held
-        return e if self.dim == 0 else _grown_capacity(e, b)
+        return e if self.dim == 0 else max(int(_GROWTH * e), e + 2 * b)
 
     def step(self, col: BlockColumn) -> tuple[np.ndarray, np.ndarray]:
         """Grow the matrix by one block column and update all caches.
@@ -606,18 +562,18 @@ class IncrementalExpState:
         gt_bytes, to_sparse = self._scaled_growth(nnz, b)
         # What the step leaves held, plus what it drops at the end: the old
         # exponential buffer while a full one is reallocated, and the old
-        # buffers or chunks of the scaled matrix (see _scaled_growth).  The
+        # store or chunks of the scaled matrix (see _scaled_growth).  The
         # squares, and the powers unless the step drops them, open their
-        # chunks together, and the zero-row profile grows by b entries.
+        # chunks together.
         grown = len(self._squares) + (0 if to_sparse else len(self._powers))
-        need = self.cache_bytes + 8 * b + gt_bytes + grown * self._squares[0].opened_bytes(b)
+        need = self.cache_bytes + gt_bytes + grown * self._squares[0].opened_bytes(b)
         if self._exp is not None:
             capacity = self._capacity(d + b, b)
             if capacity > self._exp.shape[0]:
                 need += capacity * capacity * 8
         _check_cache_bytes(need, d + b, self.s)
         t0 = time.perf_counter()
-        p_top, p_diag, q_top, q_diag, lead, c, power_cols = self._extend_pq(gt_col, dt)
+        p_top, p_diag, q_top, q_diag, c, power_cols = self._extend_pq(gt_col, dt)
         t1 = time.perf_counter()
         f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
@@ -625,9 +581,8 @@ class IncrementalExpState:
         t3 = time.perf_counter()
 
         # Every phase has succeeded; only now are the caches grown.
-        self._lead = lead
         if to_sparse:
-            self._gt = _SparseColumns.from_chunks(self._gt, self._nnz + nnz, d + b)
+            self._gt = _SparseColumns.from_chunks(self._gt)
             self._powers, power_cols = [], []
         self._gt.append(gt_col, dt)
         self._nnz += nnz
@@ -653,7 +608,10 @@ class IncrementalExpState:
     def _scaled_growth(self, nnz: int, b: int) -> tuple[int, bool]:
         """Bytes that appending a block column of size b with ``nnz``
         nonzeros allocates for the scaled matrix, and whether the append
-        converts its chunks to sparse columns first.
+        converts its chunks to sparse columns first.  A sparse append, the
+        converting one included, builds a new store of exactly the grown
+        matrix's nonzeros beside the old store or chunks, so it allocates
+        that store's bytes.
 
         The chunks convert once the sparse form of the grown matrix would
         take fewer bytes than the block upper triangle it holds, counted
@@ -661,25 +619,23 @@ class IncrementalExpState:
         That count is a policy, not the store's size: with 32-bit indices a
         nonzero takes 12 bytes, and counting those would convert the upper
         triangular first block of a dense random instance, 54% nonzero at
-        26 columns, and keep the whole matrix sparse.  Spare capacity is
-        left out of both counts, since either form fills it as it grows;
-        counting the room that a packed chunk opens with would convert a
-        dense matrix of narrow blocks at its second block.  So a matrix
-        converts only while fewer than half the entries of its block
-        triangle are nonzero, as in a polynomial generator past degree 3,
-        and never if its diagonal blocks are full upper triangles below
-        full tops, as in the random test instances.  A converting step
+        26 columns, and keep the whole matrix sparse.  The chunks' spare
+        columns are left out of the count, since the chunks fill them as
+        they grow; counting the room that a packed chunk opens with would
+        convert a dense matrix of narrow blocks at its second block.  So a
+        matrix converts only while fewer than half the entries of its
+        block triangle are nonzero, as in a polynomial generator past
+        degree 3, and never if its diagonal blocks are full upper triangles
+        below full tops, as in the random test instances.  A converting step
         holds both forms until the chunks are dropped, and a store never
         converts back.  ValueError, before any cache changes, if the store
         would pass the size its indices address.
         """
         e, n = self.dim + b, self._nnz + nnz
-        if isinstance(self._gt, _SparseColumns):
+        sparse = isinstance(self._gt, _SparseColumns)
+        if sparse or 16 * n + 8 * (e + 1) < 8 * (self._entries + e * b):
             _SparseColumns.check_size(n, e)
-            return self._gt.grown_bytes(nnz, b), False
-        if 16 * n + 8 * (e + 1) < 8 * (self._entries + e * b):
-            _SparseColumns.check_size(n, e)
-            return _SparseColumns.bytes_for(n, e), True
+            return _SparseColumns.bytes_for(n, e), not sparse
         return self._gt.opened_bytes(b), False
 
     # -- step phases --------------------------------------------------
@@ -702,23 +658,23 @@ class IncrementalExpState:
 
         Returned with the four blocks: a row bound c, above which the rows
         of both top parts are zero, so that the solve's product reads only
-        the chunks of square 0 right of it; the zero-row profile grown with
-        the new column, for :meth:`step` to commit with the caches; and the
-        new block columns of A^2 and A^6, or an empty list on the
-        recurrence.  Only the recurrence tracks c: a scaled matrix held
-        dense has nonzeros in at least half its block triangle, so the
-        six-product tops take c = 0.
+        the chunks of square 0 right of it, and the new block columns of
+        A^2 and A^6, or an empty list on the recurrence.  Only the
+        recurrence tracks c, starting from the first row g0 where the new
+        column's top part holds a nonzero, or the dimension if it holds
+        none: a scaled matrix held dense has nonzeros in at least half its
+        block triangle, so the six-product tops take c = 0.
         """
-        d = self.dim
-        lead = _grow_lead(self._lead, gt_col, dt)
         p_diag, q_diag = pade_polynomials(dt)
         if self._powers:
             p_top, q_top, power_cols = self._six_product_tops(gt_col, dt)
             c = 0
         else:
-            p_top, q_top, c = self._recurrence_tops(gt_col, dt, min(int(lead[d]), d))
+            rows = np.flatnonzero(gt_col.any(axis=1))
+            g0 = int(rows[0]) if rows.size else self.dim
+            p_top, q_top, c = self._recurrence_tops(gt_col, dt, g0)
             power_cols = []
-        return p_top, p_diag, q_top, q_diag, lead, c, power_cols
+        return p_top, p_diag, q_top, q_diag, c, power_cols
 
     def _six_product_tops(self, g: np.ndarray, dt: np.ndarray):
         """Top parts of p and q by Higham's evaluation of r_13 (SIAM J.
@@ -777,10 +733,12 @@ class IncrementalExpState:
         one, as a polynomial generator is, costs only its band.
 
         The rows of g above g0 are zero.  If the rows of X_{l-1} above c are
-        zero, so are those of X_l above r = min(lead[c], c), and the product
-        reads only the columns of Aprev right of c.  The term g D^(l-1) is
-        formed only on the rows from g0, and both sums are accumulated only
-        on the rows from r.  Returns the tops and the last such r.
+        zero, so are those of X_l above r, the first row of Aprev's
+        nonzeros in the columns right of c, or c if that is smaller (see
+        :meth:`_SparseColumns.first_row`), and the product reads only those
+        columns.  The term g D^(l-1) is formed only on the rows from g0,
+        and both sums are accumulated only on the rows from r.  Returns the
+        tops and the last such r.
         """
         alpha, beta = self.pade.alpha, self.pade.beta
         c = g0
@@ -793,7 +751,7 @@ class IncrementalExpState:
                 d_prev = d_prev @ dt
             x = self._gt.product(x, c)
             x[g0:] += g[g0:] @ d_prev
-            c = min(int(self._lead[c]), c)
+            c = self._gt.first_row(c)
             p_top[c:] += alpha[l] * x[c:]
             q_top[c:] += beta[l] * x[c:]
         return p_top, q_top, c

@@ -536,29 +536,32 @@ def test_panel_product_matches_dense_product(sizes, where):
     assert rel_error_fro(cache.product(x, c), a @ x) <= 1e-14
 
 
-def _profile(a, sizes):
-    """The zero-row profile of a, grown block column by block column."""
-    off = Partition(sizes).offsets
-    lead = np.zeros(1, dtype=np.intp)
-    for r0, r1 in zip(off, off[1:]):
-        lead = incremental._grow_lead(lead, a[:r0, r0:r1], a[r0:r1, r0:r1])
-    return lead
+def _first_row(a, c):
+    """min(c, the first row holding a nonzero in any column of a from c
+    on), by brute force."""
+    rows = np.flatnonzero(a[:, c:].any(axis=1))
+    return min([c, *rows[:1].tolist()])
 
 
 def _sparse(a, sizes):
     """The block upper triangular ``a`` appended block column by block
-    column to a sparse store built for its nonzeros."""
-    d, nnz = a.shape[0], int(np.count_nonzero(a))
-    store = incremental._SparseColumns(nnz, d)
+    column to a new sparse store, which after every append holds scipy's
+    compressed sparse columns of the columns so far, and nothing more."""
+    from scipy.sparse import csc_matrix
+
+    store = incremental._SparseColumns()
     off = Partition(sizes).offsets
     for r0, r1 in zip(off, off[1:]):
         store.append(a[:r0, r0:r1], a[r0:r1, r0:r1])
+        want = csc_matrix(a[:r1, :r1])
+        assert store.dim == r1
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(store, name), getattr(want, name)), name
+        # 32-bit indices: 12 bytes a nonzero and 4 a column
+        assert store.indices.dtype == store.indptr.dtype == np.int32
+        assert store.nbytes == incremental._SparseColumns.bytes_for(want.nnz, r1) == (
+            12 * want.nnz + 4 * (r1 + 1))
     assert np.array_equal(store.dense(), a)
-    # a store built for its nonzeros holds no spare capacity
-    assert int(store.indptr[d]) == nnz
-    # 32-bit indices: 12 bytes a nonzero and 4 a column
-    assert store.indices.dtype == store.indptr.dtype == np.int32
-    assert store.nbytes == incremental._SparseColumns.bytes_for(nnz, d) == 12 * nnz + 4 * (d + 1)
     return store
 
 
@@ -572,7 +575,7 @@ def test_panel_product_skips_rows_known_zero():
     r, c = d // 3, d // 2
     a[:r, c:] = 0.0
     store = _sparse(a, sizes)
-    assert _profile(a, sizes)[c] >= r
+    assert _first_row(a, c) >= r
     x = rng.standard_normal((d, 2))
     x[:c] = 0.0
     got = store.product(x, c)
@@ -599,7 +602,7 @@ def test_panel_product_reads_only_the_band(where):
     k = next(k for k in range(len(sizes) // 2, len(sizes)) if sizes[k] > 1)
     c = {"inside": off[k] + 1, "boundary": off[k], "top": 0}[where]
     assert (c > off[k]) == (where == "inside")
-    r = min(int(_profile(a, sizes)[c]), c)
+    r = _first_row(a, c)
     assert (r > 0) == (c > 0)
     # the rows of x above c are never read, so NaN there does not show
     x = rng.standard_normal((d, 3))
@@ -607,6 +610,27 @@ def test_panel_product_reads_only_the_band(where):
     got = store.product(x, c)
     assert rel_error_fro(got, a[:, c:] @ x[c:]) <= 1e-14
     assert not got[:r].any()
+
+
+def test_first_row_of_banded_store_with_zero_columns():
+    # first_row(c) is min(c, the first nonzero row of the columns from c
+    # on), for every c from 0 to d, where zero columns leave it at c
+    rng = np.random.default_rng(167)
+    sizes = tuple(int(b) for b in rng.integers(1, 7, 60))
+    a = matrix_from_columns(random_columns(rng, sizes)).data.copy()
+    d, width = a.shape[0], 25
+    rows, cols = np.indices(a.shape)
+    a[rows < cols - width] = 0.0
+    # zero columns: some alone, and a run of them up to the last column
+    zero = np.concatenate([rng.choice(d - 10, 12, replace=False), np.arange(d - 4, d)])
+    a[:, zero] = 0.0
+    store = _sparse(a, sizes)
+    got = [store.first_row(c) for c in range(d + 1)]
+    assert got == [_first_row(a, c) for c in range(d + 1)]
+    assert got[d - 4 :] == list(range(d - 4, d + 1))
+    # the band: no column reaches above row c - width
+    assert all(r >= c - width for c, r in enumerate(got))
+    assert any(0 < r < c for c, r in enumerate(got))
 
 
 # Every chunk but the last adds its share straight into the product in BLAS,
@@ -641,7 +665,7 @@ def test_chunk_products_accumulate_in_place(layout):
         x[:c] = 0.0
     elif layout == "lead":
         # closed chunks whose columns are zero at the top
-        assert _profile(a, sizes)[cache.starts[-2]] > 0
+        assert _first_row(a, cache.starts[-2]) > 0
     elif layout == "strided":
         x = rng.standard_normal((d, 6))[:, ::2]
         assert not x.flags.c_contiguous
@@ -708,8 +732,8 @@ def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
 def test_pricing_caches_hold_little_beyond_the_block_triangle():
     # a pricing pass to degree 60 at s = 4: the 2 chunked squares (0 .. s - 3)
     # store the block upper triangle of dimension 1891 with at most 10% idle
-    # capacity, the scaled matrix, as sparse columns, its nonzeros with at
-    # most 10% idle capacity, and the zero-row profile its 1892 entries
+    # capacity, and the scaled matrix, as sparse columns, exactly its
+    # nonzeros and column pointers
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
     state = IncrementalExpState(4, _first_column=True)
@@ -723,8 +747,8 @@ def test_pricing_caches_hold_little_beyond_the_block_triangle():
     assert isinstance(state._gt, incremental._SparseColumns)
     nnz = np.count_nonzero(state._gt.dense())
     assert nnz < d * 7
-    assert state._gt.nbytes <= 1.10 * incremental._SparseColumns.bytes_for(nnz, d)
-    assert state.cache_bytes == squares + state._gt.nbytes + 8 * (d + 1)
+    assert state._gt.nbytes == incremental._SparseColumns.bytes_for(nnz, d)
+    assert state.cache_bytes == squares + incremental._SparseColumns.bytes_for(nnz, d)
 
 
 def _scaled_forms(cols, make_state):
@@ -928,19 +952,20 @@ def test_import_does_not_load_scipy_sparse():
     subprocess.run([sys.executable, "-c", code, root], check=True)
 
 
-def test_zero_row_profile_of_generator():
+def test_first_row_of_generator():
+    # the Jacobi generator's sparse store, whose degree 0 column is zero
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=9, scale=0.25))
     state = IncrementalExpState(3)
     for col in cols:
         state.step(col)
+    assert isinstance(state._gt, incremental._SparseColumns)
     gt = state.unscaled_matrix()  # the zero pattern of the scaled cache
     d = gt.shape[0]
-    first = [int(np.flatnonzero(gt[:, j])[0]) if gt[:, j].any() else j for j in range(d)]
-    want = [min(first[c:]) for c in range(d)] + [d]
-    assert state._lead.tolist() == want
+    assert [state._gt.first_row(c) for c in range(d + 1)] == [
+        _first_row(gt, c) for c in range(d + 1)]
     # the band: degree n reaches no lower than degree n - 2
     off = state.partition.offsets
-    assert state._lead[off[9]] == off[7]
+    assert state._gt.first_row(off[9]) == off[7]
 
 
 def test_exponential_buffer_is_reallocated_every_other_step_or_less():
@@ -969,14 +994,15 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     before = state.exponential.data
     # At s = 2 the chunked caches are the scaled matrix, its powers A^2 and
     # A^6, and square 0.  The step holds their four adopted 3 x 3 chunks
-    # (288 bytes), four opened chunks of 15 x 12 doubles (5760: a block of 2
-    # at dimension 3 opens min(256, 4 * 3) columns), the new exponential
-    # buffer with room for two more blocks of 2, 9 x 9, beside the old 3 x 3
-    # one (648 + 72) and a zero-row profile of 6 entries (48): 6816 bytes.
-    held = 4 * 72 + 72 + 32
+    # (4 * 72 = 288 bytes), four opened chunks of 15 x 12 doubles (4 * 1440
+    # = 5760: a block of 2 at dimension 3 opens min(256, 4 * 3) = 12
+    # columns of 3 + 12 rows), and the new exponential buffer with room for
+    # two more blocks of 2, 9 x 9, beside the old 3 x 3 one (648 + 72):
+    # 288 + 5760 + 648 + 72 = 6768 bytes.
+    held = 4 * 72 + 72
     assert state.cache_bytes == held
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6815)
-    with pytest.raises(MemoryError, match="dimension 5 .* 6816 bytes.*6815 bytes"):
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6767)
+    with pytest.raises(MemoryError, match="dimension 5 .* 6768 bytes.*6767 bytes"):
         state.step(cols[1])
     assert state.dim == 3
     assert state.partition.sizes == (3,)
@@ -990,11 +1016,12 @@ def test_memory_guard_raises_and_leaves_state(monkeypatch):
     big = IncrementalExpState(1000)
     with pytest.raises(MemoryError, match="dimension 200 at scaling power 1000"):
         big.step(BlockColumn(np.zeros((0, 200)), np.eye(200)))
-    assert big.dim == 0 and big.cache_bytes == 8
-    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6816)
+    assert big.dim == 0 and big.cache_bytes == 0
+    monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: 6768)
     state.step(cols[1])
     assert state.dim == 5
-    assert state.cache_bytes == 6816 - 72
+    # the old 3 x 3 exponential buffer is dropped
+    assert state.cache_bytes == 6768 - 72
     # a small state holds small caches
     assert state.cache_bytes <= 8 * 1024
 
@@ -1070,8 +1097,7 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
                     closed[i, k] = (chunk, chunk.copy())
         assert not _stored_below_diagonal(state).any()
         assert state.cache_bytes == (
-            sum(chunk.nbytes for cache in caches for chunk in cache.chunks)
-            + state._exp.nbytes + state._lead.nbytes
+            sum(chunk.nbytes for cache in caches for chunk in cache.chunks) + state._exp.nbytes
         )
 
     monkeypatch.setattr(IncrementalExpState, "step", checked_step)
@@ -1095,19 +1121,39 @@ def test_caches_are_chunked_adopted_and_never_copied(monkeypatch):
         prev = f
 
 
+def _jacobi_nonzeros(n: int) -> int:
+    """Nonzeros of the Jacobi generator at r = 0 to degree n, counted by
+    hand.
+
+    The generator takes y^a v^b, a + b = k, to a (r - v/2) y^(a-1) v^b +
+    kappa b (theta - v) y^a v^(b-1) + a (a-1)/2 v y^(a-2) v^b + rho sigma
+    a b Q(v) y^(a-1) v^(b-1) + sigma^2 b (b-1)/2 Q(v) y^a v^(b-2), with Q
+    quadratic.  At r = 0 its column holds the rows y^(a-1) v^(b+1) if a >=
+    1, y^(a-2) v^(b+1) if a >= 2, y^a v^(b-1) and y^a v^b if b >= 1,
+    y^(a-1) v^(b-1) and y^(a-1) v^b if a, b >= 1, and y^a v^(b-2) if b >=
+    2.  Over the k + 1 columns of degree k >= 1 that is k + (k - 1) + 2k +
+    2(k - 1) + (k - 1) = 7k - 4, and degree 0's column is zero, so degrees
+    0 .. n hold 7 n (n + 1) / 2 - 4n: 54 to degree 4, 85 to degree 5.
+    """
+    return 7 * n * (n + 1) // 2 - 4 * n
+
+
 def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
     rng = np.random.default_rng(181)
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(20, 41, 12)), scale=0.05)
     cols[6] = BlockColumn(60.0 * cols[6].top, 60.0 * cols[6].diag)
     # a generator's scaled matrix converts to sparse columns at degree 4,
-    # and grows its buffers past it
+    # and its store grows by the exact size of each later column
     generator = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
     walked = []
     step = IncrementalExpState.step
 
     def walking_step(state, col):
         step(state, col)
-        walked.append((type(state._gt), _held_bytes(state)))
+        # the bytes of every array but the scaled matrix's
+        rest = sum(cache.nbytes for cache in state._powers + state._squares)
+        rest += 0 if state._exp is None else state._exp.nbytes
+        walked.append((type(state._gt), _held_bytes(state), rest))
 
     monkeypatch.setattr(IncrementalExpState, "step", walking_step)
     for runner, converts in ((run_adaptive(cols), False), (run_fixed(generator, 3), True),
@@ -1115,9 +1161,16 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
         walked.clear()
         reports = [r for _, r in runner]
         assert any(r.restart for r in reports) != converts
-        assert [r.cache_bytes for r in reports] == [held for _, held in walked]
-        sparse = [form is incremental._SparseColumns for form, _ in walked]
+        assert [r.cache_bytes for r in reports] == [held for _, held, _ in walked]
+        sparse = [form is incremental._SparseColumns for form, _, _ in walked]
         assert sparse == [False] * 4 + [True] * 9 if converts else not any(sparse)
+        # a sparse state holds its other arrays and a store of 12 bytes a
+        # nonzero and 4 a column pointer: degree n has dimension (n + 1) (n
+        # + 2) / 2
+        for n, (form, held, rest) in enumerate(walked):
+            if form is incremental._SparseColumns:
+                dim = (n + 1) * (n + 2) // 2
+                assert held == rest + 12 * _jacobi_nonzeros(n) + 4 * (dim + 1), n
 
 
 def _restarting_columns():
@@ -1295,8 +1348,8 @@ def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, strea
 def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
     # the case of test_memory_guard_raises_and_leaves_state without the
     # exponential buffer: at s = 2 the stream caches the scaled matrix, A^2,
-    # A^6 and square 0, four adopted 3 x 3 chunks and a zero-row profile of
-    # 4 entries, then four opened 15 x 12 chunks and 6 entries
+    # A^6 and square 0, four adopted 3 x 3 chunks (4 * 72 bytes), then four
+    # opened 15 x 12 chunks beside them (4 * 1440)
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
     state = IncrementalExpState(2, _first_column=True)
@@ -1306,10 +1359,10 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert top.shape == (0, 1) and diag.shape == (3, 1)
     assert np.all(np.abs(diag[:, 0] - staged.exponential.data[:, 0])
                   <= _kept_column_bound(state, 0))
-    assert state.cache_bytes == _held_bytes(state) == 4 * 72 + 32
+    assert state.cache_bytes == _held_bytes(state) == 4 * 72
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 4 * 72 + 4 * 15 * 12 * 8 + 48
+    need = 4 * 72 + 4 * 15 * 12 * 8
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(MemoryError, match=f"{need} bytes"):
         state.step(cols[1])
@@ -1322,24 +1375,31 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
     assert np.all(np.abs(got - staged.exponential.data[:, 3]) <= _kept_column_bound(state, 3))
 
     # a Jacobi generator's stream at s = 2 converts its scaled matrix at
-    # degree 4: beside what it held (6520 bytes: four 1608-byte chunk sets,
-    # of the scaled matrix, A^2, A^6 and square 0, and 11 profile entries)
-    # the step holds 5 more profile entries and the new store, 54 nonzeros
-    # in 15 columns (12 * 54 + 4 * 16 = 712), then drops the 3 * 1608 bytes
-    # of the scaled matrix's old chunks and of its powers, which the power
-    # recurrence does not read.  Degree 5 reallocates the store, to 147
-    # entries of data and indices and 34 of indptr (1900), drops the old
-    # one, and opens a chunk of 15 + 60 rows and 60 columns (36000) for
-    # square 0 alone.
+    # degree 4.  Degrees 0 .. 3 add blocks of 1 .. 4 and leave each of the
+    # scaled matrix, A^2, A^6 and square 0 with the same chunks: the
+    # adopted 1 x 1 one (8 bytes), one that degree 1 opens at dimension 1,
+    # of max(2, min(256, 4 * 1)) = 4 columns and 1 + 4 rows (160), and one
+    # that degree 2 opens at dimension 3, of min(171, 4 * 3) = 12 columns
+    # and 3 + 12 rows (1440), which degree 3 fills to dimension 10: 8 + 160
+    # + 1440 = 1608 bytes, and 4 * 1608 = 6432 held.  Degree 4's block of 5
+    # fits the last chunk (3 + 12 = 15 columns).  Beside what it held, the
+    # step holds the new store, 54 nonzeros in 15 columns (12 * 54 + 4 * 16
+    # = 712, see _jacobi_nonzeros), then drops the 3 * 1608 bytes of the
+    # scaled matrix's old chunks and of its powers, which the power
+    # recurrence does not read.  Degree 5 builds a store of 85 nonzeros in
+    # 21 columns (12 * 85 + 4 * 22 = 1108) beside the old one, drops the
+    # old one, and opens a chunk of 15 + 60 rows and min(86, 4 * 15) = 60
+    # columns (36000) for square 0 alone.
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=5, scale=0.25))
     state = IncrementalExpState(2, _first_column=True)
     for col in cols[:4]:
         state.step(col)
-    held = 6520
+    held = 4 * 1608
     assert state.cache_bytes == held and state._gt.nbytes == 1608
     assert [cache.nbytes for cache in state._powers] == [1608, 1608]
-    # 7272 = 6520 + 40 + 712 leaves 2448; 40396 = 2448 + 48 + 1900 + 36000
-    for col, need, dropped in ((cols[4], 7272, 3 * 1608), (cols[5], 40396, 712)):
+    # 7144 = 6432 + 712 leaves 1608 + 712 = 2320; 39428 = 2320 + 1108 +
+    # 36000 leaves 39428 - 712 = 38716
+    for col, need, dropped in ((cols[4], 7144, 3 * 1608), (cols[5], 39428, 712)):
         form = type(state._gt)
         monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes"):
@@ -1350,3 +1410,5 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
         held = need - dropped
         assert state.cache_bytes == _held_bytes(state) == held
         assert isinstance(state._gt, incremental._SparseColumns) and state._powers == []
+        assert state._gt.data.size == _jacobi_nonzeros(len(state.partition.sizes) - 1)
+    assert held == 38716

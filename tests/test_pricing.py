@@ -922,16 +922,21 @@ def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
 
 def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     # no d x d array on the pricing path: each ledger row's cache_bytes is
-    # the chunks and the zero-row profile that its step left held, A^2 and
-    # A^6 among them until the scaled matrix converts to sparse columns
+    # what its step left held, the chunks of A^2, A^6 and the squares and
+    # the scaled matrix's chunks until they convert to sparse columns, and
+    # its store from then on, at 12 bytes a nonzero and 4 a column pointer
     held = []
     states = []
     step = IncrementalExpState.step
 
     def recording_step(state, col):
         out = step(state, col)
-        caches = [state._gt, *state._powers, *state._squares]
-        held.append(sum(c.nbytes for c in caches) + state._lead.nbytes)
+        chunks = sum(c.nbytes for c in state._powers + state._squares)
+        if isinstance(state._gt, incremental._SparseColumns):
+            nnz = np.count_nonzero(state._gt.dense())
+            held.append(chunks + 12 * nnz + 4 * (state.dim + 1))
+        else:
+            held.append(chunks + state._gt.nbytes)
         states.append(state)
         return out
 
@@ -942,8 +947,7 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     # no exponential buffer, and no array beside the caches: each new
     # block column of the exponential leaves the state as step's return
     assert states[0]._exp is None
-    assert [k for k, v in vars(states[0]).items() if isinstance(v, (np.ndarray, tuple))] == [
-        "_lead"]
+    assert [k for k, v in vars(states[0]).items() if isinstance(v, (np.ndarray, tuple))] == []
     assert all(r.moment_seconds >= 0 for r in res.rows)
 
 

@@ -21,7 +21,7 @@ engine's dense instances never do), and the evaluation scheme of the
 Pade polynomials: each new diagonal block sums its powers as
 ``expm_baseline`` does, and the top parts follow Higham's six products
 while the scaled matrix is chunked and the power recurrence once it is
-sparse.  A change to any of them can move both hashes.  ``price``
+sparse.  A change to any of them can move every line.  ``price``
 also rounds in ``price_call``'s read-off, which sums each moment from
 raw moments as c_n^T (u^T column) over its Hermite coefficients c_n; a
 change to that order moves ``price`` alone.
@@ -37,6 +37,15 @@ report.
 price_adaptive benchmark workload: per row repr((n, l_n, f_n, term,
 partial_price)), then repr((price, scaling, terminal_degree,
 basis_scale, shift)) of the result.
+
+``stages`` hashes the exponentials' bytes alone: those of the ``engine``
+runs, in the same order, then every stage of ``run_fixed(s=6)`` over the
+Jacobi generator at the price_adaptive workload's parameters, on the
+monomial basis and times the horizon 0.25, to degree 40 (dim 861).  Its
+scaled matrix converts to sparse columns at degree 4, so this pass runs
+the stage path's power recurrence, which no other line covers.  A change
+to what a report counts, such as ``cache_bytes``, moves ``engine`` and
+leaves ``stages``.
 """
 
 from __future__ import annotations
@@ -46,12 +55,17 @@ import math
 import os
 import sys
 
+# The Jacobi model of the price_adaptive benchmark workload.
+_JACOBI = dict(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5, vmin=0.01, vmax=1.0)
 
-def _engine_hash() -> str:
+
+def _engine_hashes() -> tuple[str, str]:
+    """The ``engine`` and ``stages`` hashes."""
     import numpy as np
 
     from blockexpm.bench import RandomInstanceSpec, generate_instance
     from blockexpm.blocks import BlockColumn
+    from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec
     from blockexpm.incremental import run_adaptive, run_fixed
 
     inst = generate_instance(RandomInstanceSpec(seed=20250816, nblocks=12, bmin=20, bmax=40))
@@ -62,14 +76,19 @@ def _engine_hash() -> str:
         top = mag * rng.standard_normal((dim, b))
         growing.append(BlockColumn(top, mag * rng.standard_normal((b, b))))
         dim += b
-    h = hashlib.sha256()
+    engine, stages = hashlib.sha256(), hashlib.sha256()
     for runner in (run_adaptive(inst.block_columns()), run_fixed(inst.block_columns(), s=8),
                    run_adaptive(growing)):
         for f, rep in runner:
-            h.update(f.data.tobytes())
-            h.update(repr((rep.step, rep.dim, rep.block_size, rep.s, rep.restart,
-                           rep.cache_bytes)).encode())
-    return h.hexdigest()
+            engine.update(f.data.tobytes())
+            stages.update(f.data.tobytes())
+            engine.update(repr((rep.step, rep.dim, rep.block_size, rep.s, rep.restart,
+                                rep.cache_bytes)).encode())
+    generator = generator_block_columns(jacobi_spec(JacobiParams(**_JACOBI)), max_degree=40,
+                                        scale=0.25)
+    for f, _ in run_fixed(generator, s=6):
+        stages.update(f.data.tobytes())
+    return engine.hexdigest(), stages.hexdigest()
 
 
 def _price_hash() -> str:
@@ -77,8 +96,7 @@ def _price_hash() -> str:
     from blockexpm.pricing import PricingConfig, price_call
 
     inputs = dict(
-        params=JacobiParams(kappa=0.5, theta=0.04, sigma=0.15, r=0.0, rho=-0.5,
-                            vmin=0.01, vmax=1.0),
+        params=JacobiParams(**_JACOBI),
         y0=0.0, v0=0.04, tau=0.25, logstrike=math.log(1.1), muw=0.0, sigmaw=0.5,
     )
     runs = (
@@ -104,8 +122,10 @@ def main(argv: list[str]) -> int:
         return 2
     checkout = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
-    print("engine", _engine_hash())
+    engine, stages = _engine_hashes()
+    print("engine", engine)
     print("price", _price_hash())
+    print("stages", stages)
     return 0
 
 
