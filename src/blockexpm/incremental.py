@@ -26,9 +26,8 @@ is evaluated as the baseline evaluates a matrix, so the first stage is
 bitwise what a from-scratch pass with the same scaling power produces.
 
 Every cache that a product reads -- the scaled matrix while it is dense,
-A^2, A^6 and squares 0 .. s - t, with t = min(s, 2) on the stage path and
-min(s, 3) in the column stream below -- is an append-only list of column
-chunks.  A chunk of block columns keeps only the rows down to its last
+A^2, A^6 and squares 0 .. s - t, t = min(s, 2) -- is an append-only list
+of column chunks.  A chunk of block columns keeps only the rows down to its last
 column, so the zero lower block triangle is mostly not stored, and a step
 writes its new block column into the open chunk or into a new one: no
 chunk is copied or written once a later one opens.  A wide block column
@@ -50,21 +49,28 @@ exponential, which no product reads, is instead the leading d x d block
 of one contiguous buffer with a few percent of spare capacity,
 reallocated when full, so an emitted stage is a read-only view of it that
 no later step writes.  Each step also
-hands back the new block column of the exponential.  A reader that needs
-only the first column of each, as Hermite-series pricing does, drives the
-engine at a fixed scaling power as a column stream, without the buffer
-(see ``_drive``).  With t = min(s, 3), it forms and caches squares 0 .. s
-- t in full, since the next step's products read them, and forms the first
-column of square s as S^(2^t) e by 2^t - 1 one-column products with S,
-square s - t: repeated products with a vector cost less than squaring the
-matrix when one column is read, the idea of the action of the exponential
-(Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011).  At s = 3 square
-0, which the rational solve reads anyway, is the one square cached.  The
-stage path forms all b columns of square s the same way, as S^(2^t - 1)
-[z; D] by 2^t - 1 b-wide products with square s - t, t = min(s, 2): one
-product more than the two squarings it replaces, for one cache fewer,
-which holds its heap peak down while A^2 and A^6 are cached (see
+hands back the new block column of the exponential.  Square s is formed
+from square s - t as S^(2^t - 1) [z; D], by 2^t - 1 b-wide products with
+S: one product more than the two squarings it replaces, for one cache
+fewer, which holds the heap peak down while A^2 and A^6 are cached (see
 ``_STAGE_LEVELS``).
+
+A reader that needs only u^T exp(G) for one fixed row u, as
+Hermite-series pricing does, drives the engine at a fixed scaling power as
+a row stream (see ``_drive``): the scaling and squaring read from the
+left, the idea of the action of the exponential (Al-Mohy and Higham, SIAM
+J. Sci. Comput. 33(2), 2011) applied to u^T, with the engine's own r_13
+and scaling power.  Its state caches the scaled matrix and its powers as
+a stage state does, but no square and no exponential: it holds the 2^s +
+1 rows r_k = u^T F^k of the approximant F = r_13(A), k = 0 .. 2^s, and
+r_(2^s) is u^T exp(G).  Each step extends every row by its b new entries:
+two products of the rows with the new top parts of the polynomials give
+the rows' products with F's new top part, since r_k = r_(k-1) Fprev, and
+a doubling over k adds the new diagonal block's powers (see
+``IncrementalExpState._row_powers``).  No product reads a d x d cache
+past the power phase, and the leading entries of every row are never
+rewritten.  The rows grow with 2^s where the squares grow with s, so the
+row stream holds less only up to s of about 12.
 
 Two drivers share one loop, which tracks the running 1-norm of G and the
 scaling power it needs; they differ only once the norm outgrows
@@ -91,7 +97,8 @@ from scipy.linalg.blas import dgemm
 
 from .blocks import BlockColumn, BlockTriangularMatrix, Partition, extend_square
 from .dense import SingularMatrixError, lu_factor, lu_solve
-from .pade import PADE_13, THETA_13, as_scaling_power, pade_polynomials, scaling_power
+from .pade import (PADE_13, THETA_13, as_scaling_power, pade_polynomials, pade_powers,
+                   scaling_power)
 
 # The width of a new chunk (see _ChunkedCache._opened_columns).  A block of
 # b >= 23 columns gets a chunk exactly its own width, so wide blocks leave
@@ -105,28 +112,14 @@ from .pade import PADE_13, THETA_13, as_scaling_power, pade_polynomials, scaling
 _CHUNK_WORK = 512
 _CHUNK_GROWTH = 4
 
-# A full exponential buffer is reallocated to this multiple of the new
-# dimension, or to room for two more blocks of the size just added if that
-# is more.  Growing by 5% spreads the copying over many steps while adding
+# A full exponential buffer, or a row state's buffer of rows, is
+# reallocated to this multiple of the new dimension, or to room for two
+# more blocks of the size just added if that is more.  Growing by 5% spreads the copying over many steps while adding
 # at most about 10% to the bytes held; doubling would add up to 300%.  The
 # two blocks matter where blocks grow as a share of the dimension, as the
 # degree blocks of a polynomial generator do below degree 80: there 5% does
 # not hold the next block, and every step would copy the buffer.
 _GROWTH = 1.05
-
-# A column stream at scaling power s caches squares 0 .. s - t, with
-# t = min(s, _COLUMN_LEVELS), and forms its one kept column of square s as
-# S^(2^t) e by 2^t - 1 one-column products with S, square s - t.  At
-# degree 60 of the pricing stream a product with square 0 (dimension 1830,
-# 50 chunks) takes 4.9 ms on 61 columns and 0.70 ms on one, so each level
-# moved onto the column saves a full-width squaring and a cache, while the
-# column products double per level.  A sweep of one price_call (eps =
-# 1e-3, stopping at degree 60, 1 BLAS thread, mean of 2 runs) took 0.50 /
-# 0.42 / 0.38 s at t <= 1 / 2 / 3 with n_max = 100 (s = 3), and 0.73 /
-# 0.60 / 0.58 / 0.58 / 0.66 s at t <= 1 / 2 / 3 / 4 / 5 with n_max = 200
-# (s = 6), its heap peak 15.6 MB lower per level: past 3 the column
-# products cost more time than the squarings they replace.
-_COLUMN_LEVELS = 3
 
 # A stage state at scaling power s caches squares 0 .. s - t, with
 # t = min(s, _STAGE_LEVELS), and forms the new block column of square s as
@@ -165,12 +158,13 @@ class StepReport:
     of the numerator and denominator polynomials, by six products while
     the scaled matrix is dense and by the power recurrence once it is
     sparse, see :meth:`IncrementalExpState._extend_pq`), the rational
-    solve, the squaring and the growth of the caches.
+    solve, the squaring and the growth of the caches.  On the stage path
     ``squaring_seconds`` covers squares 1 .. s: squares 1 .. s - t
-    squared, and square s as 2^t - 1 products with square s - t, b columns
-    wide on the stage path (t = min(s, 2)) and one column wide in the
-    column stream (t = min(s, 3), see
-    :meth:`IncrementalExpState._squaring_column`).
+    squared, and square s as 2^t - 1 b-wide products with square s - t,
+    t = min(s, 2) (see :meth:`IncrementalExpState._squaring_column`).  In
+    the row stream ``solve_seconds`` covers the LU of the new diagonal
+    block and the rows' two products, and ``squaring_seconds`` the
+    doubling (see :meth:`IncrementalExpState._row_powers`).
     A restart or first stage is one step from an empty state, so they time
     that step; ``seconds`` of a restart also covers merging the matrix.
     """
@@ -192,13 +186,15 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_cache_bytes(need: int, dim: int, s: int) -> None:
+def _check_cache_bytes(need: int, dim: int, s: int, rows: int | None = None) -> None:
     """Raise MemoryError if the ``need`` bytes that the caches of dimension
-    ``dim`` at scaling power ``s`` would hold exceed physical memory."""
+    ``dim`` at scaling power ``s`` would hold exceed physical memory; a row
+    state names its ``rows`` rows u^T F^k."""
     have = _physical_memory_bytes()
     if need > have:
+        held = "" if rows is None else f", with {rows} rows u^T F^k,"
         raise MemoryError(
-            f"the caches of dimension {dim} at scaling power {s} would hold "
+            f"the caches of dimension {dim} at scaling power {s}{held} would hold "
             f"{need} bytes, more than the {have} bytes of physical memory"
         )
 
@@ -435,10 +431,10 @@ class IncrementalExpState:
     * its powers A^2 and A^6, which the six-product evaluation of the Pade
       polynomials reads (see :meth:`_extend_pq`), while A is held as
       column chunks;
-    * the squares r(A)^(2^l) for l = 0 .. s - t; square 0, the approximant
-      F itself, also gives the rational solve of the next step (see
-      :meth:`_solve_rational_column`), and square s is the current
-      exponential.
+    * on the stage path, the squares r(A)^(2^l) for l = 0 .. s - t; square
+      0, the approximant F itself, also gives the rational solve of the
+      next step (see :meth:`_solve_rational_column`), and square s is the
+      current exponential.
 
     Every cache but the exponential is read by the next step's products,
     and each is stored as column chunks (:class:`_ChunkedCache`).  The
@@ -451,19 +447,21 @@ class IncrementalExpState:
     stage state, the default, has t = min(s, 2): it forms square s from
     square s - t (see :meth:`_squaring_column`) and emits it as the
     leading ``dim`` x ``dim`` block of one buffer with spare capacity.  A
-    state of ``_drive``'s column stream is built with
-    ``_first_column=True``: it keeps no buffer, has t = min(s, 3), so s -
-    t + 1 chunked squares, which is 1 for every s <= 3, forms square s
-    only on the first column of each new block column, and hands that
-    column back.  The state also keeps in ``phase_seconds`` the seconds of
-    each phase of the last step, keyed by the matching
+    row state of ``_drive``'s row stream is built with ``_row=u``: it
+    keeps no square and no exponential, only u and one buffer of the 2^s
+    + 1 rows u[:d]^T F^k, k = 0 .. 2^s, with spare columns grown as the
+    exponential buffer's are, which its first step allocates; each step
+    extends the rows (see :meth:`_solve_rational_column` and
+    :meth:`_row_powers`) and hands back the b entries of u^T exp(G) at
+    the new block.  The state also keeps in ``phase_seconds`` the seconds
+    of each phase of the last step, keyed by the matching
     :class:`StepReport` fields.
     """
 
     # The approximant every cache extends; tracing tools read its degree.
     pade = PADE_13
 
-    def __init__(self, s: int, *, _first_column: bool = False):
+    def __init__(self, s: int, *, _row: np.ndarray | None = None):
         self.s = as_scaling_power(s)
         self.partition = Partition(())
         self._gt: _ChunkedCache | _SparseColumns = _ChunkedCache()
@@ -473,12 +471,15 @@ class IncrementalExpState:
         # decide when its chunks convert to sparse columns.
         self._nnz = 0
         self._entries = 0
-        # A state of _drive's column stream keeps no buffer: the first
-        # column of each new block column of the exponential leaves only as
-        # step's return, formed from square s - t, the last one cached.
-        self._t = min(self.s, _COLUMN_LEVELS if _first_column else _STAGE_LEVELS)
-        self._squares = [_ChunkedCache() for _ in range(self.s - self._t + 1)]
-        self._exp = None if _first_column else np.empty((0, 0))
+        self._t = min(self.s, _STAGE_LEVELS)
+        # A row state of _drive's row stream keeps neither squares nor an
+        # exponential, only the row u and the buffer of the rows u^T F^k,
+        # whose 2^s + 1 rows its first step shapes, after the memory guard.
+        self._row = _row
+        stage = _row is None
+        self._squares = [_ChunkedCache() for _ in range(self.s - self._t + 1)] if stage else []
+        self._exp = np.empty((0, 0)) if stage else None
+        self._rows = None if stage else np.empty((0, 0))
 
     @property
     def dim(self) -> int:
@@ -488,11 +489,13 @@ class IncrementalExpState:
     def cache_bytes(self) -> int:
         """Bytes of every array the state holds: the scaled matrix's
         chunks or sparse store, the chunks of its powers and of the
-        squares, and the exponential buffer, if the state keeps one, each
-        with its spare capacity."""
+        squares, and the exponential buffer of a stage state or the row u
+        and the buffer of the rows u^T F^k of a row state, each with its
+        spare capacity."""
         caches = self._gt.nbytes + sum(c.nbytes for c in self._powers + self._squares)
-        exp = 0 if self._exp is None else self._exp.nbytes
-        return caches + exp
+        if self._row is None:
+            return caches + self._exp.nbytes
+        return caches + self._row.nbytes + self._rows.nbytes
 
     @property
     def exponential(self) -> BlockTriangularMatrix:
@@ -505,7 +508,7 @@ class IncrementalExpState:
         outlives the run to release the buffer.
         """
         if self._exp is None:
-            raise RuntimeError("this state keeps no exponential, only its new block columns")
+            raise RuntimeError("this state keeps no exponential, only the rows u^T F^k")
         d = self.dim
         return BlockTriangularMatrix._wrap(self._exp[:d, :d], self.partition)
 
@@ -516,11 +519,10 @@ class IncrementalExpState:
         g *= 2.0**self.s
         return g
 
-    def _capacity(self, e: int, b: int) -> int:
-        """Rows and columns of the exponential buffer once it holds
-        dimension e after a block of size b; the first step's adopted
-        diagonal block has no spare room."""
-        held = self._exp.shape[0]
+    def _capacity(self, held: int, e: int, b: int) -> int:
+        """Columns of a buffer of ``held`` columns, the exponential's or
+        the rows', once it holds dimension e after a block of size b; the
+        first step's adopted block has no spare room."""
         if held >= e:
             return held
         return e if self.dim == 0 else max(int(_GROWTH * e), e + 2 * b)
@@ -530,10 +532,8 @@ class IncrementalExpState:
 
         Returns the new block column [top; diag] of exp(G) as the pair
         (top, diag); the whole new exponential is available as
-        :attr:`exponential` afterwards.  A state of the column stream
-        returns only the first column of the new block column, as a d x 1
-        top and a b x 1 diagonal part, and forms only that column of
-        square s.
+        :attr:`exponential` afterwards.  A row state returns instead the b
+        entries of u^T exp(G) at the new block, a 1-D array.
 
         Raises
         ------
@@ -541,7 +541,8 @@ class IncrementalExpState:
             If the column's row count is not the current dimension: on an
             empty state the first column has an empty top part.  Also if
             the sparse form of the scaled matrix would pass the 2^31 - 1
-            nonzeros or columns its 32-bit indices address.
+            nonzeros or columns its 32-bit indices address, and, in a row
+            state, if u has fewer entries than the grown matrix columns.
         SingularMatrixError
             If the denominator polynomial of the new diagonal block is
             singular or numerically singular, which signals a norm far
@@ -549,7 +550,8 @@ class IncrementalExpState:
             drivers keep every scaled norm at or below THETA_13, so only
             direct users of this class can reach it.
         MemoryError
-            If the grown caches would not fit in physical memory.
+            If the grown caches would not fit in physical memory; a row
+            state counts its 2^s + 1 rows before it allocates them.
         """
         if col.rows != self.dim:
             raise ValueError(
@@ -558,26 +560,40 @@ class IncrementalExpState:
         d, b = self.dim, col.block_size
         scale = 2.0 ** (-self.s)
         gt_col, dt = col.top * scale, col.diag * scale
-        nnz = np.count_nonzero(gt_col) + np.count_nonzero(dt)
+        nnz = int(np.count_nonzero(gt_col) + np.count_nonzero(dt))
         gt_bytes, to_sparse = self._scaled_growth(nnz, b)
         # What the step leaves held, plus what it drops at the end: the old
-        # exponential buffer while a full one is reallocated, and the old
-        # store or chunks of the scaled matrix (see _scaled_growth).  The
-        # squares, and the powers unless the step drops them, open their
+        # exponential or rows buffer while a full one is reallocated, and
+        # the old store or chunks of the scaled matrix (see _scaled_growth).
+        # The squares, and the powers unless the step drops them, open their
         # chunks together.
-        grown = len(self._squares) + (0 if to_sparse else len(self._powers))
-        need = self.cache_bytes + gt_bytes + grown * self._squares[0].opened_bytes(b)
-        if self._exp is not None:
-            capacity = self._capacity(d + b, b)
-            if capacity > self._exp.shape[0]:
-                need += capacity * capacity * 8
-        _check_cache_bytes(need, d + b, self.s)
+        grown = self._squares + ([] if to_sparse else self._powers)
+        need = self.cache_bytes + gt_bytes + sum(cache.opened_bytes(b) for cache in grown)
+        # The exponential buffer is square, the rows' buffer has 2^s + 1
+        # rows; both are counted in Python ints, before any allocation.
+        k = 2**self.s
+        if self._row is None:
+            held, rows = self._exp.shape[0], None
+        else:
+            if self._row.shape[0] < d + b:
+                raise ValueError(f"the row u has {self._row.shape[0]} entries, fewer than "
+                                 f"the {d + b} columns of the grown matrix")
+            held, rows = self._rows.shape[1], k + 1
+        capacity = self._capacity(held, d + b, b)
+        if capacity > held:
+            need += (capacity if rows is None else rows) * capacity * 8
+        _check_cache_bytes(need, d + b, self.s, rows)
+        if rows is not None and d == 0:
+            self._rows = np.empty((rows, 0))
         t0 = time.perf_counter()
         p_top, p_diag, q_top, q_diag, c, power_cols = self._extend_pq(gt_col, dt)
         t1 = time.perf_counter()
         f_col, f_diag = self._solve_rational_column(p_top, p_diag, q_top, q_diag, c)
         t2 = time.perf_counter()
-        square_cols, (z, dsq) = self._squaring_column(f_col, f_diag)
+        if self._row is None:
+            square_cols, (z, dsq) = self._squaring_column(f_col, f_diag)
+        else:
+            square_cols, v = [], self._row_powers(f_col, f_diag, self._row[d : d + b])
         t3 = time.perf_counter()
 
         # Every phase has succeeded; only now are the caches grown.
@@ -587,15 +603,19 @@ class IncrementalExpState:
         self._gt.append(gt_col, dt)
         self._nnz += nnz
         self._entries += (d + b) * b
-        for cache, (top, diag) in zip(self._powers + self._squares, power_cols + square_cols,
-                                      strict=True):
-            cache.append(top, diag)
+        for cache, col in zip(self._powers + self._squares, power_cols + square_cols,
+                              strict=True):
+            cache.append(*col)
         # The caches hold copies of the step's new columns: drop those, so
-        # that they are not held while a full exponential buffer is
+        # that they are not held while a full exponential or rows buffer is
         # reallocated beside the old one, where the heap peaks.
-        del gt_col, p_top, q_top, f_col, power_cols, square_cols, top
-        if self._exp is not None:
+        del gt_col, p_top, q_top, f_col, power_cols, square_cols
+        if self._row is None:
             self._exp = _write_column(self._exp, d, z, dsq, capacity)
+            out = z, dsq
+        else:
+            self._rows = _write_rows(self._rows, d, v, capacity)
+            out = v[k].copy()
         self.partition = self.partition.append(b)
         self.phase_seconds = {
             "power_seconds": t1 - t0,
@@ -603,7 +623,7 @@ class IncrementalExpState:
             "squaring_seconds": t3 - t2,
             "growth_seconds": time.perf_counter() - t3,
         }
-        return z, dsq
+        return out
 
     def _scaled_growth(self, nnz: int, b: int) -> tuple[int, bool]:
         """Bytes that appending a block column of size b with ``nnz``
@@ -657,22 +677,25 @@ class IncrementalExpState:
         is faster there.
 
         Returned with the four blocks: a row bound c, above which the rows
-        of both top parts are zero, so that the solve's product reads only
-        the chunks of square 0 right of it, and the new block columns of
+        of both top parts are zero, so that the solve's products read only
+        the chunks of square 0, or the columns of the rows, right of it, and
+        the new block columns of
         A^2 and A^6, or an empty list on the recurrence.  Only the
         recurrence tracks c, starting from the first row g0 where the new
         column's top part holds a nonzero, or the dimension if it holds
         none: a scaled matrix held dense has nonzeros in at least half its
         block triangle, so the six-product tops take c = 0.
         """
-        p_diag, q_diag = pade_polynomials(dt)
         if self._powers:
+            p_diag, q_diag = pade_polynomials(pade_powers(dt))
             p_top, q_top, power_cols = self._six_product_tops(gt_col, dt)
             c = 0
         else:
+            d_powers = list(pade_powers(dt))
+            p_diag, q_diag = pade_polynomials(d_powers)
             rows = np.flatnonzero(gt_col.any(axis=1))
             g0 = int(rows[0]) if rows.size else self.dim
-            p_top, q_top, c = self._recurrence_tops(gt_col, dt, g0)
+            p_top, q_top, c = self._recurrence_tops(gt_col, g0, d_powers)
             power_cols = []
         return p_top, p_diag, q_top, q_diag, c, power_cols
 
@@ -718,7 +741,7 @@ class IncrementalExpState:
         u = a.product(u1) + g @ u1_d
         return v + u, v - u, [(a2, d2), (a6, d6)]
 
-    def _recurrence_tops(self, g: np.ndarray, dt: np.ndarray, g0: int):
+    def _recurrence_tops(self, g: np.ndarray, g0: int, d_powers: list):
         """Top parts of p and q by the power recurrence, for a scaled
         matrix held as sparse columns.
 
@@ -728,9 +751,10 @@ class IncrementalExpState:
             X_1 = g,   X_l = Aprev X_{l-1} + g D^{l-1},
 
         so one pass accumulates sum alpha_l X_l and sum beta_l X_l in
-        ascending order, reusing each X_l for both polynomials, from one
-        running D^(l-1).  Aprev is read only at its nonzeros, so a banded
-        one, as a polynomial generator is, costs only its band.
+        ascending order, reusing each X_l for both polynomials, and reads
+        D^(l-1) from ``d_powers``, the powers D^0 .. D^13 that the diagonal
+        block's polynomials summed.  Aprev is read only at its nonzeros, so
+        a banded one, as a polynomial generator is, costs only its band.
 
         The rows of g above g0 are zero.  If the rows of X_{l-1} above c are
         zero, so are those of X_l above r, the first row of Aprev's
@@ -745,19 +769,17 @@ class IncrementalExpState:
         x = g
         p_top = alpha[1] * x
         q_top = beta[1] * x
-        d_prev = dt
         for l in range(2, self.pade.degree + 1):
-            if l > 2:
-                d_prev = d_prev @ dt
             x = self._gt.product(x, c)
-            x[g0:] += g[g0:] @ d_prev
+            x[g0:] += g[g0:] @ d_powers[l - 1]
             c = self._gt.first_row(c)
             p_top[c:] += alpha[l] * x[c:]
             q_top[c:] += beta[l] * x[c:]
         return p_top, q_top, c
 
     def _solve_rational_column(self, p_top, p_diag, q_top, q_diag, c):
-        """Last block column of F = Q^-1 P for the extended polynomials.
+        """Last block column of F = Q^-1 P for the extended polynomials, or,
+        in a row state, its products with the rows u^T F^k.
 
         F and Q are rational functions of the same matrix, so they commute,
         and F Q = P.  With Q = [[Qprev, q_top], [0, Q_nn]] and F = [[Fprev,
@@ -766,9 +788,17 @@ class IncrementalExpState:
 
             F_nn = Q_nn^-1 P_nn,   f_top = (p_top - Fprev q_top) Q_nn^-1.
 
-        Fprev is square 0, which the state caches, and the rows of q_top
-        above c are zero, so the one product reads only its chunks right
-        of c.  Both divisions reuse the LU factors of the new diagonal
+        Fprev is square 0, which a stage state caches, and the rows of
+        q_top above c are zero, so the one product reads only its chunks
+        right of c.  A row state reads the same identity from the left: it
+        holds r_k = u^T Fprev^k for k = 0 .. 2^s, and r_k = r_(k-1) Fprev,
+        so
+
+            r_(k-1) f_top = (r_(k-1) p_top - r_k q_top) Q_nn^-1,
+
+        from two products of the rows, one with p_top and one with q_top,
+        each reading only the columns right of c; neither Fprev nor f_top
+        is formed, and it returns those 2^s rows in place of f_top.  Both divisions reuse the LU factors of the new diagonal
         block: the left one solves with them, and the right one multiplies
         by the b x b inverse Q_nn^-1 that they give, a local of the step.
         """
@@ -780,15 +810,20 @@ class IncrementalExpState:
                 "the matrix norm is outside the Pade regime for this scaling",
                 pivot=lu_nn.smallest_pivot,
             )
+        b = q_diag.shape[0]
         f_diag = lu_solve(lu_nn, p_diag)
-        rhs = self._squares[0].product(q_top, c)
-        np.subtract(p_top, rhs, out=rhs)
-        f_col = rhs @ lu_solve(lu_nn, np.eye(q_diag.shape[0]))
-        return f_col, f_diag
+        if self._row is None:
+            rhs = self._squares[0].product(q_top, c)
+            np.subtract(p_top, rhs, out=rhs)
+        else:
+            r = self._rows[:, c : self.dim]
+            rhs = r[:-1] @ p_top[c:]
+            rhs -= r[1:] @ q_top[c:]
+        return rhs @ lu_solve(lu_nn, np.eye(b)), f_diag
 
     def _squaring_column(self, f_col, f_diag):
         """New block columns of the cached squares, as a list, and of square
-        s, the exponential.
+        s, the exponential, in a stage state.
 
         Level 0 is the rational approximant itself.  For level l >= 1 the
         off-diagonal column follows
@@ -797,20 +832,15 @@ class IncrementalExpState:
 
         where Fprev powers come from the cache before extension and D
         powers are squared locally along the way.  Squares 0 .. s - t, the
-        ones the state caches, are formed so.  Square s is S^(2^t) for
-        S = [[Sprev, z], [0, D]], square s - t with its new block column,
-        so its new block column is S^(2^t - 1) [z; D], and each of the 2^t
-        - 1 products S v = [Sprev v_top + z v_d; D v_d] reads the cache
-        Sprev once.  A stage state, with t = min(s, 2), makes them on all b
-        columns, three b-wide products with square s - 2 at s >= 2 where
-        two squarings would make two, and so caches one square fewer (see
-        _STAGE_LEVELS); it still forms the diagonal block of square s by t
-        squarings of D, so that a one-block stage is the baseline's bit for
-        bit.  A state of the column stream, with t = min(s, 3), makes them
-        on the first column alone: at degree 60 of the pricing stream the
-        seven one-column products with square 0 at s = 3 take about 5 ms,
-        where the two b-wide squaring products and the one-column one that
-        they replace take about 10.5 ms (see _COLUMN_LEVELS).
+        ones the state caches, t = min(s, 2), are formed so.  Square s is
+        S^(2^t) for S = [[Sprev, z], [0, D]], square s - t with its new
+        block column, so its new block column is S^(2^t - 1) [z; D], and
+        each of the 2^t - 1 products S v = [Sprev v_top + z v_d; D v_d]
+        reads the cache Sprev once: three b-wide products with square s -
+        2 at s >= 2 where two squarings would make two, for one cache fewer
+        (see _STAGE_LEVELS).  The diagonal block of square s is still
+        formed by t squarings of D, so that a one-block stage is the
+        baseline's bit for bit.
         """
         z, dsq = f_col, f_diag
         cols = []
@@ -820,38 +850,79 @@ class IncrementalExpState:
             dsq = dsq @ dsq
         cols.append((z, dsq))
         cache, top, diag = self._squares[-1], z, dsq
-        if self._exp is None:
-            z, dsq = top[:, :1], diag[:, :1]
         for _ in range(2**self._t - 1):
             z, dsq = cache.product(z) + top @ dsq, diag @ dsq
-        if self._exp is not None:
-            # the diagonal block by t squarings, as the baseline forms it
-            dsq = diag
-            for _ in range(self._t):
-                dsq = dsq @ dsq
+        # the diagonal block by t squarings, as the baseline forms it
+        dsq = diag
+        for _ in range(self._t):
+            dsq = dsq @ dsq
         return cols, (z, dsq)
 
+    def _row_powers(self, h, f_diag, v0):
+        """The new entries v_k of the rows u^T F^k, k = 0 .. 2^s, of a row
+        state, as a (2^s + 1) x b array, from the products h[k - 1] =
+        r_(k-1) f_top of :meth:`_solve_rational_column` and the row's new
+        entries v0.
 
-def _drive(columns, fixed: int | None, first_column: bool = False):
+        With F = [[Fprev, f_top], [0, F_nn]], the new entries follow v_k =
+        v_(k-1) F_nn + h[k - 1], so v_k = sum_j w_j F_nn^(k-j) over j = 0
+        .. k, with w_0 = v0 and w_j = h[j - 1].  They are formed by
+        doubling, not k by k: with z_k = w_k, the levels m = 1, 2, 4, ..,
+        2^s add z_(k-m) F_nn^m to every z_k with k >= m, all from the
+        previous level's values, so after level m each z_k sums the 2m
+        terms j > k - 2m, and after level 2^s all of them.  That is s + 1
+        products of at most 2^s rows with a b x b power, each power the
+        square of the one before, in place of 2^s products of one row, and
+        each v_k is reached through s + 1 products, as square s is through
+        s squarings.
+        """
+        z = np.vstack([v0[None, :], h])
+        power = f_diag
+        for level in range(self.s + 1):
+            if level:
+                power = power @ power
+            m = 2**level
+            z[m:] += z[:-m] @ power
+        return z
+
+
+def _write_rows(buf: np.ndarray, d: int, v: np.ndarray, capacity: int) -> np.ndarray:
+    """Append the columns ``v`` to the rows whose leading d columns ``buf``
+    holds, and return the buffer that holds them all: ``buf`` itself while
+    it has room, else a zeroed one of ``capacity`` columns that takes a
+    copy of the leading columns."""
+    e = d + v.shape[1]
+    if buf.shape[1] < e:
+        grown = np.zeros((buf.shape[0], capacity))
+        grown[:, :d] = buf[:, :d]
+        buf = grown
+    buf[:, d:e] = v
+    return buf
+
+
+def _drive(columns, fixed: int | None, row: np.ndarray | None = None):
     """The one loop of both drivers and of Hermite-series pricing: a fixed
     scaling power, or None for adaptive scaling.  The running 1-norm is
     the largest absolute column sum so far, exact for block upper
     triangular G.
 
     By default it yields each stage as
-    :attr:`IncrementalExpState.exponential`.  With ``first_column=True``
-    its state keeps no exponential buffer, and it yields in place of each
-    stage the pair (top, diag) of the first column of the column's block
-    column of exp(G): d x 1 and b x 1 for a block of size b at dimension
-    d.  Such a column stream caches squares 0 .. s - t, t = min(s, 3), and
-    forms the first column of square s by 2^t - 1 one-column products
-    with square s - t (see :meth:`IncrementalExpState._squaring_column`).
+    :attr:`IncrementalExpState.exponential`.  Given a ``row`` u, with at
+    least as many entries as the matrix grows columns, it runs a row
+    stream: it yields in place of each stage the b entries of u^T exp(G)
+    at the new block, u's leading d + b entries for a block of size b at
+    dimension d.  Its state keeps no square and no exponential, only the
+    rows u^T F^k, k = 0 .. 2^s, of the approximant F = r(2^-s G) (see
+    :meth:`IncrementalExpState._row_powers`), so its memory and work
+    grow with 2^s where cached squares grow with s: on the pricing
+    generator to degree 60 it took less time than a stream that cached
+    its squares up to s = 11, and less memory up to s = 12.
     It runs at a fixed scaling power only, so it never restarts:
-    ValueError at the first ``next`` if ``first_column`` is set with
+    ValueError at the first ``next`` if ``row`` is given with
     ``fixed=None``.
     """
-    if first_column and fixed is None:
-        raise ValueError("a column stream runs at a fixed scaling power")
+    if row is not None and fixed is None:
+        raise ValueError("a row stream runs at a fixed scaling power")
     state = None
     norm = 0.0
     for n, col in enumerate(columns):
@@ -875,13 +946,13 @@ def _drive(columns, fixed: int | None, first_column: bool = False):
             step_col = BlockColumn(np.empty((0, g.shape[0])), g, check_finite=False)
             del g
         if state is None:
-            state = IncrementalExpState(need if fixed is None else fixed, _first_column=first_column)
+            state = IncrementalExpState(need if fixed is None else fixed, _row=row)
         stage = state.step(step_col)
         seconds = time.perf_counter() - t0
         report = StepReport(step=n, dim=state.dim, block_size=col.block_size, s=state.s,
                             restart=restart, seconds=seconds, cache_bytes=state.cache_bytes,
                             **state.phase_seconds)
-        if not first_column:
+        if row is None:
             # Hold no copy of the new column beside the buffer while the
             # stage is out.
             stage = state.exponential

@@ -6,8 +6,9 @@ power that brings 2^-s ||a||_1 down to THETA_13 or below.  Degree and
 threshold are fixed together: THETA_13 is only valid for degree 13.
 
 Both polynomials are summed as the powers are formed (see
-:func:`pade_polynomials`): each power of the scaled matrix is computed once
-and added to the numerator and denominator in ascending monomial order.
+:func:`pade_powers` and :func:`pade_polynomials`): each power of the scaled
+matrix is computed once and added to the numerator and denominator in
+ascending monomial order.
 The incremental engine evaluates every new diagonal block with the same
 function, so a one-block state -- its first stage and every adaptive
 restart -- reproduces this baseline exactly, operation for operation.  While
@@ -114,16 +115,29 @@ def as_scaling_power(s) -> int:
     return int(s)
 
 
-def pade_polynomials(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-13 numerator p(a) and denominator q(a) of a square array:
-    each power of ``a`` is formed once, from the one before, starting from
-    the identity, and added to both in ascending monomial order."""
+def pade_powers(a: np.ndarray):
+    """Yield the powers a^0 = I, a, a^2, ..., a^13 of a square array: a^1 is
+    ``a`` itself, and each later power is formed once, from the one before,
+    as a^(l-1) @ a.  A caller that reads them again keeps them as a list;
+    :func:`expm_baseline` holds one at a time."""
+    yield np.eye(a.shape[0])
+    power = a
+    yield power
+    for _ in range(PADE_13.degree - 1):
+        power = power @ a
+        yield power
+
+
+def pade_polynomials(powers) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-13 numerator p(a) and denominator q(a) from the powers
+    a^0 .. a^13 of :func:`pade_powers`, each added to both in ascending
+    monomial order."""
     alpha, beta = PADE_13.alpha, PADE_13.beta
-    power = np.eye(a.shape[0])
+    powers = iter(powers)
+    power = next(powers)
     p = alpha[0] * power
     q = beta[0] * power
-    for l in range(1, PADE_13.degree + 1):
-        power = power @ a
+    for l, power in enumerate(powers, 1):
         p += alpha[l] * power
         q += beta[l] * power
     return p, q
@@ -168,7 +182,7 @@ def expm_baseline(a, s: int | None = None) -> np.ndarray:
             f"the 1-norm {norm!r} is above THETA_13 * 2^{s} = {THETA_13 * 2.0**s!r}:"
             f" scaling power s = {s} is too small, the matrix needs s >= {need}"
         )
-    p, q = pade_polynomials(a * 2.0 ** (-s))
+    p, q = pade_polynomials(pade_powers(a * 2.0 ** (-s)))
     r = lu_solve(lu_factor(q), p)
     for _ in range(s):
         r = r @ r

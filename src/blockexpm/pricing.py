@@ -184,8 +184,9 @@ class PriceLedgerRow:
     ``cache_bytes`` the bytes its caches hold after it, both from the
     stage's ``StepReport``; ``quad_seconds`` is the time spent on the
     payoff coefficient f_n (closed form) and ``moment_seconds`` on reading
-    l_n off the exponential: the dot product that gives the raw moment m_n
-    and :func:`hermite_moment`.  ``cum_seconds`` is the wall time since the
+    l_n off the raw moments: storing m_n, which the engine's step returns
+    as the first of its new entries of u^T exp(B_n), and
+    :func:`hermite_moment`.  ``cum_seconds`` is the wall time since the
     series started, so cum_seconds - expm - quad - moment is the generator
     assembly and bookkeeping time.
     """
@@ -380,18 +381,19 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     exp(B_n) is column y^p of exp(B_p) with zeros below it, since the
     engine never revises a block column once it is computed.  So the raw
     moment m_p = u^T exp(B_p - mu I) e_(y^p), with u = u(a y0, b v0), is
-    one scalar, fixed from degree p on: each degree takes the column at
-    y^n of its new block column, its first, since y^n leads the degree-n
-    monomials, keeps its dot product with u, and drops it.  Then
+    one scalar, fixed from degree p on, and u is fixed too: the engine runs
+    as a row stream on u (see :func:`~blockexpm.incremental._drive`),
+    which holds the 2^s + 1 rows u^T F^k of the approximant F, caches no
+    square and makes no product with one, and each degree returns the
+    entries of u^T exp(B_n - mu I) at its new block; m_n is the first of
+    them, since y^n leads the degree-n monomials.  Then
     l_n = c_n^T m_(0..n) / m_0 (:func:`hermite_moment`), where m_0 is the
-    stream's e^-mu exactly, as u_0 = 1.  The engine caches squares
-    0 .. s - t, t = min(s, 3), and forms that column of square s as
-    S^(2^t) e, by 2^t - 1 one-column products with square s - t, which
-    cost less than the t full-width squarings they replace (at degree 60
-    one product with square 0 takes 0.70 ms on one column and 4.9 ms on
-    all 61).  The products round differently from the squarings, and the
-    moments sum in another order than u^T (exp(B_n) h_n), so l_n equals the
-    read-off of the whole exponential to rounding, not bit for bit.
+    stream's e^-mu exactly, as u_0 = 1.  The rows round differently from
+    the squarings, and the moments sum in another order than
+    u^T (exp(B_n) h_n), so l_n equals the read-off of the whole
+    exponential to rounding, not bit for bit.  The rows grow with 2^s, so
+    past s of about 12 they cost more than cached squares would (see
+    ``_drive``); the default s is 3 at n_max = 100 and 10 at 400.
     """
     basis = rescaled_basis(cfg.n_max)
     ea, eb = basis
@@ -408,20 +410,18 @@ def price_call(cfg: PricingConfig) -> PriceResult:
     else:
         s = as_scaling_power(cfg.scaling)
     columns = generator_block_columns(spec, max_degree=cfg.n_max, scale=cfg.tau, shift=mu)
-    runner = _drive(columns, s, first_column=True)
+    runner = _drive(columns, s, row=basis_values(2, cfg.n_max, x0))
 
     t0 = time.perf_counter()
     price = 0.0
     rows: list[PriceLedgerRow] = []
     converged = False
     prev_small = False
-    u = basis_values(2, cfg.n_max, x0)
     moments = np.empty(cfg.n_max + 1)  # u^T exp(B_p - mu I) e_(y^p), p = 0 .. n
-    for (top, diag), report in runner:
+    for entries, report in runner:
         n = report.step
-        d = top.shape[0]
         tm = time.perf_counter()
-        moments[n] = u[:d] @ top[:, 0] + u[d : d + diag.shape[0]] @ diag[:, 0]
+        moments[n] = entries[0]
         # exp(B) e_0 = e_0 and u_0 = 1, so moments[0] is the stream's own e^-mu
         l_n = hermite_moment(moments[: n + 1], muw, sigmaw) / float(moments[0])
         tq = time.perf_counter()

@@ -11,8 +11,14 @@ import scipy.linalg
 import blockexpm
 import blockexpm.incremental as incremental
 from blockexpm.blocks import BlockColumn, Partition, matrix_from_columns
-from blockexpm.dense import SingularMatrixError, lu_factor, one_norm, rel_error_fro
-from blockexpm.generators import JacobiParams, generator_block_columns, jacobi_spec, scaled_spec
+from blockexpm.dense import SingularMatrixError, lu_factor, lu_solve, one_norm, rel_error_fro
+from blockexpm.generators import (
+    JacobiParams,
+    basis_values,
+    generator_block_columns,
+    jacobi_spec,
+    scaled_spec,
+)
 from blockexpm.incremental import IncrementalExpState, run_adaptive, run_fixed
 from blockexpm.pade import (
     THETA_13,
@@ -121,8 +127,8 @@ def test_scaling_power_0_stages_match_the_baseline():
     # at s = 0 square 0 is the exponential, and the state caches it in
     # chunks as well, for the rational solve: the first stage is the
     # baseline's bit for bit, later ones agree within criterion 2's
-    # tolerance, and a stream that keeps the first column of each block
-    # column reads the stage path's columns
+    # tolerance, and a row stream reads u^T times the stage path's new
+    # block columns, to rounding
     rng = np.random.default_rng(223)
     cols = random_columns(rng, (4, 3, 5, 1, 2, 6, 3), scale=0.1)
     g = matrix_from_columns(cols)
@@ -132,10 +138,11 @@ def test_scaling_power_0_stages_match_the_baseline():
     for n, (f, report) in enumerate(stages):
         assert report.s == 0
         assert rel_error_fro(f.data, expm_baseline(g.leading(n).data, s=0)) <= 1e-12
-    streamed = incremental._drive(cols, 0, first_column=True)
-    for (f, report), ((top, diag), _) in zip(stages, streamed, strict=True):
+    u = _row(g.dim)
+    streamed = incremental._drive(cols, 0, row=u)
+    for (f, report), (got, _) in zip(stages, streamed, strict=True):
         d = report.dim - report.block_size
-        assert np.array_equal(np.vstack([top, diag]), f.data[: report.dim, d : d + 1])
+        assert rel_error_fro(got, u[: report.dim] @ f.data[:, d:]) <= 1e-14
 
 
 def _random_sequence():
@@ -162,13 +169,16 @@ def test_each_step_makes_two_b_wide_lu_solves(monkeypatch, make_columns, s):
         return solve(factors, rhs)
 
     monkeypatch.setattr(incremental, "lu_solve", recorded_solve)
-    state = IncrementalExpState(s)
-    for col in make_columns():
-        shapes.clear()
-        state.step(col)
-        b = col.block_size
-        assert shapes == [(b, b), (b, b)]
-        assert state.cache_bytes == _held_bytes(state)
+    cols = make_columns()
+    # a stage state, and a row state, whose right division is of the
+    # products with its rows
+    for state in (IncrementalExpState(s), IncrementalExpState(s, _row=_row(91))):
+        for col in cols:
+            shapes.clear()
+            state.step(col)
+            b = col.block_size
+            assert shapes == [(b, b), (b, b)]
+            assert state.cache_bytes == _held_bytes(state)
 
 
 @pytest.mark.parametrize("make_columns", [_random_sequence, _jacobi_sequence],
@@ -457,7 +467,7 @@ def test_every_report_carries_its_own_column_block_size():
     runs = {
         "fixed": run_fixed(cols, s=12),
         "adaptive": run_adaptive(cols),
-        "stream": incremental._drive(cols, 12, first_column=True),
+        "stream": incremental._drive(cols, 12, row=_row(int(np.sum(want)))),
     }
     for name, runner in runs.items():
         reports = [report for _, report in runner]
@@ -699,9 +709,9 @@ def test_chunk_products_hand_blas_only_fortran_operands(monkeypatch):
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 5, 120)), scale=0.02)
     cols[60] = BlockColumn(100.0 * cols[60].top, 100.0 * cols[60].diag)
     assert sum(r.restart for _, r in run_adaptive(cols)) == 1
-    # wide blocks, in the column stream
+    # wide blocks, in the row stream
     for _ in incremental._drive(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
-                                                         scale=0.25), 5, first_column=True):
+                                                         scale=0.25), 5, row=_row(496)):
         pass
     assert set(calls) == {"_extend_pq", "_solve_rational_column", "_squaring_column"}
     # a strided x is made contiguous before it reaches BLAS
@@ -730,25 +740,25 @@ def test_narrow_blocks_are_packed_and_wide_blocks_get_their_own_chunk():
 
 
 def test_pricing_caches_hold_little_beyond_the_block_triangle():
-    # a pricing pass to degree 60 at s = 4: the 2 chunked squares (0 .. s - 3)
-    # store the block upper triangle of dimension 1891 with at most 10% idle
-    # capacity, and the scaled matrix, as sparse columns, exactly its
-    # nonzeros and column pointers
+    # a pricing pass to degree 60 at s = 4 holds no block triangle at all:
+    # the scaled matrix, as sparse columns, takes exactly its nonzeros and
+    # column pointers, and the 2^4 + 1 rows u^T F^k take at most 10% more
+    # columns than the dimension 1891, beside the row u itself
     cols = generator_block_columns(scaled_spec(jacobi_spec(JACOBI), (-3, -2)),
                                    max_degree=60, scale=0.25)
-    state = IncrementalExpState(4, _first_column=True)
+    u = basis_values(2, 60, (0.3, 0.2))
+    state = IncrementalExpState(4, _row=u)
     for col in cols:
         state.step(col)
     d = state.dim
     assert d == 1891
-    triangle = 8 * d * (d + 1) // 2
-    squares = sum(sq.nbytes for sq in state._squares)
-    assert len(state._squares) == 2 and squares <= 1.10 * 2 * triangle
+    rows = state._rows.nbytes
+    assert state._squares == [] and rows <= 1.10 * 17 * 8 * d
     assert isinstance(state._gt, incremental._SparseColumns)
     nnz = np.count_nonzero(state._gt.dense())
     assert nnz < d * 7
     assert state._gt.nbytes == incremental._SparseColumns.bytes_for(nnz, d)
-    assert state.cache_bytes == squares + incremental._SparseColumns.bytes_for(nnz, d)
+    assert state.cache_bytes == rows + u.nbytes + incremental._SparseColumns.bytes_for(nnz, d)
 
 
 def _scaled_forms(cols, make_state):
@@ -765,14 +775,13 @@ def test_scaled_matrix_converts_to_sparse_columns_once_they_take_fewer_bytes():
     # a Jacobi generator's scaled matrix converts at degree 4, where its 54
     # nonzeros in 15 columns take 16 * 54 + 8 * 16 = 992 bytes against the
     # 8 * 140 = 1120 of its block triangle (at degree 3: 568 against 520),
-    # in the stream and the stage state alike, and stays converted
+    # in the row and the stage state alike, and stays converted
     chunked, sparse = incremental._ChunkedCache, incremental._SparseColumns
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
     for s in (0, 3, 6):
-        for first_column in (True, False):
-            forms = _scaled_forms(cols, lambda: IncrementalExpState(
-                s, _first_column=first_column))
-            assert forms == [chunked] * 4 + [sparse] * 9, (s, first_column)
+        for row in (_row(91), None):
+            forms = _scaled_forms(cols, lambda: IncrementalExpState(s, _row=row))
+            assert forms == [chunked] * 4 + [sparse] * 9, (s, row is None)
     # dense matrices never convert: random blocks at the sizes of the desk
     # (20-40) and thin (2-4) benchmark instances, full or, as in those
     # instances, upper triangular on the diagonal below full tops, whose
@@ -883,13 +892,13 @@ def test_dense_stage_step_makes_six_power_products(monkeypatch, s):
 
 def test_pricing_generator_drops_the_powers_when_it_converts(monkeypatch):
     # the Jacobi generator's scaled matrix converts at degree 4: the state,
-    # stage or stream, then holds no A^2 or A^6 cache, and its power phase
+    # stage or row state, then holds no A^2 or A^6 cache, and its power phase
     # reads the sparse store alone, by the recurrence, with no chunked
     # product
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=12, scale=0.25))
     calls = _products_by_phase(monkeypatch)
-    for first_column in (False, True):
-        state = IncrementalExpState(3, _first_column=first_column)
+    for row in (None, _row(91)):
+        state = IncrementalExpState(3, _row=row)
         for n, col in enumerate(cols):
             calls.clear()
             state.step(col)
@@ -1150,14 +1159,19 @@ def test_cache_bytes_counts_every_array_the_state_holds(monkeypatch):
 
     def walking_step(state, col):
         step(state, col)
-        # the bytes of every array but the scaled matrix's
+        # the bytes of every array but the scaled matrix's: a stage state's
+        # exponential buffer, or a row state's row and rows
         rest = sum(cache.nbytes for cache in state._powers + state._squares)
-        rest += 0 if state._exp is None else state._exp.nbytes
+        if state._exp is None:
+            assert state._rows.shape == (2**state.s + 1, state._rows.shape[1])
+            rest += state._row.nbytes + state._rows.nbytes
+        else:
+            rest += state._exp.nbytes
         walked.append((type(state._gt), _held_bytes(state), rest))
 
     monkeypatch.setattr(IncrementalExpState, "step", walking_step)
     for runner, converts in ((run_adaptive(cols), False), (run_fixed(generator, 3), True),
-                             (incremental._drive(generator, 3, first_column=True), True)):
+                             (incremental._drive(generator, 3, row=_row(91)), True)):
         walked.clear()
         reports = [r for _, r in runner]
         assert any(r.restart for r in reports) != converts
@@ -1182,33 +1196,9 @@ def _restarting_columns():
     return cols
 
 
-def _kept_column_bound(state, d):
-    """How far two evaluations of the first new column of square s can
-    differ in a column stream state just stepped from dimension d.
-
-    The stream forms that column as S^(2^t) e, with S the state's square
-    s - t, t = min(s, 3), and e the unit vector of column d, by 2^t - 1
-    products with S; the stage path reaches it from the same S by 2^t - 1
-    products as well at t <= 2, and at t = 3 by squaring S once and making
-    three products with S^2, whose error reaches the column through four
-    factors S^2.  To first order each evaluation differs from the exact
-    value by at most (2^t - 1) gamma_n (|S|^(2^t) e), n = dim: each
-    product's inner products of
-    length n round by at most gamma_n = n u / (1 - n u) times the same
-    product of absolute values, whatever order BLAS sums them in, and an
-    error made before a product is carried through it by |S| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.1 and 3.5).  So two
-    evaluations from the same bytes of S differ by at most twice that.
-    At s = 0, t = 0 and the bound is 0: the kept column is square 0's.
-    """
-    u = np.finfo(float).eps / 2
-    n = state.dim
-    t = min(state.s, 3)
-    a = np.abs(state._squares[state.s - t].dense())
-    v = a[:, d]
-    for _ in range(2**t - 1):
-        v = a @ v
-    return 2 * (2**t - 1) * n * u / (1 - n * u) * v
+def _row(n, seed=0):
+    """A row u of n entries in [-1, 1]."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
 
 def _chunked_caches(state):
@@ -1221,110 +1211,189 @@ def _chunked_caches(state):
     return out
 
 
-def test_column_stream_shares_the_stage_caches_and_bounds_its_column():
-    # the stream of first columns that pricing reads comes from the stage
-    # path's caches: at every step its scaled matrix, the powers A^2 and A^6
-    # while it holds them, and squares 0 .. s - t hold the stage state's
-    # bytes, and its column agrees with the stage's first new column within
-    # the rounding bound of the two evaluations: the stage forms square s
-    # from square s - min(s, 2), after one squaring more than the stream at
-    # s >= 3, by 2^min(s, 2) - 1 products, and that chain makes as many
-    # products, to first order, as the stream's 2^t - 1
-    cases = {
-        "random": _restarting_columns(),
-        "jacobi": list(generator_block_columns(jacobi_spec(JACOBI), max_degree=30,
-                                               scale=0.25)),
-    }
-    for name, cols in cases.items():
-        for s in (0, 1, 2, 3, 4, 6):
-            stream = IncrementalExpState(s, _first_column=True)
-            staged = IncrementalExpState(s)
-            for col in cols:
-                d = staged.dim
-                top, diag = stream.step(col)
-                staged.step(col)
-                assert top.shape == (d, 1) and diag.shape == (col.block_size, 1)
-                assert len(stream._squares) == s - min(s, 3) + 1
-                assert len(stream._powers) == len(staged._powers)
-                caches = [stream._gt, *stream._powers, *stream._squares]
-                for mine, theirs in zip(caches, [staged._gt, *staged._powers, *staged._squares]):
-                    assert np.array_equal(mine.dense(), theirs.dense()), (name, s, d)
-                got = np.vstack([top, diag])[:, 0]
-                want = staged.exponential.data[:, d]
-                assert np.all(np.abs(got - want) <= _kept_column_bound(stream, d)), (
-                    name, s, d)
-    # a stream never restarts, so it needs a fixed scaling power
-    with pytest.raises(ValueError, match="a column stream runs at a fixed scaling power"):
-        next(incremental._drive(cases["random"], None, first_column=True))
+def _row_and_stage(monkeypatch, cols, s, u):
+    """Step a row state and a stage state side by side; yield, per step,
+    the row state, its entries, u^T times the stage's new block column and
+    the bound on their difference.
+
+    Both read the new entries of u^T F^K, K = 2^s, off the approximant F
+    whose diagonal blocks F_nn = Q_nn^-1 P_nn and tops f_top = (p_top -
+    Fprev q_top) Q_nn^-1 come from the same bits of p_top, q_top, P_nn and
+    Q_nn, and the same bits of Q_nn^-1: both states build the same caches,
+    which the test checks, and both take the inverse from the same LU
+    factors.  Take as exact the F built from those bits without rounding.
+    Past them each path is a straight-line computation of sums,
+    differences and products, so to first order its result is off the
+    exact one by at most gamma_L times the same computation run on the
+    absolute values of its inputs, with each difference made a sum, where
+    L bounds the roundings along any chain from an input to the result
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 3.5).
+    Both such runs give W = |u|^T Fabs^K at the new columns, with Fabs the
+    matrix of diagonal blocks |F_nn| and tops (|p_top| + Fabs_prev |q_top|)
+    |Q_nn^-1|: the row stream's rows become |u|^T Fabs^k, since its
+    doubling sums the same terms as the recurrence v_k = v_(k-1) F_nn +
+    h_(k-1), and the stage's squares Fabs^(2^l).  Within one step a chain
+    rounds at most n + 2b + 2 times per product phase (a product over the
+    dimension n, one over a block of b, a difference), and a step has at
+    most 2s + 3 of them: the solve, then s + 1 doubling levels whose
+    powers come from up to s squarings in the row stream, or s - t
+    squarings and 2^t - 1 <= 3 products and the final dot product with u
+    in the stage path.  Errors in the stored rows or squares carry into
+    every later step, so after N steps L = (N + 1) (2s + 3) (n + 2b + 2),
+    and the two differ by at most 2 gamma_L W.
+    """
+    unit = np.finfo(float).eps / 2
+    solve = IncrementalExpState._solve_rational_column
+    seen = []
+
+    def recorded_solve(self, *args):
+        seen.append((self, args))
+        return solve(self, *args)
+
+    monkeypatch.setattr(IncrementalExpState, "_solve_rational_column", recorded_solve)
+    rows = IncrementalExpState(s, _row=u)
+    staged = IncrementalExpState(s)
+    fabs = np.zeros((0, 0))
+    widest = 0
+    for steps, col in enumerate(cols, 1):
+        d, b = staged.dim, col.block_size
+        widest = max(widest, b)
+        seen.clear()
+        got = rows.step(col)
+        staged.step(col)
+        assert [state for state, _ in seen] == [rows, staged]
+        (_, mine), (_, (p_top, p_diag, q_top, q_diag, _)) = seen
+        for x, y in zip(mine, seen[1][1], strict=True):
+            assert np.array_equal(x, y)
+        assert len(_chunked_caches(rows)) == len(_chunked_caches(staged)) - len(staged._squares)
+        for mine, theirs in zip([rows._gt, *rows._powers], [staged._gt, *staged._powers]):
+            assert np.array_equal(mine.dense(), theirs.dense())
+        factors = lu_factor(q_diag)
+        q_inv = np.abs(lu_solve(factors, np.eye(b)))
+        grown = np.zeros((d + b, d + b))
+        grown[:d, :d] = fabs
+        grown[:d, d:] = (np.abs(p_top) + fabs @ np.abs(q_top)) @ q_inv
+        grown[d:, d:] = np.abs(lu_solve(factors, p_diag))
+        fabs = grown
+        w = np.abs(u[: d + b])
+        for _ in range(2**s):
+            w = w @ fabs
+        n = d + b
+        length = (steps + 1) * (2 * s + 3) * (n + 2 * widest + 2)
+        bound = 2 * length * unit / (1 - length * unit) * w[d:]
+        want = u[:n] @ staged.exponential.data[:, d:]
+        yield rows, got, want, bound
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", ["random", "jacobi"])
+@pytest.mark.parametrize("s", [0, 1, 3, 6])
+def test_row_stream_entries_agree_with_the_stage_columns(monkeypatch, case, s):
+    # each step returns the b entries of u^T exp(G) at the new block, which
+    # the stage path gives as u^T times its new block column, within the
+    # bound of _row_and_stage; the stream shares the stage's scaled matrix
+    # and powers bit for bit, holds no square, and never rewrites a column
+    # of its rows
+    if case == "random":
+        cols = _restarting_columns()
+        u = _row(sum(col.block_size for col in cols), seed=s)
+    else:
+        cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25))
+        u = basis_values(2, 30, (0.3, 0.2))
+    kept = []
+    for state, got, want, bound in _row_and_stage(monkeypatch, cols, s, u):
+        d = state.dim
+        assert got.shape == (state.partition.sizes[-1],)
+        assert np.all(np.abs(got - want) <= bound), (case, s, d)
+        assert state._squares == [] and state._exp is None
+        assert state._rows.shape[0] == 2**s + 1
+        assert np.array_equal(state._rows[-1, d - got.shape[0] : d], got)
+        kept.append(state._rows[:, :d].copy())
+        for before in kept:
+            assert np.array_equal(state._rows[:, : before.shape[1]], before)
+
+
+def _sequential_rows(h, f, v0):
+    """v_k = v_(k-1) F + h_(k-1) from v_0 = v0, k by k."""
+    v = [v0]
+    for row in h:
+        v.append(v[-1] @ f + row)
+    return np.array(v)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 6, 10])
+def test_row_doubling_equals_the_sequential_recurrence(s):
+    # both sum v_k = sum_j w_j F^(k - j), w_0 = v0 and w_j = h_(j-1), so to
+    # first order each is off the exact sum by at most gamma_L times the
+    # same sum on absolute values, W_k = sum_j |w_j| |F|^(k - j), which the
+    # recurrence on |h|, |F| and |v0| gives (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 3.5): L = 2^s (b + 1) for the recurrence,
+    # and for the doubling at most (s + 1) (b + 1) along the updates plus
+    # s b along the squarings of F that reach the last level
+    rng = np.random.default_rng(263)
+    unit = np.finfo(float).eps / 2
+    b, k = 7, 2**s
+    f = scipy.linalg.expm(rng.standard_normal((b, b)) / (4 * b)) + rng.standard_normal((b, b)) / b
+    h = rng.standard_normal((k, b))
+    v0 = rng.standard_normal(b)
+    state = IncrementalExpState(s, _row=v0)
+    got = state._row_powers(h, f, v0)
+    want = _sequential_rows(h, f, v0)
+    w = _sequential_rows(np.abs(h), np.abs(f), np.abs(v0))
+    gamma = [n * unit / (1 - n * unit) for n in (k * (b + 1), (s + 1) * (b + 1) + s * b)]
+    assert got.shape == (k + 1, b)
+    assert np.array_equal(got[0], v0)
+    assert np.all(np.abs(got - want) <= sum(gamma) * w)
+    if s == 0:
+        # one level, the recurrence's one step
+        assert np.array_equal(got, want)
+
+
+def test_row_stream_needs_a_fixed_scaling_power_and_a_long_enough_row():
+    # a row stream never restarts, so it needs a fixed scaling power, and
+    # its row must cover every column the matrix grows
+    cols = _restarting_columns()
+    dim = sum(col.block_size for col in cols)
+    with pytest.raises(ValueError, match="a row stream runs at a fixed scaling power"):
+        next(incremental._drive(cols, None, row=_row(dim)))
+    stream = incremental._drive(cols, 12, row=_row(dim - 1))
+    with pytest.raises(ValueError, match=f"the row u has {dim - 1} entries, fewer than the "
+                                         f"{dim} columns"):
+        for _ in stream:
+            pass
 
 
 @pytest.mark.parametrize("case", ["jacobi", "random"])
-def test_column_stream_forms_the_last_square_on_the_kept_columns_only(monkeypatch, case):
-    # a stream forms squares 1 .. s - t, t = min(s, 3), in full, as the
-    # caches hold them, with one b-wide product each, and the first column
-    # of square s with 2^t - 1 one-column products with square s - t, at
-    # every step, the first included, down to each chunk's BLAS call
+def test_row_stream_makes_no_product_with_a_cache_past_its_powers(monkeypatch, case):
+    # the row stream's solve and doubling read only the rows u^T F^k and b
+    # x b blocks: every chunked-cache product of a step is the power
+    # phase's, and the state holds no square
     if case == "jacobi":
         s = 5
-        cols = generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25)
+        cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=30, scale=0.25))
     else:
         s = 6
         rng = np.random.default_rng(199)
         cols = random_columns(rng, tuple(int(b) for b in rng.integers(2, 30, 40)), scale=0.05)
-    t = min(s, 3)
-
-    squarings = []  # per step: the block size and, per product, [cache, width, dgemm widths]
-    calls = None
-    squaring = IncrementalExpState._squaring_column
-    product = incremental._ChunkedCache.product
-    dgemm = incremental.dgemm
-
-    def recorded_squaring(self, f_col, f_diag):
-        nonlocal calls
-        calls = []
-        try:
-            return squaring(self, f_col, f_diag)
-        finally:
-            squarings.append((f_diag.shape[0], self._squares, calls))
-            calls = None
-
-    def recorded_product(self, x, *args):
-        if calls is not None:
-            calls.append([self, x.shape[1]])
-        return product(self, x, *args)
-
-    def recorded_dgemm(alpha, a, b, **kwargs):
-        if calls is not None:
-            calls[-1].append(a.shape[0])  # a is the transpose of x's rows
-        return dgemm(alpha, a, b, **kwargs)
-
-    monkeypatch.setattr(IncrementalExpState, "_squaring_column", recorded_squaring)
-    monkeypatch.setattr(incremental._ChunkedCache, "product", recorded_product)
-    monkeypatch.setattr(incremental, "dgemm", recorded_dgemm)
-    for (top, diag), report in incremental._drive(cols, s, first_column=True):
-        assert top.shape == (report.dim - report.block_size, 1)
-        assert diag.shape == (report.block_size, 1)
+    calls = _products_by_phase(monkeypatch)
+    state = IncrementalExpState(s, _row=_row(sum(col.block_size for col in cols)))
+    products = 0
+    for col in cols:
+        calls.clear()
+        state.step(col)
+        products += len(calls.pop("_extend_pq", []))
+        assert calls == {}
     monkeypatch.undo()
-
-    for b, squares, step_calls in squarings:
-        assert len(squares) == s - t + 1
-        assert [(cache, width) for cache, width, *_ in step_calls] == (
-            [(squares[l], b) for l in range(s - t)] + [(squares[s - t], 1)] * (2**t - 1))
-        assert all(w == b for call in step_calls[: s - t] for w in call[2:])
-        assert all(w == 1 for call in step_calls[s - t :] for w in call[2:])
-    assert any(len(step_calls[-1]) > 2 for *_, step_calls in squarings[1:])
+    assert products > 0 and state._squares == []
 
 
-@pytest.mark.parametrize("s, streamed_caches, staged_caches",
-                         [(0, 2, 2), (1, 2, 2), (2, 2, 2), (3, 2, 3), (4, 3, 4), (6, 5, 6)])
-def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, streamed_caches,
-                                                           staged_caches):
-    # a stream at s caches the scaled matrix and squares 0 .. s - min(s, 3),
-    # s - min(s, 3) + 2 chunked caches: 2 for every s <= 3; a stage state
-    # caches the scaled matrix and squares 0 .. s - min(s, 2), s - min(s, 2)
-    # + 2 chunked caches: 2 for every s <= 2, beside its exponential
-    # buffer.  Both also cache A^2 and A^6, as a dense matrix keeps them.
-    # Each report's cache_bytes is what the state holds after its step.
+@pytest.mark.parametrize("s, stage_caches", [(0, 2), (1, 2), (2, 2), (3, 3), (4, 4), (6, 6)])
+def test_row_stream_caches_no_square(monkeypatch, s, stage_caches):
+    # a row state caches the scaled matrix, A^2 and A^6 and no square, at
+    # every s; a stage state caches squares 0 .. s - min(s, 2) as well,
+    # s - min(s, 2) + 2 chunked caches besides A^2 and A^6, and its
+    # exponential buffer.  Each report's cache_bytes is what the state
+    # holds after its step.
     rng = np.random.default_rng(227)
     cols = random_columns(rng, tuple(int(b) for b in rng.integers(1, 6, 20)), scale=0.02)
     held = []
@@ -1336,70 +1405,72 @@ def test_column_stream_caches_squares_up_to_s_minus_3_only(monkeypatch, s, strea
         return out
 
     monkeypatch.setattr(IncrementalExpState, "step", walking_step)
-    streamed = [r for _, r in incremental._drive(cols, s, first_column=True)]
+    u = _row(sum(col.block_size for col in cols))
+    streamed = [r for _, r in incremental._drive(cols, s, row=u)]
     staged = [r for _, r in run_fixed(cols, s)]
     monkeypatch.undo()
 
     n = len(cols)
-    assert held[:n] == [(streamed_caches + 2, True, r.cache_bytes) for r in streamed]
-    assert held[n:] == [(staged_caches + 2, False, r.cache_bytes) for r in staged]
+    assert held[:n] == [(3, True, r.cache_bytes) for r in streamed]
+    assert held[n:] == [(stage_caches + 2, False, r.cache_bytes) for r in staged]
 
 
-def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
-    # the case of test_memory_guard_raises_and_leaves_state without the
-    # exponential buffer: at s = 2 the stream caches the scaled matrix, A^2,
-    # A^6 and square 0, four adopted 3 x 3 chunks (4 * 72 bytes), then four
-    # opened 15 x 12 chunks beside them (4 * 1440)
+def test_row_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatch):
+    # the case of test_memory_guard_raises_and_leaves_state for a row state
+    # at s = 2: it caches the scaled matrix, A^2 and A^6, three adopted 3 x
+    # 3 chunks (3 * 72 bytes), and holds the row u of 5 entries (40) and
+    # its 2^2 + 1 = 5 rows, adopted 3 columns wide (5 * 3 * 8 = 120).  The
+    # second step opens three 15 x 12 chunks (3 * 1440) and a rows buffer
+    # of max(int(1.05 * 5), 5 + 2 * 2) = 9 columns (5 * 9 * 8 = 360) beside
+    # the old one, which it then drops.
     rng = np.random.default_rng(163)
     cols = random_columns(rng, (3, 2), scale=0.5)
-    state = IncrementalExpState(2, _first_column=True)
+    u = _row(5)
+    state = IncrementalExpState(2, _row=u)
     staged = IncrementalExpState(2)
-    top, diag = state.step(cols[0])
+    got = state.step(cols[0])
     staged.step(cols[0])
-    assert top.shape == (0, 1) and diag.shape == (3, 1)
-    assert np.all(np.abs(diag[:, 0] - staged.exponential.data[:, 0])
-                  <= _kept_column_bound(state, 0))
-    assert state.cache_bytes == _held_bytes(state) == 4 * 72
+    assert got.shape == (3,)
+    assert rel_error_fro(got, u[:3] @ staged.exponential.data) <= 1e-14
+    held = 3 * 72 + 40 + 120
+    assert state.cache_bytes == _held_bytes(state) == held
     with pytest.raises(RuntimeError, match="keeps no exponential"):
         state.exponential
-    need = 4 * 72 + 4 * 15 * 12 * 8
+    need = held + 3 * 15 * 12 * 8 + 360
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
-    with pytest.raises(MemoryError, match=f"{need} bytes"):
+    with pytest.raises(MemoryError, match=f"with 5 rows u\\^T F\\^k, would hold {need} bytes"):
         state.step(cols[1])
+    assert state.cache_bytes == held and state.dim == 3
     monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need)
-    top, diag = state.step(cols[1])
-    assert state.cache_bytes == _held_bytes(state) == need
+    got = state.step(cols[1])
+    assert state.cache_bytes == _held_bytes(state) == need - 120
     monkeypatch.undo()
     staged.step(cols[1])
-    got = np.vstack([top, diag])[:, 0]
-    assert np.all(np.abs(got - staged.exponential.data[:, 3]) <= _kept_column_bound(state, 3))
+    assert rel_error_fro(got, u @ staged.exponential.data[:, 3:]) <= 1e-14
 
-    # a Jacobi generator's stream at s = 2 converts its scaled matrix at
+    # a Jacobi generator's row state at s = 2 converts its scaled matrix at
     # degree 4.  Degrees 0 .. 3 add blocks of 1 .. 4 and leave each of the
-    # scaled matrix, A^2, A^6 and square 0 with the same chunks: the
-    # adopted 1 x 1 one (8 bytes), one that degree 1 opens at dimension 1,
-    # of max(2, min(256, 4 * 1)) = 4 columns and 1 + 4 rows (160), and one
-    # that degree 2 opens at dimension 3, of min(171, 4 * 3) = 12 columns
-    # and 3 + 12 rows (1440), which degree 3 fills to dimension 10: 8 + 160
-    # + 1440 = 1608 bytes, and 4 * 1608 = 6432 held.  Degree 4's block of 5
-    # fits the last chunk (3 + 12 = 15 columns).  Beside what it held, the
-    # step holds the new store, 54 nonzeros in 15 columns (12 * 54 + 4 * 16
-    # = 712, see _jacobi_nonzeros), then drops the 3 * 1608 bytes of the
-    # scaled matrix's old chunks and of its powers, which the power
-    # recurrence does not read.  Degree 5 builds a store of 85 nonzeros in
-    # 21 columns (12 * 85 + 4 * 22 = 1108) beside the old one, drops the
-    # old one, and opens a chunk of 15 + 60 rows and min(86, 4 * 15) = 60
-    # columns (36000) for square 0 alone.
+    # scaled matrix, A^2 and A^6 with the chunks of 8 + 160 + 1440 = 1608
+    # bytes (see the column arithmetic in the memory guard tests above), u
+    # of basis_size(2, 5) = 21 entries (168 bytes) and 5 rows whose buffer
+    # grew at dimensions 1, 3 and 10 to 1, max(3, 3 + 2 * 2) = 7 and
+    # max(10, 10 + 2 * 4) = 18 columns (720 bytes): 3 * 1608 + 168 + 720 =
+    # 5712.  Degree 4's block of 5 fits the buffer; the step builds the
+    # sparse store, 54 nonzeros in 15 columns (12 * 54 + 4 * 16 = 712, see
+    # _jacobi_nonzeros), and then drops the 3 * 1608 bytes of chunks.
+    # Degree 5 builds a store of 85 nonzeros in 21 columns (12 * 85 + 4 *
+    # 22 = 1108) and a rows buffer of max(int(1.05 * 21), 21 + 2 * 6) = 33
+    # columns (5 * 33 * 8 = 1320) beside the old ones, and drops those.
     cols = list(generator_block_columns(jacobi_spec(JACOBI), max_degree=5, scale=0.25))
-    state = IncrementalExpState(2, _first_column=True)
+    state = IncrementalExpState(2, _row=basis_values(2, 5, (0.3, 0.2)))
     for col in cols[:4]:
         state.step(col)
-    held = 4 * 1608
-    assert state.cache_bytes == held and state._gt.nbytes == 1608
-    assert [cache.nbytes for cache in state._powers] == [1608, 1608]
-    # 7144 = 6432 + 712 leaves 1608 + 712 = 2320; 39428 = 2320 + 1108 +
-    # 36000 leaves 39428 - 712 = 38716
-    for col, need, dropped in ((cols[4], 7144, 3 * 1608), (cols[5], 39428, 712)):
+    held = 3 * 1608 + 168 + 720
+    assert state.cache_bytes == _held_bytes(state) == held
+    assert [cache.nbytes for cache in [state._gt, *state._powers]] == [1608] * 3
+    # 6424 = 5712 + 712 leaves 712 + 168 + 720 = 1600; 4028 = 1600 + 1108 +
+    # 1320 leaves 4028 - 712 - 720 = 2596
+    for col, need, dropped in ((cols[4], 6424, 3 * 1608), (cols[5], 4028, 712 + 720)):
         form = type(state._gt)
         monkeypatch.setattr(incremental, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"{need} bytes"):
@@ -1411,4 +1482,20 @@ def test_column_state_keeps_no_exponential_and_guards_only_its_caches(monkeypatc
         assert state.cache_bytes == _held_bytes(state) == held
         assert isinstance(state._gt, incremental._SparseColumns) and state._powers == []
         assert state._gt.data.size == _jacobi_nonzeros(len(state.partition.sizes) - 1)
-    assert held == 38716
+    assert held == 2596
+
+    # at s = 60 the first step's rows would take (2^60 + 1) * 4 * 8 bytes:
+    # the guard counts them in Python ints and refuses the step before any
+    # allocation, leaving the state empty
+    import tracemalloc
+
+    state = IncrementalExpState(60, _row=_row(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"scaling power 60, with {2**60 + 1} rows"):
+            state.step(BlockColumn(np.zeros((0, 4)), 0.1 * np.eye(4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert state.dim == 0 and state.cache_bytes == 4 * 8 and state._rows.size == 0

@@ -881,29 +881,24 @@ def _ledgers_off_stages(cfgs):
     return [done[k] for k in range(len(cfgs))]
 
 
-# price_call forms the kept column of the last squares by repeated
-# one-column products, which round differently from the stages' wide
-# squarings, and sums l_n from raw moments, c_n^T (u^T col_p), where the
-# stages' read-off sums u^T (exp h_n).  Over the cases below a moment
-# deviated from the stages' by at most 3.6e-15 = 16 eps times the series'
-# largest |l_m| on the unshifted stream, 1.6 eps on the shifted one with
-# the last square alone on the column, 1.5 eps with the last t = min(s, 3)
-# as products with square s - t, a term or partial sum by less, and a
-# moment, term or partial sum by 18.6 eps from raw moments, at n_max = 30
-# for the second state, where the raw and the stages' sums miss the exact
-# read-off of the same stages by 12 and 9.3 eps (1 and 2 BLAS threads,
-# OpenBLAS); once the stages formed square s from square s - 2 and the
-# first degrees' powers by six products, that deviation was 22.6 eps (1
-# BLAS thread); 64 eps bounds them all.
+# price_call reads each raw moment off the rows u^T F^k, which round
+# differently from the stages' squarings, and sums l_n from raw moments,
+# c_n^T m, where the stages' read-off sums u^T (exp h_n).  Over the cases
+# below a moment, term or partial sum deviates from the stages' by at most
+# 22.7 eps times the series' largest |l_m|, at n_max = 30 for the second
+# state (1 and 2 BLAS threads, OpenBLAS), where the raw and the stages'
+# sums each miss the exact read-off of the same stages by about 10 eps;
+# the pricing streams before the row stream read 18.6 to 22.6 eps there.
+# 64 eps bounds them all.
 _LEDGER_TOL = 64 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("eps, n_max", [(0.0, 30), (1e-3, 60), (1e-3, 150)])
 def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
     # the raw moments give every moment, term and partial sum as the whole
-    # exponential does, to the rounding of the one-column products and of
-    # the two sums, and one engine pass serves any state: a second state's
-    # ledger is read off the same stages
+    # exponential does, to the rounding of the rows u^T F^k and of the two
+    # sums; the stages serve any state, so a second state's ledger is read
+    # off the same stages
     cfgs = [bench_config(eps=eps, n_max=n_max), bench_config(eps=eps, n_max=n_max, y0=0.1, v0=0.3)]
     ledgers = _ledgers_off_stages(cfgs)
     for cfg, (rows, price, s, terminal, basis, mu) in zip(cfgs, ledgers):
@@ -922,9 +917,10 @@ def test_price_ledger_equals_the_read_off_of_whole_stages(eps, n_max):
 
 def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
     # no d x d array on the pricing path: each ledger row's cache_bytes is
-    # what its step left held, the chunks of A^2, A^6 and the squares and
-    # the scaled matrix's chunks until they convert to sparse columns, and
-    # its store from then on, at 12 bytes a nonzero and 4 a column pointer
+    # what its step left held, the chunks of A^2 and A^6 and the scaled
+    # matrix's chunks until they convert to sparse columns, and its store
+    # from then on, at 12 bytes a nonzero and 4 a column pointer, beside the
+    # row u(x0) and the 2^s + 1 rows u^T F^k
     held = []
     states = []
     step = IncrementalExpState.step
@@ -934,21 +930,45 @@ def test_pricing_state_holds_only_its_chunked_caches(monkeypatch):
         chunks = sum(c.nbytes for c in state._powers + state._squares)
         if isinstance(state._gt, incremental._SparseColumns):
             nnz = np.count_nonzero(state._gt.dense())
-            held.append(chunks + 12 * nnz + 4 * (state.dim + 1))
+            chunks += 12 * nnz + 4 * (state.dim + 1)
         else:
-            held.append(chunks + state._gt.nbytes)
+            chunks += state._gt.nbytes
+        held.append(chunks + state._row.nbytes + state._rows.nbytes)
         states.append(state)
         return out
 
     monkeypatch.setattr(IncrementalExpState, "step", recording_step)
-    res = price_call(bench_config(eps=0.0, n_max=25))
+    cfg = bench_config(eps=0.0, n_max=25)
+    res = price_call(cfg)
     assert [r.cache_bytes for r in res.rows] == held
     assert len({id(state) for state in states}) == 1
-    # no exponential buffer, and no array beside the caches: each new
-    # block column of the exponential leaves the state as step's return
-    assert states[0]._exp is None
-    assert [k for k, v in vars(states[0]).items() if isinstance(v, (np.ndarray, tuple))] == []
+    # no exponential buffer and no square: the only arrays beside the
+    # caches are u and the rows, 2^s + 1 by the dimension and its spare
+    # columns, and each new block of u^T exp(G) leaves as step's return
+    state = states[0]
+    assert state._exp is None and state._squares == []
+    arrays = {k: v.shape for k, v in vars(state).items() if isinstance(v, (np.ndarray, tuple))}
+    assert arrays == {"_row": (basis_size(2, 25),), "_rows": (2**res.scaling + 1,
+                                                               state._rows.shape[1])}
+    assert state.dim <= state._rows.shape[1] <= 1.05 * state.dim + 2 * 26
     assert all(r.moment_seconds >= 0 for r in res.rows)
+
+
+def test_price_at_a_scaling_whose_rows_memory_cannot_hold_raises_at_degree_0():
+    # at s = 60 the 2^60 + 1 rows u^T F^k would take exabytes: the memory
+    # guard counts them before any allocation and refuses the first degree
+    # with one MemoryError naming them, having allocated nothing large
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"dimension 1 at scaling power 60, with "
+                                              f"{2**60 + 1} rows"):
+            price_call(bench_config(scaling=60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_raw_moments_read_off_as_the_whole_exponential():

@@ -9,22 +9,22 @@ BLAS thread count.  Five things decide which bits each cache product
 rounds to: the engine's chunk rule, which splits it into panels (and also
 sets ``cache_bytes``), how BLAS accumulates each panel into the product,
 here in place with beta = 1, each earlier panel at its chunk's full
-stored width, the product's width and order: BLAS rounds a one-column
-product differently from the same column of a wide one, and square s is
-formed as S^(2^t - 1) [z; D], by 2^t - 1 products with square s - t, in
-place of the last t squarings, b columns wide on the stage path (t =
-min(s, 2)) and one column wide in ``price_call``'s stream (t = min(s,
-3)), the scaled matrix's form: chunks, or compressed sparse columns once
-those take fewer bytes than its block triangle, whose product scipy sums
-nonzero by nonzero (the pricing generator converts at degree 4; the
-engine's dense instances never do), and the evaluation scheme of the
-Pade polynomials: each new diagonal block sums its powers as
-``expm_baseline`` does, and the top parts follow Higham's six products
-while the scaled matrix is chunked and the power recurrence once it is
-sparse.  A change to any of them can move every line.  ``price``
-also rounds in ``price_call``'s read-off, which sums each moment from
-raw moments as c_n^T (u^T column) over its Hermite coefficients c_n; a
-change to that order moves ``price`` alone.
+stored width, the product's width and order: square s is formed as
+S^(2^t - 1) [z; D], by 2^t - 1 b-wide products with square s - t, in
+place of the last t squarings (t = min(s, 2)), the scaled matrix's form:
+chunks, or compressed sparse columns once those take fewer bytes than
+its block triangle, whose product scipy sums nonzero by nonzero (the
+pricing generator converts at degree 4; the engine's dense instances
+never do), and the evaluation scheme of the Pade polynomials: each new
+diagonal block sums its powers as ``expm_baseline`` does, and the top
+parts follow Higham's six products while the scaled matrix is chunked
+and the power recurrence, on the same powers of the diagonal block,
+once it is sparse.  A change to any of them can move every line.
+``price`` rounds in ``price_call``'s row stream too, which forms no
+square: it extends the 2^s + 1 rows u^T F^k by two products of the rows
+with the polynomials' new top parts and a doubling over k, and in the
+read-off, which sums each moment from raw moments as c_n^T m over its
+Hermite coefficients c_n; a change to either moves ``price`` alone.
 
 ``engine`` hashes, in order, every stage of ``run_adaptive`` and of
 ``run_fixed(s=8)`` on a 12-block random instance (dim 340, one restart),
